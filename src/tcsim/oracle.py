@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EigendecompositionError, TruncationError, ValidationError
 from .series import TimeSeries
-from .states import Couplings, FockDistribution, SystemConfig, number_state
+from .states import Couplings, FockDistribution, SystemConfig, check_components
 
 __all__ = [
     "OracleConfig",
@@ -143,24 +143,17 @@ def _embed(q1: int, q2: int, dist: FockDistribution, n_max: int) -> np.ndarray:
 def initial_components(
     config: SystemConfig,
     n_max: int,
-    oscillator_mixture: float | None = None,
+    components=None,
 ) -> list[tuple[float, np.ndarray]]:
     """Pure components (weight, state vector) of the initial density matrix.
 
     The system qubit starts excited; the environment qubit is excited with
-    probability p and ground otherwise.  With ``oscillator_mixture`` set to
-    f, the oscillator preparation is replaced by the two-component mixture
-    f |0><0| + (1-f) |1><1| (used for cross-checks of the mixed-oscillator
-    closed form).
+    probability p and ground otherwise.  The oscillator is prepared as the
+    mixture of ``components``, (weight, FockDistribution) pairs, which
+    defaults to the pure ``config.oscillator``.
     """
-    if oscillator_mixture is None:
-        osc_parts = [(1.0, config.oscillator)]
-    else:
-        f = float(oscillator_mixture)
-        if not 0.0 <= f <= 1.0:
-            raise ValidationError(f"oscillator mixture weight {f!r} must lie in [0, 1]")
-        osc_parts = [(f, number_state(0)), (1.0 - f, number_state(1))]
-    support = max(dist.cutoff for _, dist in osc_parts)
+    components = check_components([(1.0, config.oscillator)] if components is None else components)
+    support = max(dist.cutoff for _, dist in components)
     if n_max < required_n_max(support):
         raise TruncationError(
             f"n_max = {n_max} too small; oscillator support {support} needs "
@@ -168,7 +161,7 @@ def initial_components(
         )
     p = config.env.p
     comps = []
-    for w_osc, dist in osc_parts:
+    for w_osc, dist in components:
         if w_osc == 0.0:
             continue
         if p > 0.0:
@@ -181,13 +174,13 @@ def initial_components(
 def initial_density(
     config: SystemConfig,
     n_max: int,
-    oscillator_mixture: float | None = None,
+    components=None,
 ) -> np.ndarray:
-    """Initial density matrix: rank <= 2 for a pure oscillator, rank <= 4
-    with the two-component oscillator mixture."""
+    """Initial density matrix, of rank at most twice the number of
+    oscillator components."""
     dim = 4 * (n_max + 1)
     rho = np.zeros((dim, dim), dtype=complex)
-    for weight, vec in initial_components(config, n_max, oscillator_mixture):
+    for weight, vec in initial_components(config, n_max, components):
         rho += weight * np.outer(vec, vec.conj())
     return rho
 
@@ -250,14 +243,15 @@ def purity(rho: np.ndarray) -> float:
 def oracle_entropy_series(
     config: SystemConfig,
     cfg: OracleConfig,
-    oscillator_mixture: float | None = None,
+    components=None,
     dense: bool = False,
 ) -> TimeSeries:
     """Linear entropy of the system qubit over the configuration's grid,
     via build -> evolve -> reduce -> purity only.
 
-    The default path evolves the (at most four) pure components of the
-    initial state and assembles the reduced matrix directly, which is
+    ``components`` is the oscillator preparation as in
+    ``initial_components``.  The default path evolves the pure components of
+    the initial state and assembles the reduced matrix directly, which is
     algebraically identical to evolving the full density matrix.  With
     ``dense=True`` the full-matrix reference path is used instead.
     """
@@ -265,13 +259,13 @@ def oracle_entropy_series(
     h = build_hamiltonian(cfg)
     prop = Propagator(h)
     if dense:
-        rho0 = initial_density(config, cfg.n_max, oscillator_mixture)
+        rho0 = initial_density(config, cfg.n_max, components)
         zeta = np.empty(times.size)
         for i, t in enumerate(times):
             rho_t = prop.evolve_density(rho0, t)
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
-    comps = initial_components(config, cfg.n_max, oscillator_mixture)
+    comps = initial_components(config, cfg.n_max, components)
     rest = cfg.dim // 2
     rho1 = np.zeros((times.size, 2, 2), dtype=complex)
     for weight, vec in comps:

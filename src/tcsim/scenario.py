@@ -95,15 +95,8 @@ class Scenario:
     def support_cutoff(self) -> int:
         return max(dist.cutoff for _, dist in self.oscillator_components())
 
-    def system_config(self, dist: FockDistribution | None = None) -> SystemConfig:
-        """SystemConfig for a pure oscillator (or an explicit component)."""
-        if dist is None:
-            comps = self.oscillator_components()
-            if len(comps) != 1:
-                raise ValidationError(
-                    "a mixed oscillator has no single SystemConfig; pass a component"
-                )
-            dist = comps[0][1]
+    def system_config(self, dist: FockDistribution) -> SystemConfig:
+        """SystemConfig with the oscillator prepared in ``dist``."""
         return SystemConfig(
             oscillator=dist,
             env=EnvironmentMixture(self.p),

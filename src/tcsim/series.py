@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonuniformGridError
+from .errors import NonuniformGridError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,11 @@ class TimeSeries:
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
-            raise ValueError("times and values must be 1-d arrays of equal length")
+            raise ValidationError("times and values must be 1-d arrays of equal length")
         if times.size < 1:
-            raise ValueError("a time series needs at least one sample")
+            raise ValidationError("a time series needs at least one sample")
         if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
+            raise ValidationError("times must be strictly increasing")
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)

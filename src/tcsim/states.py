@@ -189,6 +189,17 @@ def binomial_state(m: int, q: float) -> FockDistribution:
     return FockDistribution(amps / math.sqrt(float(np.dot(amps, amps))))
 
 
+def check_components(components) -> list[tuple[float, FockDistribution]]:
+    """The oscillator mixture sum_k weight_k |psi_k><psi_k| given as
+    (weight, FockDistribution) pairs, as a list; raises ValidationError
+    unless the weights are non-negative and sum to 1."""
+    components = list(components)
+    weights = np.array([w for w, _ in components], dtype=float)
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
+        raise ValidationError("mixture weights must be non-negative and sum to 1")
+    return components
+
+
 def fano_factor(dist: FockDistribution) -> float:
     """Excitation-number variance divided by its mean.
 

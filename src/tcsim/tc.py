@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NegativeDiscriminantError, ValidationError
 from .series import TimeSeries
-from .states import Couplings, FockDistribution, SystemConfig
+from .states import Couplings, FockDistribution, SystemConfig, check_components
 
 __all__ = [
     "SpectralParams",
@@ -250,47 +250,51 @@ def tc_coefficients_primed(n: int, couplings: Couplings, t) -> CoefficientQuad:
     return CoefficientQuad(c1, c2, c3, c4, primed=True)
 
 
-def _term_arrays(dist: FockDistribution, p: float, couplings: Couplings, t: np.ndarray):
-    """alpha(t), beta(t), gamma(t) summed over the distribution's support.
+def _term_arrays(components, p: float, couplings: Couplings, t: np.ndarray):
+    """alpha(t), beta(t), gamma(t) for an oscillator prepared as the mixture
+    of (weight, FockDistribution) components.
 
-    alpha and beta run over n = 0..cutoff; gamma couples neighbouring Fock
-    components and runs over n = 0..cutoff-1.
+    The terms are linear in the initial density, so each component's weight
+    scales its amplitude products.  Per component, alpha and beta run over
+    n = 0..cutoff; gamma couples neighbouring Fock components and runs over
+    n = 0..cutoff-1.
     """
-    amps = dist.amplitudes
-    ncut = dist.cutoff
-    needed = [n for n in range(ncut + 1) if amps[n] != 0.0]
-    quads = {n: _quad_unprimed_arrays(n, couplings, t) for n in needed}
-    quads_p = {n: _quad_primed_arrays(n, couplings, t) for n in needed}
     alpha = np.zeros_like(t)
     beta = np.zeros_like(t)
     gamma = np.zeros_like(t, dtype=complex)
-    for n in needed:
-        w = amps[n] ** 2
-        c1, c2, c3, c4 = quads[n]
-        k1, k2, k3, k4 = quads_p[n]
-        alpha += w * (
-            p * (np.abs(c3) ** 2 + np.abs(c4) ** 2)
-            + (1.0 - p) * (np.abs(k3) ** 2 + np.abs(k4) ** 2)
-        )
-        beta += w * (
-            p * (np.abs(c1) ** 2 + np.abs(c2) ** 2)
-            + (1.0 - p) * (np.abs(k1) ** 2 + np.abs(k2) ** 2)
-        )
-        if n < ncut and amps[n + 1] != 0.0:
-            w2 = amps[n] * amps[n + 1]
-            d1, d2, d3, d4 = quads[n + 1]
-            e1, e2, e3, e4 = quads_p[n + 1]
-            gamma += w2 * (
-                p * (c4 * d2.conj() + c3 * d1.conj())
-                + (1.0 - p) * (k4 * e2.conj() + k3 * e1.conj())
+    for weight, dist in components:
+        amps = dist.amplitudes
+        ncut = dist.cutoff
+        needed = [n for n in range(ncut + 1) if weight != 0.0 and amps[n] != 0.0]
+        quads = {n: _quad_unprimed_arrays(n, couplings, t) for n in needed}
+        quads_p = {n: _quad_primed_arrays(n, couplings, t) for n in needed}
+        for n in needed:
+            w = weight * amps[n] ** 2
+            c1, c2, c3, c4 = quads[n]
+            k1, k2, k3, k4 = quads_p[n]
+            alpha += w * (
+                p * (np.abs(c3) ** 2 + np.abs(c4) ** 2)
+                + (1.0 - p) * (np.abs(k3) ** 2 + np.abs(k4) ** 2)
             )
+            beta += w * (
+                p * (np.abs(c1) ** 2 + np.abs(c2) ** 2)
+                + (1.0 - p) * (np.abs(k1) ** 2 + np.abs(k2) ** 2)
+            )
+            if n < ncut and amps[n + 1] != 0.0:
+                w2 = weight * amps[n] * amps[n + 1]
+                d1, d2, d3, d4 = quads[n + 1]
+                e1, e2, e3, e4 = quads_p[n + 1]
+                gamma += w2 * (
+                    p * (c4 * d2.conj() + c3 * d1.conj())
+                    + (1.0 - p) * (k4 * e2.conj() + k3 * e1.conj())
+                )
     return alpha, beta, gamma
 
 
 def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (alpha, beta, gamma) over an array of times."""
     t = np.atleast_1d(_check_times(t))
-    return _term_arrays(config.oscillator, config.env.p, config.couplings, t)
+    return _term_arrays([(1.0, config.oscillator)], config.env.p, config.couplings, t)
 
 
 def entropy_terms(config: SystemConfig, t: float) -> EntropyTerms:
@@ -328,24 +332,12 @@ def mixture_entropy_arrays(
     """Linear entropy for an oscillator prepared in a statistical mixture.
 
     ``components`` is a sequence of (weight, FockDistribution) pairs whose
-    weights sum to 1.  The reduced-qubit terms mix convexly component by
+    weights are non-negative and sum to 1; a pure preparation is the single
+    pair ``(1.0, dist)``.  The reduced-qubit terms mix convexly component by
     component before the entropy is formed.
     """
     t = np.atleast_1d(_check_times(t))
-    weights = np.array([w for w, _ in components], dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValidationError("mixture weights must be non-negative and sum to 1")
-    alpha = np.zeros_like(t)
-    beta = np.zeros_like(t)
-    gamma = np.zeros_like(t, dtype=complex)
-    for weight, dist in components:
-        if weight == 0.0:
-            continue
-        a, b, g = _term_arrays(dist, env_p, couplings, t)
-        alpha += weight * a
-        beta += weight * b
-        gamma += weight * g
-    return _zeta_from_terms(alpha, beta, gamma)
+    return _zeta_from_terms(*_term_arrays(check_components(components), env_p, couplings, t))
 
 
 def branch_frequencies(dist: FockDistribution, couplings: Couplings) -> np.ndarray:

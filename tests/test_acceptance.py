@@ -122,11 +122,13 @@ def test_criterion_03_mixed_oscillator_cross_check():
     worst = 0.0
     for f in (0.0, 0.3, 0.5, 1.0):
         closed = jc_mixture_entropy(f, 1.0, times)
-        checked = oracle_entropy_series(base, cfg, oscillator_mixture=f).values
+        components = [(f, number_state(0)), (1 - f, number_state(1))]
+        checked = oracle_entropy_series(base, cfg, components=components).values
         worst = max(worst, float(np.max(np.abs(closed - checked))))
     assert worst <= 1e-10
     closed = jc_mixture_entropy(0.5, 1.0, times)
-    checked = oracle_entropy_series(base, cfg, oscillator_mixture=0.5).values
+    components = [(0.5, number_state(0)), (0.5, number_state(1))]
+    checked = oracle_entropy_series(base, cfg, components=components).values
     interior = (closed[1:-1] < closed[:-2]) & (closed[1:-1] < closed[2:])
     idx = np.nonzero(interior)[0] + 1
     idx = idx[times[idx] > 5.0]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tcsim.tc as tc
 from tcsim.cli import main
@@ -148,6 +150,16 @@ def test_run_exit_codes(tmp_path):
     assert main(["run", str(garbled)]) == 2
 
 
+def test_run_validates_the_environment_on_the_single_branch_route(tmp_path):
+    mixture = GOOD_SCENARIO.replace("kind = number\nN = 1", "kind = mixture01\nf = 0.5")
+    mixture = mixture.replace("lambda2 = 0.1", "lambda2 = 0.0")
+    path = tmp_path / "mixture.ini"
+    path.write_text(mixture, encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    path.write_text(mixture.replace("p = 0.5", "p = 1.5"), encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+
+
 def test_run_svg_requires_out(tmp_path):
     scenario_path = tmp_path / "sc.ini"
     scenario_path.write_text(GOOD_SCENARIO, encoding="utf-8")
@@ -259,3 +271,54 @@ def test_analyze_reports_peaks(tmp_path, capsys):
 
 def test_analyze_rejects_missing_file(tmp_path):
     assert main(["analyze", str(tmp_path / "nothing.csv")]) == 2
+
+
+def test_analyze_rejects_times_that_do_not_increase(tmp_path, capsys):
+    path = tmp_path / "backwards.csv"
+    path.write_text("t,zeta\n0,0.1\n2,0.2\n1,0.3\n3,0.1\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 3
+    assert "strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["2,nan", "2,inf", "-inf,0.1", "2,1e999"])
+def test_analyze_rejects_non_finite_rows(tmp_path, capsys, row):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"t,zeta\n0,0.1\n1,0.2\n{row}\n3,0.1\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert "data row 3 " in capsys.readouterr().err
+
+
+def test_analyze_rejects_undecodable_file(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"t,zeta\n0,\xff\xfe\n")
+    assert main(["analyze", str(path)]) == 2
+
+
+_CSV_FIELD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-5, 40).map(str),
+    st.text(alphabet="0123456789.-+eEnaif #,", max_size=6),
+)
+_CSV_ROW = st.lists(_CSV_FIELD, min_size=0, max_size=3).map(",".join)
+
+
+@st.composite
+def _csv_rows(draw):
+    """Free-form rows, or rows on a uniform grid with one row replaced."""
+    if draw(st.booleans()):
+        return draw(st.lists(_CSV_ROW, max_size=30))
+    step = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    values = draw(st.lists(st.floats(0.0, 0.5), max_size=30))
+    rows = [f"{k * step!r},{v!r}" for k, v in enumerate(values)]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(_CSV_ROW)
+    return rows
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_csv_rows(), header=st.booleans())
+def test_analyze_never_raises_on_short_csv_text(tmp_path, capsys, rows, header):
+    path = tmp_path / "fuzz.csv"
+    path.write_text("\n".join((["t,zeta"] if header else []) + rows) + "\n", encoding="utf-8")
+    assert main(["analyze", str(path), "--after", "1", "--peaks", "2"]) in (0, 2, 3)
+    capsys.readouterr()

@@ -109,7 +109,8 @@ def _mixture_oracle(f: float, grid: TimeGrid) -> np.ndarray:
         grid=grid,
     )
     cfg = OracleConfig(n_max=3, couplings=config.couplings)
-    return oracle_entropy_series(config, cfg, oscillator_mixture=f).values
+    components = [(f, number_state(0)), (1 - f, number_state(1))]
+    return oracle_entropy_series(config, cfg, components=components).values
 
 
 @pytest.mark.parametrize("f", [0.0, 0.3, 0.5, 1.0])

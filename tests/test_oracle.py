@@ -111,7 +111,8 @@ def test_initial_density_maximally_mixed_environment():
 
 def test_initial_density_supports_vacuum_one_photon_mixture():
     n_max = 3
-    rho = initial_density(_config(number_state(0), 0.0), n_max=n_max, oscillator_mixture=0.3)
+    components = [(0.3, number_state(0)), (0.7, number_state(1))]
+    rho = initial_density(_config(number_state(0), 0.0), n_max=n_max, components=components)
     diag = np.diag(rho).real
     assert diag[full_index(1, 0, 0, n_max)] == pytest.approx(0.3)
     assert diag[full_index(1, 0, 1, n_max)] == pytest.approx(0.7)
@@ -211,10 +212,11 @@ def test_series_invariant_under_common_resonant_frequency():
             assert np.max(np.abs(series.values - reference)) <= 1e-10
 
 
-def test_series_two_term_oscillator_mixture_matches_closed_form():
+def test_series_two_term_vacuum_one_photon_mixture_matches_closed_form():
     config = _config(number_state(0), 0.0, l1=1.0, l2=0.0, grid=TimeGrid(0.0, 30.0, 1501))
     cfg = OracleConfig(n_max=3, couplings=config.couplings)
-    series = oracle_entropy_series(config, cfg, oscillator_mixture=0.5)
+    components = [(0.5, number_state(0)), (0.5, number_state(1))]
+    series = oracle_entropy_series(config, cfg, components=components)
     expected = jc_mixture_entropy(0.5, 1.0, series.times)
     assert np.max(np.abs(series.values - expected)) <= 1e-10
 

@@ -14,6 +14,7 @@ from tcsim.oracle import (
     build_hamiltonian,
     excitation_block,
     initial_density,
+    oracle_entropy_series,
     reduce_qubit1,
 )
 from tcsim.states import (
@@ -334,13 +335,27 @@ def test_mixture_entropy_arrays_match_dedicated_closed_form():
 
 
 def test_mixture_entropy_arrays_reject_bad_weights():
-    with pytest.raises(ValidationError):
-        mixture_entropy_arrays(
-            [(0.7, number_state(0)), (0.7, number_state(1))],
-            0.0,
-            Couplings(1.0, 0.0),
-            np.linspace(0, 1, 5),
-        )
+    config = _config(number_state(1), 0.0, l2=0.0, grid=TimeGrid(0.0, 1.0, 5))
+    cfg = OracleConfig(n_max=3, couplings=config.couplings)
+    for weights in ((0.7, 0.7), (1.2, -0.2), (0.5, float("nan"))):
+        components = [(weights[0], number_state(0)), (weights[1], number_state(1))]
+        with pytest.raises(ValidationError):
+            mixture_entropy_arrays(components, 0.0, config.couplings, config.grid.times())
+        with pytest.raises(ValidationError):
+            oracle_entropy_series(config, cfg, components=components)
+
+
+def test_mixed_binomial_and_number_state_closed_form_matches_oracle():
+    components = [(0.3, binomial_state(5, 0.4)), (0.7, number_state(2))]
+    config = _config(number_state(2), 0.3, l2=0.1, grid=TimeGrid(0.0, 30.0, 1501))
+    closed = mixture_entropy_arrays(components, 0.3, config.couplings, config.grid.times())
+    cfg = OracleConfig(n_max=7, couplings=config.couplings)
+    checked = oracle_entropy_series(config, cfg, components=components)
+    assert np.max(np.abs(closed - checked.values)) <= 1e-10
+    # a genuine mixture: neither component alone gives the same curve
+    for _, dist in components:
+        pure = linear_entropy(_config(dist, 0.3, l2=0.1), config.grid.times())
+        assert np.max(np.abs(closed - pure)) > 1e-3
 
 
 # ------------------------------------------------------- frequency content
