@@ -168,10 +168,14 @@ def cmd_oracle_check(args) -> int:
         raise ScenarioParseError("oracle-check needs a scenario file or --preset")
     closed = closed_series(scenario)
     checked = oracle_series(scenario)
-    max_err = float(np.max(np.abs(closed.values - checked.values)))
+    errors = np.abs(closed.values - checked.values)
+    worst = int(np.argmax(errors))
+    max_err = float(errors[worst])
     ok = max_err <= args.tol
     print(f"max |zeta_closed - zeta_oracle| = {max_err:.3e} over {len(closed)} points "
           f"(tol {args.tol:g}): {'PASS' if ok else 'FAIL'}")
+    print(f"worst point: t = {_fmt(closed.times[worst])}  zeta_closed = {_fmt(closed.values[worst])}  "
+          f"zeta_oracle = {_fmt(checked.values[worst])}")
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -199,6 +203,13 @@ def _load_csv(path: Path) -> TimeSeries:
         i = bad[0]
         raise ScenarioParseError(
             f"data row {i + 1} of {path} is not finite: {times[i]:g},{values[i]:g}"
+        )
+    # both pipelines clip zeta to exactly this range
+    bad = np.flatnonzero((values < 0.0) | (values > 0.5))
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(
+            f"data row {i + 1} of {path} has zeta = {values[i]:g} outside [0, 0.5]"
         )
     return TimeSeries(times, values)
 

@@ -1,7 +1,7 @@
 """Brute-force ground truth on the truncated qubit1 (x) qubit2 (x) oscillator
-space: build the dense Hamiltonian, evolve by eigendecomposition, partial
+space: build the numeric Hamiltonian, evolve by eigendecomposition, partial
 trace to the system qubit, and read off the purity.  No closed-form
-coefficient enters anywhere in this module.
+coefficient or frequency enters anywhere in this module.
 
 Basis ordering is fixed and load-bearing: the full index is
 ``(q1 * 2 + q2) * (n_max + 1) + m`` with qubit index 0 = ground and
@@ -9,7 +9,13 @@ Basis ordering is fixed and load-bearing: the full index is
 
 Because the coupling conserves the total excitation number, truncating at
 n_max >= (oscillator support) + 2 is exact, not approximate: the populated
-blocks close on themselves and nothing leaks past the cutoff.
+blocks close on themselves and nothing leaks past the cutoff.  The same fact
+lets the default path of ``oracle_entropy_series`` evolve only those
+blocks: it gathers the Hamiltonian's terms on the 4x4 excitation blocks the
+initial state populates, diagonalizes them with one batched ``eigh``, and
+scatters the evolved states back onto the full basis for the unchanged
+partial trace.  ``dense=True`` keeps the dense 4(n_max + 1)-dimensional
+matrix and the full density matrix as the reference.
 """
 
 from __future__ import annotations
@@ -60,52 +66,91 @@ class OracleConfig:
         return 4 * (self.n_max + 1)
 
 
-def _operators(n_max: int):
-    no = n_max + 1
-    a = np.diag(np.sqrt(np.arange(1.0, no)), 1)
+def _terms(cfg: OracleConfig) -> list:
+    """H as a list of (coef, q1 op, q2 op, oscillator op) kron factors.
+
+    Each oscillator operator has one nonzero diagonal and is kept as
+    ``(values, offset)``, the arguments of ``np.diag``, so that the block path
+    never forms an (n_max + 1)-square matrix.
+    """
+    no = cfg.n_max + 1
+    root = np.sqrt(np.arange(1.0, no))
+    a, a_dag = (root, 1), (root, -1)
+    number, one = (np.arange(float(no)), 0), (np.ones(no), 0)
     sz = np.diag([-1.0, 1.0])
     sp = np.array([[0.0, 0.0], [1.0, 0.0]])
     i2 = np.eye(2)
-    io = np.eye(no)
+    lam1, lam2 = cfg.couplings.lambda1, cfg.couplings.lambda2
+    half = 0.5 * cfg.omega
+    return [
+        (cfg.omega, i2, i2, number),
+        (half, sz, i2, one),
+        (half, i2, sz, one),
+        (lam1, sp, i2, a),
+        (lam1, sp.T, i2, a_dag),
+        (lam2, i2, sp, a),
+        (lam2, i2, sp.T, a_dag),
+    ]
 
-    def on_q1(op):
-        return np.kron(op, np.kron(i2, io))
 
-    def on_q2(op):
-        return np.kron(i2, np.kron(op, io))
-
-    def on_osc(op):
-        return np.kron(i2, np.kron(i2, op))
-
-    return a, sz, sp, on_q1, on_q2, on_osc
+def _split(index, n_max: int):
+    """(q1, q2, m) of full basis indices."""
+    q, m = np.divmod(index, n_max + 1)
+    return q // 2, q % 2, m
 
 
-def build_hamiltonian(cfg: OracleConfig) -> np.ndarray:
-    """Dense Hamiltonian on the truncated space (units hbar = 1):
+def _diagonal_entries(op, rows, cols) -> np.ndarray:
+    """Entries ``np.diag(*op)[rows, cols]`` without forming the matrix."""
+    values, offset = op
+    at = np.clip(np.minimum(rows, cols), 0, values.size - 1)
+    return np.where(cols - rows == offset, values[at], 0.0)
+
+
+def build_hamiltonian(cfg: OracleConfig, blocks=None) -> np.ndarray:
+    """Hamiltonian on the truncated space (units hbar = 1):
 
         H = omega a+a + (omega/2)(sz1 + sz2)
             + lambda1 (a s1+ + a+ s1-) + lambda2 (a s2+ + a+ s2-)
 
     The matrix is real symmetric and commutes with the total excitation
     operator, which is what makes the truncation exact.
+
+    With ``blocks=None`` the result is the dense dim x dim matrix.  Given a
+    (K, d) array of basis indices it is the (K, d, d) stack of the
+    sub-matrices ``H[np.ix_(row, row)]``, evaluated from the same terms
+    without the dense matrix; an index of -1 marks an empty slot, whose row
+    and column are zero.
     """
-    a, sz, sp, on_q1, on_q2, on_osc = _operators(cfg.n_max)
-    h = cfg.omega * on_osc(a.T @ a) + 0.5 * cfg.omega * (on_q1(sz) + on_q2(sz))
-    for lam, embed in ((cfg.couplings.lambda1, on_q1), (cfg.couplings.lambda2, on_q2)):
-        raise_op = embed(sp)
-        h = h + lam * (on_osc(a) @ raise_op + on_osc(a.T) @ raise_op.T)
-    return h
+    terms = _terms(cfg)
+    if blocks is None:
+        return sum(coef * np.kron(q1, np.kron(q2, np.diag(*osc))) for coef, q1, q2, osc in terms)
+    rows = np.asarray(blocks)
+    valid = rows >= 0
+    q1, q2, m = _split(np.where(valid, rows, 0), cfg.n_max)
+
+    def pairs(x):
+        return x[..., :, None], x[..., None, :]
+
+    h = sum(
+        coef * (f1[pairs(q1)] * (f2[pairs(q2)] * _diagonal_entries(osc, *pairs(m))))
+        for coef, f1, f2, osc in terms
+    )
+    return np.where(valid[..., :, None] & valid[..., None, :], h, 0.0)
 
 
 def total_excitation(cfg: OracleConfig) -> np.ndarray:
     """Operator counting quanta: a+a + (sz1 + 1)/2 + (sz2 + 1)/2."""
-    a, sz, _, on_q1, on_q2, on_osc = _operators(cfg.n_max)
-    up = 0.5 * (sz + np.eye(2))
-    return on_osc(a.T @ a) + on_q1(up) + on_q2(up)
+    q1, q2, m = _split(np.arange(cfg.dim), cfg.n_max)
+    return np.diag((q1 + q2 + m).astype(float))
 
 
-def _index(q1: int, q2: int, m: int, n_max: int) -> int:
-    return (q1 * 2 + q2) * (n_max + 1) + m
+def _block_rows(excitations, n_max: int) -> np.ndarray:
+    """(K, 4) basis indices of the conserved blocks of total excitation k,
+    {|e1 e2 k-2>, |e1 g2 k-1>, |g1 e2 k-1>, |g1 g2 k>}, one row per k.
+    A slot whose photon number would be negative holds -1."""
+    m = np.asarray(excitations)[:, None] - np.array([2, 1, 1, 0])
+    qubits = np.array([3, 2, 1, 0])  # q1 * 2 + q2 of each slot
+    return np.where(m >= 0, qubits * (n_max + 1) + m, -1)
 
 
 def excitation_block(cfg: OracleConfig, n: int) -> np.ndarray:
@@ -116,14 +161,8 @@ def excitation_block(cfg: OracleConfig, n: int) -> np.ndarray:
     """
     if n < 0 or n + 2 > cfg.n_max:
         raise TruncationError(f"block n = {n} needs n_max >= {n + 2}, have {cfg.n_max}")
-    h = build_hamiltonian(OracleConfig(cfg.n_max, cfg.couplings, omega=0.0))
-    idx = [
-        _index(1, 1, n, cfg.n_max),
-        _index(1, 0, n + 1, cfg.n_max),
-        _index(0, 1, n + 1, cfg.n_max),
-        _index(0, 0, n + 2, cfg.n_max),
-    ]
-    return h[np.ix_(idx, idx)]
+    interaction = OracleConfig(cfg.n_max, cfg.couplings, omega=0.0)
+    return build_hamiltonian(interaction, _block_rows([n + 2], cfg.n_max))[0]
 
 
 def required_n_max(support_cutoff: int) -> int:
@@ -185,14 +224,22 @@ def initial_density(
     return rho
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 class Propagator:
-    """One-time eigendecomposition of a Hermitian matrix, reused to evolve
-    states and density matrices over any number of times."""
+    """One-time eigendecomposition of a Hermitian matrix, or of a (..., d, d)
+    stack of them, reused to evolve states and density matrices over any
+    number of times.  A single matrix is the stack with no leading axes."""
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h)
-        scale = max(np.abs(h).max(), 1.0)
-        if not np.allclose(h, h.conj().T, atol=_HERMITICITY_TOL * scale, rtol=0):
+        if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+            raise EigendecompositionError(f"expected square matrices, got shape {h.shape}")
+        scale = np.maximum(np.abs(h).max(axis=(-2, -1)), 1.0)
+        asymmetry = np.abs(h - _adjoint(h)).max(axis=(-2, -1))
+        if not np.all(asymmetry <= _HERMITICITY_TOL * scale):
             raise EigendecompositionError("matrix is not Hermitian")
         try:
             self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
@@ -201,19 +248,22 @@ class Propagator:
 
     def unitary(self, t: float) -> np.ndarray:
         v = self.eigenvectors
-        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
+        return (v * np.exp(-1j * self.eigenvalues * t)[..., None, :]) @ _adjoint(v)
 
     def evolve_state(self, psi0: np.ndarray, times) -> np.ndarray:
-        """Return the evolved state at each time as columns of a
-        (dim, n_times) array."""
+        """Evolve ``psi0`` of shape (..., d), one state per matrix of the
+        stack, and return the state at each time as the last axis of a
+        (..., d, n_times) array.  exp(-iEt) is computed once per call, so
+        states stacked on extra leading axes share it."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        c0 = self.eigenvectors.conj().T @ np.asarray(psi0, dtype=complex)
-        phases = np.exp(-1j * np.outer(self.eigenvalues, times))
-        return self.eigenvectors @ (phases * c0[:, None])
+        v = self.eigenvectors
+        c0 = (_adjoint(v) @ np.asarray(psi0, dtype=complex)[..., None])[..., 0]
+        phases = np.exp(-1j * (self.eigenvalues[..., None] * times))
+        return (v * c0[..., None, :]) @ phases
 
     def evolve_density(self, rho0: np.ndarray, t: float) -> np.ndarray:
         u = self.unitary(t)
-        return u @ np.asarray(rho0, dtype=complex) @ u.conj().T
+        return u @ np.asarray(rho0, dtype=complex) @ _adjoint(u)
 
 
 def evolve(rho0: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
@@ -250,15 +300,16 @@ def oracle_entropy_series(
     via build -> evolve -> reduce -> purity only.
 
     ``components`` is the oscillator preparation as in
-    ``initial_components``.  The default path evolves the pure components of
-    the initial state and assembles the reduced matrix directly, which is
-    algebraically identical to evolving the full density matrix.  With
-    ``dense=True`` the full-matrix reference path is used instead.
+    ``initial_components``.  The default path builds, diagonalizes and
+    evolves only the excitation blocks that the pure components of the
+    initial state populate, scatters the evolved states back onto the full
+    basis and assembles the reduced matrix directly, which is algebraically
+    identical to evolving the full density matrix.  With ``dense=True`` the
+    full-matrix reference path is used instead.
     """
     times = config.grid.times()
-    h = build_hamiltonian(cfg)
-    prop = Propagator(h)
     if dense:
+        prop = Propagator(build_hamiltonian(cfg))
         rho0 = initial_density(config, cfg.n_max, components)
         zeta = np.empty(times.size)
         for i, t in enumerate(times):
@@ -266,12 +317,20 @@ def oracle_entropy_series(
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
     comps = initial_components(config, cfg.n_max, components)
-    rest = cfg.dim // 2
+    # The states carry one extra trailing entry, always zero, which the -1
+    # slots of ``rows`` address both when gathering and when scattering.
+    vecs = np.zeros((len(comps), cfg.dim + 1))
+    vecs[:, :-1] = [vec for _, vec in comps]
+    q1, q2, m = _split(np.flatnonzero(vecs.any(axis=0)), cfg.n_max)
+    rows = _block_rows(np.flatnonzero(np.bincount(q1 + q2 + m)), cfg.n_max)
+    prop = Propagator(build_hamiltonian(cfg, rows))
+    psi = prop.evolve_state(vecs[:, rows], times)  # (components, K, 4, T)
+    full = np.zeros((cfg.dim + 1, times.size), dtype=complex)
+    halves = full[:-1].reshape(2, cfg.dim // 2, times.size)
     rho1 = np.zeros((times.size, 2, 2), dtype=complex)
-    for weight, vec in comps:
-        psi = prop.evolve_state(vec, times)  # (dim, T)
-        blocks = psi.reshape(2, rest, times.size)
-        rho1 += weight * np.einsum("akt,bkt->tab", blocks, blocks.conj())
+    for (weight, _), block_psi in zip(comps, psi):
+        full[rows] = block_psi
+        rho1 += weight * np.einsum("akt,bkt->tab", halves, halves.conj())
     zeta = 1.0 - np.einsum("tab,tba->t", rho1, rho1).real
     # rounding can land an ulp outside the mathematical range [0, 1/2]
     return TimeSeries(times, np.clip(zeta, 0.0, 0.5))

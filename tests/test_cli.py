@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tcsim.tc as tc
-from tcsim.cli import main
+from tcsim.cli import closed_series, main, oracle_series
 from tcsim.errors import ScenarioParseError
 from tcsim.scenario import (
     PRESET_IDS,
@@ -226,6 +228,20 @@ def test_oracle_check_passes_on_reference_preset(capsys):
     assert "PASS" in out
 
 
+def test_oracle_check_names_the_worst_point(capsys):
+    assert main(["oracle-check", "--preset", "2c"]) == 0
+    out = capsys.readouterr().out
+    max_err = float(re.search(r"zeta_oracle\| = (\S+) over", out).group(1))
+    fields = re.search(r"worst point: t = (\S+)  zeta_closed = (\S+)  zeta_oracle = (\S+)", out)
+    t, z_closed, z_oracle = (float(x) for x in fields.groups())
+    scenario = preset("2c")
+    closed, checked = closed_series(scenario), oracle_series(scenario)
+    errors = np.abs(closed.values - checked.values)
+    i = int(np.argmax(errors))
+    assert (t, z_closed, z_oracle) == (closed.times[i], closed.values[i], checked.values[i])
+    assert abs(z_closed - z_oracle) == pytest.approx(max_err, rel=1e-3)
+
+
 def test_oracle_check_fails_on_corrupted_frequency_pairing(monkeypatch, capsys):
     true_params = tc.spectral_params
 
@@ -286,6 +302,16 @@ def test_analyze_rejects_non_finite_rows(tmp_path, capsys, row):
     path.write_text(f"t,zeta\n0,0.1\n1,0.2\n{row}\n3,0.1\n", encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     assert "data row 3 " in capsys.readouterr().err
+
+
+def test_analyze_rejects_zeta_outside_its_range(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    rows = [f"{k},{'1e308' if k % 2 else '-1e308'}" for k in range(10)]
+    path.write_text("t,zeta\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "data row 1 " in captured.err and "outside [0, 0.5]" in captured.err
+    assert captured.out == ""
 
 
 def test_analyze_rejects_undecodable_file(tmp_path):

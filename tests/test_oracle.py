@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,11 +24,13 @@ from tcsim.oracle import (
 from tcsim.states import (
     Couplings,
     EnvironmentMixture,
+    FockDistribution,
     SystemConfig,
     TimeGrid,
     binomial_state,
     number_state,
 )
+from tcsim.tc import entropy_series
 
 
 def _config(dist, p, l1=1.0, l2=0.1, grid=None):
@@ -54,6 +59,57 @@ def test_hamiltonian_is_hermitian(rng):
         )
         h = build_hamiltonian(cfg)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+def _reference_hamiltonian(cfg):
+    # the definition written out with kron embeddings and matrix products
+    no = cfg.n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, no)), 1)
+    sz = np.diag([-1.0, 1.0])
+    sp = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+    def on(slot, op):
+        factors = [np.eye(2), np.eye(2), np.eye(no)]
+        factors[slot] = op
+        return np.kron(factors[0], np.kron(factors[1], factors[2]))
+
+    h = cfg.omega * on(2, a.T @ a) + 0.5 * cfg.omega * (on(0, sz) + on(1, sz))
+    for lam, slot in ((cfg.couplings.lambda1, 0), (cfg.couplings.lambda2, 1)):
+        h = h + lam * (on(2, a) @ on(slot, sp) + on(2, a.T) @ on(slot, sp).T)
+    return h
+
+
+def test_hamiltonian_matches_kron_product_definition(rng):
+    for n_max in (0, 1, 4, 9):
+        cfg = OracleConfig(
+            n_max=n_max,
+            couplings=Couplings(float(rng.uniform(0.1, 2)), float(rng.uniform(0, 2))),
+            omega=float(rng.uniform(0, 4)),
+        )
+        h = build_hamiltonian(cfg)
+        assert h.shape == (cfg.dim, cfg.dim)
+        assert np.max(np.abs(h - _reference_hamiltonian(cfg))) <= 1e-12
+
+
+def test_hamiltonian_blocks_are_gathers_of_the_dense_matrix(rng):
+    cfg = OracleConfig(n_max=6, couplings=Couplings(1.3, 0.4), omega=0.7)
+    dense = build_hamiltonian(cfg)
+    excitation_rows = np.array([
+        [full_index(1, 1, k - 2, cfg.n_max) if k >= 2 else -1,
+         full_index(1, 0, k - 1, cfg.n_max) if k >= 1 else -1,
+         full_index(0, 1, k - 1, cfg.n_max) if k >= 1 else -1,
+         full_index(0, 0, k, cfg.n_max)]
+        for k in range(cfg.n_max + 1)
+    ])
+    random_rows = rng.integers(-1, cfg.dim, size=(20, 5))
+    for rows in (excitation_rows, random_rows):
+        stack = build_hamiltonian(cfg, rows)
+        assert stack.shape == rows.shape + (rows.shape[1],)
+        for row, block in zip(rows, stack):
+            live = row >= 0
+            expected = np.zeros_like(block)
+            expected[np.ix_(live, live)] = dense[np.ix_(row[live], row[live])]
+            assert np.array_equal(block, expected)
 
 
 def test_hamiltonian_single_excitation_matrix_element():
@@ -165,6 +221,25 @@ def test_evolve_preserves_density_matrix_structure():
 def test_propagator_rejects_non_hermitian():
     with pytest.raises(EigendecompositionError):
         Propagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the check runs per block: a large Hermitian block does not excuse a
+    # small asymmetric one
+    stack = np.array([[[1e6, 0.0], [0.0, 1e6]], [[0.0, 1e-6], [0.0, 0.0]]])
+    with pytest.raises(EigendecompositionError):
+        Propagator(stack)
+    with pytest.raises(EigendecompositionError):
+        Propagator(np.ones((2, 3)))
+
+
+def test_propagator_evolves_a_stack_like_each_matrix(rng):
+    stack = rng.normal(size=(3, 4, 4))
+    stack = stack + stack.swapaxes(-1, -2)
+    psi0 = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    times = np.linspace(0.0, 5.0, 7)
+    evolved = Propagator(stack).evolve_state(psi0, times)
+    assert evolved.shape == (2, 3, 4, 7)
+    for c, k in itertools.product(range(2), range(3)):
+        single = Propagator(stack[k]).evolve_state(psi0[c, k], times)
+        assert np.max(np.abs(evolved[c, k] - single)) <= 1e-13
 
 
 # ------------------------------------------------------------ partial trace
@@ -227,6 +302,60 @@ def test_series_dense_path_matches_component_path():
     fast = oracle_entropy_series(config, cfg)
     dense = oracle_entropy_series(config, cfg, dense=True)
     assert np.max(np.abs(fast.values - dense.values)) <= 1e-12
+
+
+_PREPARATIONS = {
+    "binomial": (binomial_state(3, 0.4), None),
+    "vacuum-one-photon": (number_state(0), [(0.3, number_state(0)), (0.7, number_state(1))]),
+    "vacuum": (number_state(0), None),
+    "gapped-custom": (FockDistribution(np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8])), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PREPARATIONS))
+def test_series_block_path_matches_dense_path(name):
+    # |0> with p = 0 populates only the edge block k = 1; the gapped custom
+    # state populates blocks that are not contiguous
+    dist, components = _PREPARATIONS[name]
+    support = max(d.cutoff for _, d in components or [(1.0, dist)])
+    for p, omega, extra, l2 in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7), (0, 3), (0.0, 0.3)):
+        config = _config(dist, p, l2=l2, grid=TimeGrid(0.0, 30.0, 151))
+        cfg = OracleConfig(n_max=required_n_max(support) + extra, couplings=config.couplings, omega=omega)
+        fast = oracle_entropy_series(config, cfg, components=components)
+        dense = oracle_entropy_series(config, cfg, components=components, dense=True)
+        assert np.max(np.abs(fast.values - dense.values)) <= 1e-12, (p, omega, extra, l2)
+
+
+def test_series_block_path_scales_to_a_binomial_support_of_2000(monkeypatch):
+    support = 2000
+    config = _config(binomial_state(support, 0.5), 0.37, l2=0.3, grid=TimeGrid(0.0, 30.0, 201))
+    cfg = OracleConfig(n_max=required_n_max(support), couplings=config.couplings)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(h):
+        sizes.append(h.shape[-1])
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    series = oracle_entropy_series(config, cfg)
+    closed = entropy_series(config)
+    assert np.max(np.abs(series.values - closed.values)) <= 1e-10
+    assert sizes and max(sizes) <= 4
+    # Building every block allocates less than one (n_max + 1)-square
+    # matrix, so no oscillator-sized product such as a+a is ever formed.
+    rows = np.array([
+        [full_index(1, 1, k - 2, cfg.n_max), full_index(1, 0, k - 1, cfg.n_max),
+         full_index(0, 1, k - 1, cfg.n_max), full_index(0, 0, k, cfg.n_max)]
+        for k in range(2, support + 3)
+    ])
+    tracemalloc.start()
+    try:
+        build_hamiltonian(cfg, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (cfg.n_max + 1) ** 2
 
 
 def test_series_stable_under_truncation_growth():
