@@ -43,25 +43,23 @@ def closed_series(scenario: Scenario) -> TimeSeries:
     path differs from it by at most 2.9e-15, in the last bits of 2203 of
     the 3001 rows.
     """
-    comps = scenario.oscillator_components()
-    config = scenario.system_config(comps[0][1])
+    config = scenario.system_config()
     times = config.grid.times()
     if scenario.kind == "mixture01" and scenario.lambda2 == 0.0:
-        return TimeSeries(times, jc.jc_mixture_entropy(scenario.mixture_f, scenario.lambda1, times))
-    zeta = tc.mixture_entropy_arrays(comps, config.env.p, config.couplings, times)
-    return TimeSeries(times, zeta)
+        f = dict(scenario.params)["f"]
+        return TimeSeries(times, jc.jc_mixture_entropy(f, scenario.lambda1, times))
+    return TimeSeries(times, tc.mixture_entropy_arrays(config, times))
 
 
 def oracle_series(scenario: Scenario) -> TimeSeries:
     """Brute-force entropy series for any scenario kind."""
-    comps = scenario.oscillator_components()
-    config = scenario.system_config(comps[0][1])
+    config = scenario.system_config()
     cfg = oracle.OracleConfig(
         n_max=scenario.effective_n_max(),
         couplings=config.couplings,
         omega=scenario.oracle_omega,
     )
-    return oracle.oracle_entropy_series(config, cfg, components=comps)
+    return oracle.oracle_entropy_series(config, cfg)
 
 
 def csv_lines(scenario: Scenario, closed: TimeSeries, checked: TimeSeries | None) -> list[str]:

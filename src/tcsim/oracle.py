@@ -20,13 +20,14 @@ matrix and the full density matrix as the reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EigendecompositionError, TruncationError, ValidationError
 from .series import TimeSeries
-from .states import Couplings, FockDistribution, SystemConfig, check_components
+from .states import Couplings, FockDistribution, SystemConfig
 
 __all__ = [
     "OracleConfig",
@@ -60,6 +61,8 @@ class OracleConfig:
             raise ValidationError(f"n_max must be a non-negative integer, got {self.n_max!r}")
         object.__setattr__(self, "n_max", int(self.n_max))
         object.__setattr__(self, "omega", float(self.omega))
+        if not math.isfinite(self.omega):
+            raise ValidationError(f"omega = {self.omega!r} must be finite")
 
     @property
     def dim(self) -> int:
@@ -179,20 +182,14 @@ def _embed(q1: int, q2: int, dist: FockDistribution, n_max: int) -> np.ndarray:
     return np.kron(q[q1], np.kron(q[q2], osc))
 
 
-def initial_components(
-    config: SystemConfig,
-    n_max: int,
-    components=None,
-) -> list[tuple[float, np.ndarray]]:
+def initial_components(config: SystemConfig, n_max: int) -> list[tuple[float, np.ndarray]]:
     """Pure components (weight, state vector) of the initial density matrix.
 
     The system qubit starts excited; the environment qubit is excited with
     probability p and ground otherwise.  The oscillator is prepared as the
-    mixture of ``components``, (weight, FockDistribution) pairs, which
-    defaults to the pure ``config.oscillator``.
+    mixture ``config.oscillator`` of (weight, FockDistribution) pairs.
     """
-    components = check_components([(1.0, config.oscillator)] if components is None else components)
-    support = max(dist.cutoff for _, dist in components)
+    support = max(dist.cutoff for _, dist in config.oscillator)
     if n_max < required_n_max(support):
         raise TruncationError(
             f"n_max = {n_max} too small; oscillator support {support} needs "
@@ -200,7 +197,7 @@ def initial_components(
         )
     p = config.env.p
     comps = []
-    for w_osc, dist in components:
+    for w_osc, dist in config.oscillator:
         if w_osc == 0.0:
             continue
         if p > 0.0:
@@ -210,16 +207,12 @@ def initial_components(
     return comps
 
 
-def initial_density(
-    config: SystemConfig,
-    n_max: int,
-    components=None,
-) -> np.ndarray:
+def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
     """Initial density matrix, of rank at most twice the number of
     oscillator components."""
     dim = 4 * (n_max + 1)
     rho = np.zeros((dim, dim), dtype=complex)
-    for weight, vec in initial_components(config, n_max, components):
+    for weight, vec in initial_components(config, n_max):
         rho += weight * np.outer(vec, vec.conj())
     return rho
 
@@ -290,33 +283,27 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def oracle_entropy_series(
-    config: SystemConfig,
-    cfg: OracleConfig,
-    components=None,
-    dense: bool = False,
-) -> TimeSeries:
+def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool = False) -> TimeSeries:
     """Linear entropy of the system qubit over the configuration's grid,
     via build -> evolve -> reduce -> purity only.
 
-    ``components`` is the oscillator preparation as in
-    ``initial_components``.  The default path builds, diagonalizes and
-    evolves only the excitation blocks that the pure components of the
-    initial state populate, scatters the evolved states back onto the full
-    basis and assembles the reduced matrix directly, which is algebraically
-    identical to evolving the full density matrix.  With ``dense=True`` the
-    full-matrix reference path is used instead.
+    The default path builds, diagonalizes and evolves only the excitation
+    blocks that the pure components of the initial state populate, scatters
+    the evolved states back onto the full basis and assembles the reduced
+    matrix directly, which is algebraically identical to evolving the full
+    density matrix.  With ``dense=True`` the full-matrix reference path is
+    used instead.
     """
     times = config.grid.times()
     if dense:
         prop = Propagator(build_hamiltonian(cfg))
-        rho0 = initial_density(config, cfg.n_max, components)
+        rho0 = initial_density(config, cfg.n_max)
         zeta = np.empty(times.size)
         for i, t in enumerate(times):
             rho_t = prop.evolve_density(rho0, t)
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
-    comps = initial_components(config, cfg.n_max, components)
+    comps = initial_components(config, cfg.n_max)
     # The states carry one extra trailing entry, always zero, which the -1
     # slots of ``rows`` address both when gathering and when scattering.
     vecs = np.zeros((len(comps), cfg.dim + 1))

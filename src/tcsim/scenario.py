@@ -27,11 +27,12 @@ change a run.
 from __future__ import annotations
 
 import configparser
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ScenarioParseError, ValidationError
+from .errors import ScenarioParseError
 from .states import (
     Couplings,
     EnvironmentMixture,
@@ -44,61 +45,94 @@ from .states import (
 
 __all__ = ["Scenario", "PRESET_IDS", "preset", "parse_scenario", "scenario_from_header"]
 
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _number_list(raw: str) -> tuple[float, ...]:
+    values = tuple(float(tok) for tok in raw.split())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+@dataclass(frozen=True)
+class _Value:
+    """How one scenario value is read from its text and written back."""
+
+    parse: Callable[[str], object]
+    write: Callable[[object], str]
+    noun: str  # what a text that fails to parse is not
+
+
+_INT = _Value(int, str, "an integer")
+_FLOAT = _Value(float, _fmt, "a number")
+_FLOATS = _Value(_number_list, lambda values: " ".join(_fmt(v) for v in values),
+                 "a non-empty list of numbers")
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """An oscillator kind: its [oscillator] keys in header order with their
+    value types, and the (weight, FockDistribution) components that
+    ``prepare`` builds from the values in that order."""
+
+    keys: dict[str, _Value]
+    prepare: Callable[..., list[tuple[float, FockDistribution]]]
+
+
+_KINDS = {
+    "number": _Kind({"N": _INT}, lambda n: [(1.0, number_state(n))]),
+    "binomial": _Kind({"M": _INT, "q": _FLOAT}, lambda m, q: [(1.0, binomial_state(m, q))]),
+    "mixture01": _Kind({"f": _FLOAT}, lambda f: [(f, number_state(0)), (1.0 - f, number_state(1))]),
+    "custom": _Kind({"amplitudes": _FLOATS}, lambda amps: [(1.0, FockDistribution(np.array(amps)))]),
+}
+
 _ALLOWED_KEYS = {
-    "oscillator": {"kind", "N", "M", "q", "f", "amplitudes"},
+    "oscillator": {"kind"}.union(*(kind.keys for kind in _KINDS.values())),
     "environment": {"p"},
     "couplings": {"lambda1", "lambda2"},
     "grid": {"t_start", "t_end", "points"},
     "oracle": {"enabled", "n_max", "omega"},
 }
 _REQUIRED_SECTIONS = ("oscillator", "environment", "couplings", "grid")
-_KINDS = ("number", "binomial", "mixture01", "custom")
+
+
+def _kind(name: str) -> _Kind:
+    if name not in _KINDS:
+        raise ScenarioParseError(f"unknown oscillator kind {name!r}; expected one of {tuple(_KINDS)}")
+    return _KINDS[name]
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A fully specified run: oscillator preparation, environment, couplings,
-    grid, and oracle settings."""
+    grid, and oracle settings.  ``params`` holds the oscillator kind's
+    (key, value) pairs in header order, e.g. ``(("M", 7), ("q", 0.85))``."""
 
     kind: str
+    params: tuple[tuple[str, object], ...]
     p: float
     lambda1: float
     lambda2: float
     grid: TimeGrid
-    number_n: int | None = None
-    binomial_m: int | None = None
-    binomial_q: float | None = None
-    mixture_f: float | None = None
-    amplitudes: tuple[float, ...] | None = None
     oracle_enabled: bool = False
     oracle_n_max: int | None = None
     oracle_omega: float = 0.0
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ScenarioParseError(f"unknown oscillator kind {self.kind!r}")
+        _kind(self.kind)
 
     def oscillator_components(self) -> list[tuple[float, FockDistribution]]:
         """The oscillator preparation as (weight, pure distribution) pairs."""
-        if self.kind == "number":
-            return [(1.0, number_state(self.number_n))]
-        if self.kind == "binomial":
-            return [(1.0, binomial_state(self.binomial_m, self.binomial_q))]
-        if self.kind == "custom":
-            return [(1.0, FockDistribution(np.array(self.amplitudes)))]
-        f = self.mixture_f
-        if not 0.0 <= f <= 1.0:
-            raise ValidationError(f"mixture01 weight f = {f!r} must lie in [0, 1]")
-        return [(f, number_state(0)), (1.0 - f, number_state(1))]
+        return _KINDS[self.kind].prepare(*(value for _, value in self.params))
 
-    def support_cutoff(self) -> int:
-        return max(dist.cutoff for _, dist in self.oscillator_components())
-
-    def system_config(self, dist: FockDistribution) -> SystemConfig:
-        """SystemConfig with the oscillator prepared in ``dist``."""
+    def system_config(self) -> SystemConfig:
+        """The validated SystemConfig of this scenario."""
         return SystemConfig(
-            oscillator=dist,
+            oscillator=self.oscillator_components(),
             env=EnvironmentMixture(self.p),
             couplings=Couplings(self.lambda1, self.lambda2),
             grid=self.grid,
@@ -107,22 +141,14 @@ class Scenario:
     def effective_n_max(self) -> int:
         if self.oracle_n_max is not None:
             return self.oracle_n_max
-        return self.support_cutoff() + 2
+        return max(dist.cutoff for _, dist in self.oscillator_components()) + 2
 
     def to_lines(self) -> list[str]:
         """Canonical scenario text, one `[section] key = value` per line.
         Re-parsing these lines reproduces the scenario."""
+        keys = _KINDS[self.kind].keys
         lines = [f"[oscillator] kind = {self.kind}"]
-        if self.kind == "number":
-            lines.append(f"[oscillator] N = {self.number_n}")
-        elif self.kind == "binomial":
-            lines.append(f"[oscillator] M = {self.binomial_m}")
-            lines.append(f"[oscillator] q = {_fmt(self.binomial_q)}")
-        elif self.kind == "mixture01":
-            lines.append(f"[oscillator] f = {_fmt(self.mixture_f)}")
-        else:
-            amps = " ".join(_fmt(a) for a in self.amplitudes)
-            lines.append(f"[oscillator] amplitudes = {amps}")
+        lines += [f"[oscillator] {key} = {keys[key].write(value)}" for key, value in self.params]
         lines.append(f"[environment] p = {_fmt(self.p)}")
         lines.append(f"[couplings] lambda1 = {_fmt(self.lambda1)}")
         lines.append(f"[couplings] lambda2 = {_fmt(self.lambda2)}")
@@ -136,24 +162,12 @@ class Scenario:
         return lines
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _get_float(section, key, sec_name) -> float:
+def _get(section: configparser.SectionProxy, key: str, value: _Value = _FLOAT):
     raw = section[key]
     try:
-        return float(raw)
+        return value.parse(raw)
     except ValueError as exc:
-        raise ScenarioParseError(f"[{sec_name}] {key} = {raw!r} is not a number") from exc
-
-
-def _get_int(section, key, sec_name) -> int:
-    raw = section[key]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ScenarioParseError(f"[{sec_name}] {key} = {raw!r} is not an integer") from exc
+        raise ScenarioParseError(f"[{section.name}] {key} = {raw!r} is not {value.noun}") from exc
 
 
 def _build_scenario(parser: configparser.ConfigParser, label: str) -> Scenario:
@@ -173,43 +187,20 @@ def _build_scenario(parser: configparser.ConfigParser, label: str) -> Scenario:
     if "kind" not in osc:
         raise ScenarioParseError("[oscillator] needs a kind")
     kind = osc["kind"].strip()
-    if kind not in _KINDS:
-        raise ScenarioParseError(f"unknown oscillator kind {kind!r}; expected one of {_KINDS}")
-
-    number_n = binomial_m = None
-    binomial_q = mixture_f = None
-    amplitudes = None
-    needed = {"number": {"N"}, "binomial": {"M", "q"}, "mixture01": {"f"}, "custom": {"amplitudes"}}[kind]
-    extra = set(osc) - {"kind"} - needed
+    keys = _kind(kind).keys
+    extra = set(osc) - {"kind"} - set(keys)
     if extra:
         raise ScenarioParseError(f"keys {sorted(extra)} do not apply to kind = {kind}")
-    absent = needed - set(osc)
+    absent = set(keys) - set(osc)
     if absent:
         raise ScenarioParseError(f"kind = {kind} requires keys {sorted(absent)}")
-    if kind == "number":
-        number_n = _get_int(osc, "N", "oscillator")
-    elif kind == "binomial":
-        binomial_m = _get_int(osc, "M", "oscillator")
-        binomial_q = _get_float(osc, "q", "oscillator")
-    elif kind == "mixture01":
-        mixture_f = _get_float(osc, "f", "oscillator")
-    else:
-        try:
-            amplitudes = tuple(float(tok) for tok in osc["amplitudes"].split())
-        except ValueError as exc:
-            raise ScenarioParseError(f"bad amplitude list: {exc}") from exc
-        if not amplitudes:
-            raise ScenarioParseError("amplitude list is empty")
+    params = tuple((key, _get(osc, key, value)) for key, value in keys.items())
 
     grid_sec = parser["grid"]
     for key in ("t_start", "t_end", "points"):
         if key not in grid_sec:
             raise ScenarioParseError(f"[grid] needs {key}")
-    grid = TimeGrid(
-        _get_float(grid_sec, "t_start", "grid"),
-        _get_float(grid_sec, "t_end", "grid"),
-        _get_int(grid_sec, "points", "grid"),
-    )
+    grid = TimeGrid(_get(grid_sec, "t_start"), _get(grid_sec, "t_end"), _get(grid_sec, "points", _INT))
 
     env_sec = parser["environment"]
     if "p" not in env_sec:
@@ -230,21 +221,17 @@ def _build_scenario(parser: configparser.ConfigParser, label: str) -> Scenario:
                 raise ScenarioParseError(f"[oracle] enabled = {osec['enabled']!r} is not a boolean")
             oracle_enabled = raw in ("true", "yes", "1")
         if "n_max" in osec:
-            oracle_n_max = _get_int(osec, "n_max", "oracle")
+            oracle_n_max = _get(osec, "n_max", _INT)
         if "omega" in osec:
-            oracle_omega = _get_float(osec, "omega", "oracle")
+            oracle_omega = _get(osec, "omega")
 
     return Scenario(
         kind=kind,
-        p=_get_float(env_sec, "p", "environment"),
-        lambda1=_get_float(cpl_sec, "lambda1", "couplings"),
-        lambda2=_get_float(cpl_sec, "lambda2", "couplings"),
+        params=params,
+        p=_get(env_sec, "p"),
+        lambda1=_get(cpl_sec, "lambda1"),
+        lambda2=_get(cpl_sec, "lambda2"),
         grid=grid,
-        number_n=number_n,
-        binomial_m=binomial_m,
-        binomial_q=binomial_q,
-        mixture_f=mixture_f,
-        amplitudes=amplitudes,
         oracle_enabled=oracle_enabled,
         oracle_n_max=oracle_n_max,
         oracle_omega=oracle_omega,
@@ -304,21 +291,21 @@ _LONG_GRID = TimeGrid(0.0, 100.0, 10001)
 # Grid choices are artifact defaults (>= 40 samples per shortest period),
 # overridable from the CLI.
 _PRESETS: dict[str, Scenario] = {
-    "1": Scenario(kind="mixture01", mixture_f=0.5, p=0.0, lambda1=1.0, lambda2=0.0,
+    "1": Scenario(kind="mixture01", params=(("f", 0.5),), p=0.0, lambda1=1.0, lambda2=0.0,
                   grid=_STANDARD_GRID, label="1"),
-    "2a": Scenario(kind="number", number_n=1, p=0.0, lambda1=1.0, lambda2=0.1,
+    "2a": Scenario(kind="number", params=(("N", 1),), p=0.0, lambda1=1.0, lambda2=0.1,
                    grid=_STANDARD_GRID, label="2a"),
-    "2b": Scenario(kind="number", number_n=1, p=0.1, lambda1=1.0, lambda2=0.1,
+    "2b": Scenario(kind="number", params=(("N", 1),), p=0.1, lambda1=1.0, lambda2=0.1,
                    grid=_STANDARD_GRID, label="2b"),
-    "2c": Scenario(kind="number", number_n=1, p=0.5, lambda1=1.0, lambda2=0.1,
+    "2c": Scenario(kind="number", params=(("N", 1),), p=0.5, lambda1=1.0, lambda2=0.1,
                    grid=_STANDARD_GRID, label="2c"),
-    "3": Scenario(kind="number", number_n=1, p=0.5, lambda1=1.0, lambda2=0.1,
+    "3": Scenario(kind="number", params=(("N", 1),), p=0.5, lambda1=1.0, lambda2=0.1,
                   grid=_LONG_GRID, label="3"),
-    "4": Scenario(kind="binomial", binomial_m=100, binomial_q=0.1, p=0.0,
+    "4": Scenario(kind="binomial", params=(("M", 100), ("q", 0.1)), p=0.0,
                   lambda1=1.0, lambda2=0.0, grid=_STANDARD_GRID, label="4"),
-    "5": Scenario(kind="binomial", binomial_m=7, binomial_q=0.85, p=0.0,
+    "5": Scenario(kind="binomial", params=(("M", 7), ("q", 0.85)), p=0.0,
                   lambda1=1.0, lambda2=0.0, grid=_STANDARD_GRID, label="5"),
-    "6": Scenario(kind="binomial", binomial_m=11, binomial_q=0.95, p=0.5,
+    "6": Scenario(kind="binomial", params=(("M", 11), ("q", 0.95)), p=0.5,
                   lambda1=1.0, lambda2=0.1, grid=_STANDARD_GRID, label="6"),
 }
 

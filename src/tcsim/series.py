@@ -11,7 +11,7 @@ from .errors import NonuniformGridError, ValidationError
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Ordered (t, value) pairs on a strictly increasing time grid.
+    """Ordered, finite (t, value) pairs on a strictly increasing time grid.
 
     Attributes
     ----------
@@ -31,6 +31,10 @@ class TimeSeries:
             raise ValidationError("times and values must be 1-d arrays of equal length")
         if times.size < 1:
             raise ValidationError("a time series needs at least one sample")
+        bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values)))
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(f"sample {i} is not finite: t = {times[i]:g}, value = {values[i]:g}")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValidationError("times must be strictly increasing")
         times.setflags(write=False)

@@ -136,14 +136,23 @@ class TimeGrid:
 @dataclass(frozen=True)
 class SystemConfig:
     """Everything needed to evaluate one scenario: oscillator preparation,
-    environment mixedness, couplings, and the time grid."""
+    environment mixedness, couplings, and the time grid.
 
-    oscillator: FockDistribution
+    ``oscillator`` is the mixture sum_k weight_k |psi_k><psi_k|, stored as a
+    tuple of (weight, FockDistribution) pairs.  A bare FockDistribution is
+    the pure preparation and is stored as ``((1.0, dist),)``.
+    """
+
+    oscillator: tuple[tuple[float, FockDistribution], ...]
     env: EnvironmentMixture
     couplings: Couplings
     grid: TimeGrid
 
     def __post_init__(self):
+        osc = self.oscillator
+        if isinstance(osc, FockDistribution):
+            osc = ((1.0, osc),)
+        object.__setattr__(self, "oscillator", check_components(osc))
         if self.couplings.lambda1 <= 0:
             raise ValidationError("lambda1 must be positive for a nontrivial scenario")
 
@@ -189,14 +198,16 @@ def binomial_state(m: int, q: float) -> FockDistribution:
     return FockDistribution(amps / math.sqrt(float(np.dot(amps, amps))))
 
 
-def check_components(components) -> list[tuple[float, FockDistribution]]:
+def check_components(components) -> tuple[tuple[float, FockDistribution], ...]:
     """The oscillator mixture sum_k weight_k |psi_k><psi_k| given as
-    (weight, FockDistribution) pairs, as a list; raises ValidationError
+    (weight, FockDistribution) pairs, as a tuple; raises ValidationError
     unless the weights are non-negative and sum to 1."""
-    components = list(components)
+    components = tuple((w, dist) for w, dist in components)
     weights = np.array([w for w, _ in components], dtype=float)
     if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
-        raise ValidationError("mixture weights must be non-negative and sum to 1")
+        raise ValidationError(
+            f"mixture weights {weights.tolist()} must be non-negative and sum to 1"
+        )
     return components
 
 
@@ -222,7 +233,7 @@ def validate(config: SystemConfig) -> SystemConfig:
     violations raise their specific errors.
     """
     return SystemConfig(
-        oscillator=FockDistribution(np.array(config.oscillator.amplitudes)),
+        oscillator=[(w, FockDistribution(np.array(dist.amplitudes))) for w, dist in config.oscillator],
         env=EnvironmentMixture(config.env.p),
         couplings=Couplings(config.couplings.lambda1, config.couplings.lambda2),
         grid=TimeGrid(config.grid.t_start, config.grid.t_end, config.grid.n_points),

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NegativeDiscriminantError, ValidationError
 from .series import TimeSeries
-from .states import Couplings, FockDistribution, SystemConfig, check_components
+from .states import Couplings, FockDistribution, SystemConfig
 
 __all__ = [
     "SpectralParams",
@@ -120,7 +120,9 @@ def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
         b_-+       = 4 (2n+3)^2 l1^2 l2^2 / b_+-
 
     with s = l1^2 + l2^2, so equal couplings give d_minus = 0 exactly and a
-    decoupled environment gives a_minus = b_minus = 0 exactly.
+    decoupled environment gives a_minus = b_minus = 0 exactly.  Couplings
+    too large for D^2 or the frequencies to fit in double precision raise
+    ValidationError.
     """
     if int(n) != n or n < -1:
         raise ValidationError(f"block index must be an integer >= -1, got {n!r}")
@@ -129,7 +131,10 @@ def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
     s = l1 * l1 + l2 * l2
     r = l1 * l1 - l2 * l2
     k = 2 * n + 3
-    cross = 4.0 * (k * l1 * l2) ** 2
+    try:
+        cross = 4.0 * (k * l1 * l2) ** 2
+    except OverflowError:  # float ** raises where * would give inf
+        cross = math.inf
     d_sq = r * r + cross
     if d_sq < 0:  # unreachable for real couplings; kept as a hard guard
         raise NegativeDiscriminantError(f"discriminant {d_sq!r} is negative")
@@ -139,6 +144,11 @@ def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
     denom = k * s + big_d
     d_plus = math.sqrt(0.5 * denom)
     d_minus = math.sqrt(2.0 * (n + 1) * (n + 2) * r * r / denom)
+    if not (math.isfinite(big_d) and math.isfinite(d_plus) and math.isfinite(d_minus)):
+        raise ValidationError(
+            f"couplings lambda1 = {l1!r}, lambda2 = {l2!r} overflow double precision "
+            f"in block {n}"
+        )
     a_plus = big_d + s
     a_minus = 16.0 * (l1 * l2) ** 2 * (n + 1) * (n + 2) / a_plus
     if r >= 0:
@@ -157,6 +167,8 @@ def _sin_over_freq(freq: float, t: np.ndarray) -> np.ndarray:
 
 def _check_times(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("times must be finite")
     if np.any(t < 0):
         raise ValidationError("times must be non-negative")
     return t
@@ -250,19 +262,21 @@ def tc_coefficients_primed(n: int, couplings: Couplings, t) -> CoefficientQuad:
     return CoefficientQuad(c1, c2, c3, c4, primed=True)
 
 
-def _term_arrays(components, p: float, couplings: Couplings, t: np.ndarray):
-    """alpha(t), beta(t), gamma(t) for an oscillator prepared as the mixture
-    of (weight, FockDistribution) components.
+def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha(t), beta(t), gamma(t) over an array of times, for the
+    oscillator prepared as the mixture ``config.oscillator``.
 
     The terms are linear in the initial density, so each component's weight
     scales its amplitude products.  Per component, alpha and beta run over
     n = 0..cutoff; gamma couples neighbouring Fock components and runs over
     n = 0..cutoff-1.
     """
+    t = np.atleast_1d(_check_times(t))
+    p, couplings = config.env.p, config.couplings
     alpha = np.zeros_like(t)
     beta = np.zeros_like(t)
     gamma = np.zeros_like(t, dtype=complex)
-    for weight, dist in components:
+    for weight, dist in config.oscillator:
         amps = dist.amplitudes
         ncut = dist.cutoff
         needed = [n for n in range(ncut + 1) if weight != 0.0 and amps[n] != 0.0]
@@ -291,19 +305,17 @@ def _term_arrays(components, p: float, couplings: Couplings, t: np.ndarray):
     return alpha, beta, gamma
 
 
-def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (alpha, beta, gamma) over an array of times."""
-    t = np.atleast_1d(_check_times(t))
-    return _term_arrays([(1.0, config.oscillator)], config.env.p, config.couplings, t)
-
-
 def entropy_terms(config: SystemConfig, t: float) -> EntropyTerms:
     """Reduced-qubit populations and coherence at a single time."""
     alpha, beta, gamma = entropy_term_arrays(config, [float(t)])
     return EntropyTerms(alpha=float(alpha[0]), beta=float(beta[0]), gamma=complex(gamma[0]))
 
 
-def _zeta_from_terms(alpha, beta, gamma):
+def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
+    """Linear entropy over an array of times for any oscillator preparation,
+    pure or mixed: the reduced-qubit terms mix convexly component by
+    component before the entropy is formed."""
+    alpha, beta, gamma = entropy_term_arrays(config, t)
     zeta = 1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2
     # rounding can land an ulp outside the mathematical range [0, 1/2]
     return np.clip(zeta, 0.0, 0.5)
@@ -313,31 +325,14 @@ def linear_entropy(config: SystemConfig, t):
     """Linear entropy of the system qubit at time(s) ``t``; always in
     [0, 0.5].  Reduces to the single-branch closed form when the
     environment coupling vanishes."""
-    t_arr = _check_times(t)
-    alpha, beta, gamma = entropy_term_arrays(config, np.atleast_1d(t_arr))
-    zeta = _zeta_from_terms(alpha, beta, gamma)
-    return zeta if t_arr.ndim else float(zeta[0])
+    zeta = mixture_entropy_arrays(config, t)
+    return zeta if np.ndim(t) else float(zeta[0])
 
 
 def entropy_series(config: SystemConfig) -> TimeSeries:
     """Linear entropy evaluated over the configuration's time grid."""
     times = config.grid.times()
-    alpha, beta, gamma = entropy_term_arrays(config, times)
-    return TimeSeries(times, _zeta_from_terms(alpha, beta, gamma))
-
-
-def mixture_entropy_arrays(
-    components, env_p: float, couplings: Couplings, t
-) -> np.ndarray:
-    """Linear entropy for an oscillator prepared in a statistical mixture.
-
-    ``components`` is a sequence of (weight, FockDistribution) pairs whose
-    weights are non-negative and sum to 1; a pure preparation is the single
-    pair ``(1.0, dist)``.  The reduced-qubit terms mix convexly component by
-    component before the entropy is formed.
-    """
-    t = np.atleast_1d(_check_times(t))
-    return _zeta_from_terms(*_term_arrays(check_components(components), env_p, couplings, t))
+    return TimeSeries(times, mixture_entropy_arrays(config, times))
 
 
 def branch_frequencies(dist: FockDistribution, couplings: Couplings) -> np.ndarray:

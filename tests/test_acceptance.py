@@ -71,7 +71,8 @@ def test_criterion_01_oracle_equivalence_master_check():
         worst = max(worst, float(np.max(np.abs(closed.values - checked.values))))
     for config in _random_scenarios():
         closed = tc.entropy_series(config)
-        cfg = OracleConfig(n_max=config.oscillator.cutoff + 2, couplings=config.couplings)
+        [(_, dist)] = config.oscillator
+        cfg = OracleConfig(n_max=dist.cutoff + 2, couplings=config.couplings)
         checked = oracle_entropy_series(config, cfg)
         worst = max(worst, float(np.max(np.abs(closed.values - checked.values))))
     elapsed = time.perf_counter() - started
@@ -117,18 +118,17 @@ def test_criterion_02_single_branch_periodicity():
 def test_criterion_03_mixed_oscillator_cross_check():
     grid = TimeGrid(0.0, 40.0, 8001)
     times = grid.times()
-    base = _config(number_state(1), 0.0, l2=0.0, grid=grid)
-    cfg = OracleConfig(n_max=3, couplings=base.couplings)
+    cfg = OracleConfig(n_max=3, couplings=Couplings(1.0, 0.0))
     worst = 0.0
     for f in (0.0, 0.3, 0.5, 1.0):
         closed = jc_mixture_entropy(f, 1.0, times)
-        components = [(f, number_state(0)), (1 - f, number_state(1))]
-        checked = oracle_entropy_series(base, cfg, components=components).values
+        mixed = _config([(f, number_state(0)), (1 - f, number_state(1))], 0.0, l2=0.0, grid=grid)
+        checked = oracle_entropy_series(mixed, cfg).values
         worst = max(worst, float(np.max(np.abs(closed - checked))))
     assert worst <= 1e-10
     closed = jc_mixture_entropy(0.5, 1.0, times)
-    components = [(0.5, number_state(0)), (0.5, number_state(1))]
-    checked = oracle_entropy_series(base, cfg, components=components).values
+    mixed = _config([(0.5, number_state(0)), (0.5, number_state(1))], 0.0, l2=0.0, grid=grid)
+    checked = oracle_entropy_series(mixed, cfg).values
     interior = (closed[1:-1] < closed[:-2]) & (closed[1:-1] < closed[2:])
     idx = np.nonzero(interior)[0] + 1
     idx = idx[times[idx] > 5.0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tcsim.analysis import dominant_frequencies, find_revivals, time_average
-from tcsim.errors import NonuniformGridError, WindowEmptyError
+from tcsim.errors import NonuniformGridError, ValidationError, WindowEmptyError
 from tcsim.jc import jc_number_entropy
 from tcsim.series import TimeSeries
 
@@ -44,6 +44,15 @@ def test_find_revivals_window_checks():
         find_revivals(series, after=30.0)
     with pytest.raises(WindowEmptyError):
         find_revivals(TimeSeries(np.array([0.0, 1.0]), np.array([0.0, 1.0])), after=0.0)
+
+
+def test_time_series_rejects_non_finite_samples():
+    t = np.linspace(0.0, 1.0, 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="sample 2 is not finite"):
+            TimeSeries(t, np.where(np.arange(5) == 2, bad, 0.25))
+        with pytest.raises(ValidationError, match="sample 4 is not finite"):
+            TimeSeries(np.where(np.arange(5) == 4, bad, t), np.full(5, 0.25))
 
 
 def test_find_revivals_shift_invariance():

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tcsim.tc as tc
@@ -40,7 +43,7 @@ omega = 0.0
 
 def test_parse_good_scenario():
     sc = parse_scenario(GOOD_SCENARIO)
-    assert sc.kind == "number" and sc.number_n == 1
+    assert sc.kind == "number" and sc.params == (("N", 1),)
     assert sc.p == 0.5 and sc.lambda2 == 0.1
     assert sc.grid.n_points == 3001
     assert sc.oracle_enabled and sc.oracle_n_max == 3
@@ -75,12 +78,12 @@ def test_parse_rejects_bad_kind_and_mismatched_keys():
 def test_parse_binomial_and_custom_kinds():
     binomial = GOOD_SCENARIO.replace("kind = number\nN = 1", "kind = binomial\nM = 7\nq = 0.85")
     sc = parse_scenario(binomial)
-    assert sc.binomial_m == 7 and sc.binomial_q == 0.85
+    assert sc.params == (("M", 7), ("q", 0.85))
     custom = GOOD_SCENARIO.replace(
         "kind = number\nN = 1", "kind = custom\namplitudes = 0.6 0.8"
     )
     sc = parse_scenario(custom)
-    assert sc.amplitudes == (0.6, 0.8)
+    assert sc.params == (("amplitudes", (0.6, 0.8)),)
     [(w, dist)] = sc.oscillator_components()
     assert w == 1.0 and np.allclose(dist.amplitudes, [0.6, 0.8])
 
@@ -88,16 +91,16 @@ def test_parse_binomial_and_custom_kinds():
 def test_presets_carry_reference_parameters():
     assert set(PRESET_IDS) == {"1", "2a", "2b", "2c", "3", "4", "5", "6"}
     two_c = preset("2c")
-    assert (two_c.kind, two_c.number_n, two_c.p) == ("number", 1, 0.5)
+    assert (two_c.kind, two_c.params, two_c.p) == ("number", (("N", 1),), 0.5)
     assert (two_c.lambda1, two_c.lambda2) == (1.0, 0.1)
     four = preset("4")
-    assert (four.binomial_m, four.binomial_q, four.lambda2) == (100, 0.1, 0.0)
+    assert (four.params, four.lambda2) == ((("M", 100), ("q", 0.1)), 0.0)
     six = preset("6")
-    assert (six.binomial_m, six.binomial_q, six.lambda2, six.p) == (11, 0.95, 0.1, 0.5)
+    assert (six.params, six.lambda2, six.p) == ((("M", 11), ("q", 0.95)), 0.1, 0.5)
     three = preset("3")
     assert (three.grid.t_end, three.grid.n_points) == (100.0, 10001)
     one = preset("1")
-    assert (one.kind, one.mixture_f, one.lambda2) == ("mixture01", 0.5, 0.0)
+    assert (one.kind, one.params, one.lambda2) == ("mixture01", (("f", 0.5),), 0.0)
     with pytest.raises(ScenarioParseError):
         preset("2")
     with pytest.raises(ScenarioParseError):
@@ -108,7 +111,7 @@ def test_header_round_trip():
     sc = preset("2c")
     rebuilt = scenario_from_header([f"# {line}" for line in sc.to_lines()])
     assert rebuilt.kind == sc.kind
-    assert rebuilt.number_n == sc.number_n
+    assert rebuilt.params == sc.params
     assert rebuilt.p == sc.p
     assert (rebuilt.lambda1, rebuilt.lambda2) == (sc.lambda1, sc.lambda2)
     assert rebuilt.grid == sc.grid
@@ -132,7 +135,7 @@ def test_run_writes_csv(tmp_path):
     errs = np.array([float(line.split(",")[3]) for line in data])
     assert errs.max() <= 1e-8
     rebuilt = scenario_from_header(header)
-    assert rebuilt.number_n == 1 and rebuilt.p == 0.5
+    assert rebuilt.params == (("N", 1),) and rebuilt.p == 0.5
 
 
 def test_run_exit_codes(tmp_path):
@@ -162,6 +165,28 @@ def test_run_validates_the_environment_on_the_single_branch_route(tmp_path):
     assert main(["run", str(path)]) == 3
 
 
+@pytest.mark.parametrize("command, omega", [("run", "nan"), ("oracle-check", "inf")])
+def test_non_finite_omega_is_a_validation_error(tmp_path, capsys, command, omega):
+    path = tmp_path / "omega.ini"
+    path.write_text(GOOD_SCENARIO.replace("omega = 0.0", f"omega = {omega}"), encoding="utf-8")
+    assert main([command, str(path)]) == 3
+    assert f"omega = {omega} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lambda1, lambda2", [("1e154", "1e-10"), ("1e155", "0"), ("1", "1e160")])
+def test_couplings_too_large_for_double_precision_are_a_validation_error(
+    tmp_path, capsys, lambda1, lambda2
+):
+    text = GOOD_SCENARIO.replace("lambda1 = 1.0", f"lambda1 = {lambda1}")
+    text = text.replace("lambda2 = 0.1", f"lambda2 = {lambda2}").replace("points = 3001", "points = 11")
+    path, out = tmp_path / "huge.ini", tmp_path / "huge.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"lambda1 = {float(lambda1)!r}, lambda2 = {float(lambda2)!r}" in err
+    assert not out.exists()
+
+
 def test_run_svg_requires_out(tmp_path):
     scenario_path = tmp_path / "sc.ini"
     scenario_path.write_text(GOOD_SCENARIO, encoding="utf-8")
@@ -183,13 +208,24 @@ def test_figure_outputs_are_byte_identical(tmp_path):
     ]
     rebuilt = scenario_from_header(header)
     reference = preset("2c")
-    assert (rebuilt.kind, rebuilt.number_n, rebuilt.p) == (
+    assert (rebuilt.kind, rebuilt.params, rebuilt.p) == (
         reference.kind,
-        reference.number_n,
+        reference.params,
         reference.p,
     )
     assert (rebuilt.lambda1, rebuilt.lambda2) == (reference.lambda1, reference.lambda2)
     assert rebuilt.grid == reference.grid
+
+
+_PRESET_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "preset_sha256.json"
+
+
+@pytest.mark.parametrize("preset_id", PRESET_IDS)
+def test_figure_bytes_match_the_pinned_digest(tmp_path, preset_id):
+    pinned = json.loads(_PRESET_SHA256.read_text(encoding="utf-8"))
+    assert main(["figure", preset_id, "--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"fig{preset_id}.csv").read_bytes()).hexdigest()
+    assert digest == pinned[preset_id]
 
 
 def test_figure_one_takes_the_mixture_closed_form_path(tmp_path):
@@ -348,3 +384,99 @@ def test_analyze_never_raises_on_short_csv_text(tmp_path, capsys, rows, header):
     path.write_text("\n".join((["t,zeta"] if header else []) + rows) + "\n", encoding="utf-8")
     assert main(["analyze", str(path), "--after", "1", "--peaks", "2"]) in (0, 2, 3)
     capsys.readouterr()
+
+
+# A valid scenario, as {section: {key: text}}, that the examples below vary.
+_VALID_SECTIONS = {
+    "oscillator": {"kind": "number", "N": "1"},
+    "environment": {"p": "0.5"},
+    "couplings": {"lambda1": "1.0", "lambda2": "0.1"},
+    "grid": {"t_start": "0", "t_end": "10", "points": "11"},
+    "oracle": {"enabled": "true", "n_max": "3", "omega": "0.0"},
+}
+
+
+def _sections_with(**changes):
+    """The valid scenario with the [oscillator] section replaced and the
+    other sections' keys updated as given."""
+    sections = {name: dict(keys) for name, keys in _VALID_SECTIONS.items()}
+    for name, keys in changes.items():
+        sections[name] = keys if name == "oscillator" else {**sections[name], **keys}
+    return sections
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _normalized(values):
+    norm = float(np.sqrt(np.dot(values, values)))
+    return " ".join(repr(v / norm) for v in values)
+
+
+_BAD_TOKENS = ("nan", "inf", "-inf", "-1", "0", "1e154", "1e300", "abc", "")
+# N, M, n_max and the amplitude count stop at 12 and points at 64: larger
+# values allocate in proportion.  `[grid] points` has no upper bound in the
+# parser, so a huge valid count would try to allocate it in full; that is
+# not exercised here.
+_KIND_KEYS = {
+    "number": {"N": _ints(0, 12)},
+    "binomial": {"M": _ints(1, 12), "q": _floats(0.0, 1.0)},
+    "mixture01": {"f": _floats(0.0, 1.0)},
+    "custom": {"amplitudes": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12)
+               .filter(lambda a: np.dot(a, a) > 1e-6).map(_normalized)},
+}
+_SECTION_KEYS = {
+    "environment": {"p": _floats(0.0, 1.0)},
+    "couplings": {"lambda1": _floats(0.0, 5.0), "lambda2": _floats(0.0, 5.0)},
+    "grid": {"t_start": _floats(0.0, 10.0), "t_end": _floats(0.0, 100.0), "points": _ints(2, 64)},
+    "oracle": {"enabled": st.sampled_from(["true", "false"]), "n_max": _ints(0, 12),
+               "omega": _floats(-5.0, 5.0)},
+}
+
+
+@st.composite
+def _scenario_sections(draw):
+    """Every key of every section; each is a bad token with probability
+    1/16, so that about half of the documents are valid throughout."""
+
+    def value(valid):
+        return draw(st.sampled_from(_BAD_TOKENS)) if draw(st.integers(0, 15)) == 0 else draw(valid)
+
+    kind = value(st.sampled_from(sorted(_KIND_KEYS)))
+    keys = _KIND_KEYS.get(kind, {})
+    sections = {"oscillator": {"kind": kind, **{key: value(v) for key, v in keys.items()}}}
+    for name, keys in _SECTION_KEYS.items():
+        sections[name] = {key: value(v) for key, v in keys.items()}
+    return sections
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sections=_scenario_sections(), command=st.sampled_from(["run", "oracle-check"]))
+@example(sections=_sections_with(oracle={"omega": "nan"}), command="run")
+@example(sections=_sections_with(oracle={"omega": "inf"}), command="oracle-check")
+@example(sections=_sections_with(couplings={"lambda1": "1e154", "lambda2": "1e-10"}), command="run")
+@example(sections=_sections_with(couplings={"lambda1": "1e155", "lambda2": "0"}), command="run")
+@example(sections=_sections_with(couplings={"lambda1": "1", "lambda2": "1e160"}), command="run")
+@example(sections=_sections_with(oscillator={"kind": "mixture01", "f": "0.5"},
+                                 couplings={"lambda1": "1e154", "lambda2": "0"},
+                                 grid={"t_end": "1e300"}), command="run")
+@example(sections=_sections_with(oracle={"omega": "1e300"}, grid={"t_end": "1e300"}), command="run")
+def test_scenario_documents_exit_with_a_documented_code(tmp_path, capsys, sections, command):
+    path, out = tmp_path / "fuzz.ini", tmp_path / "fuzz.csv"
+    out.unlink(missing_ok=True)
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    ), encoding="utf-8")
+    code = main([command, str(path)] + (["--out", str(out)] if command == "run" else []))
+    capsys.readouterr()
+    assert code in (0, 2, 3, 4, 5)
+    if command == "run" and code == 0:
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()
+                if not line.startswith(("#", "t,"))]
+        assert rows and np.all(np.isfinite(np.array(rows, dtype=float)))

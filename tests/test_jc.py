@@ -103,14 +103,13 @@ def test_mixture_entropy_rejects_bad_fraction():
 
 def _mixture_oracle(f: float, grid: TimeGrid) -> np.ndarray:
     config = SystemConfig(
-        oscillator=number_state(1),
+        oscillator=[(f, number_state(0)), (1 - f, number_state(1))],
         env=EnvironmentMixture(0.0),
         couplings=Couplings(1.0, 0.0),
         grid=grid,
     )
     cfg = OracleConfig(n_max=3, couplings=config.couplings)
-    components = [(f, number_state(0)), (1 - f, number_state(1))]
-    return oracle_entropy_series(config, cfg, components=components).values
+    return oracle_entropy_series(config, cfg).values
 
 
 @pytest.mark.parametrize("f", [0.0, 0.3, 0.5, 1.0])

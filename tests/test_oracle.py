@@ -167,8 +167,8 @@ def test_initial_density_maximally_mixed_environment():
 
 def test_initial_density_supports_vacuum_one_photon_mixture():
     n_max = 3
-    components = [(0.3, number_state(0)), (0.7, number_state(1))]
-    rho = initial_density(_config(number_state(0), 0.0), n_max=n_max, components=components)
+    mixed = _config([(0.3, number_state(0)), (0.7, number_state(1))], 0.0)
+    rho = initial_density(mixed, n_max=n_max)
     diag = np.diag(rho).real
     assert diag[full_index(1, 0, 0, n_max)] == pytest.approx(0.3)
     assert diag[full_index(1, 0, 1, n_max)] == pytest.approx(0.7)
@@ -288,10 +288,10 @@ def test_series_invariant_under_common_resonant_frequency():
 
 
 def test_series_two_term_vacuum_one_photon_mixture_matches_closed_form():
-    config = _config(number_state(0), 0.0, l1=1.0, l2=0.0, grid=TimeGrid(0.0, 30.0, 1501))
+    mixed = [(0.5, number_state(0)), (0.5, number_state(1))]
+    config = _config(mixed, 0.0, l1=1.0, l2=0.0, grid=TimeGrid(0.0, 30.0, 1501))
     cfg = OracleConfig(n_max=3, couplings=config.couplings)
-    components = [(0.5, number_state(0)), (0.5, number_state(1))]
-    series = oracle_entropy_series(config, cfg, components=components)
+    series = oracle_entropy_series(config, cfg)
     expected = jc_mixture_entropy(0.5, 1.0, series.times)
     assert np.max(np.abs(series.values - expected)) <= 1e-10
 
@@ -305,10 +305,10 @@ def test_series_dense_path_matches_component_path():
 
 
 _PREPARATIONS = {
-    "binomial": (binomial_state(3, 0.4), None),
-    "vacuum-one-photon": (number_state(0), [(0.3, number_state(0)), (0.7, number_state(1))]),
-    "vacuum": (number_state(0), None),
-    "gapped-custom": (FockDistribution(np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8])), None),
+    "binomial": binomial_state(3, 0.4),
+    "vacuum-one-photon": [(0.3, number_state(0)), (0.7, number_state(1))],
+    "vacuum": number_state(0),
+    "gapped-custom": FockDistribution(np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8])),
 }
 
 
@@ -316,13 +316,12 @@ _PREPARATIONS = {
 def test_series_block_path_matches_dense_path(name):
     # |0> with p = 0 populates only the edge block k = 1; the gapped custom
     # state populates blocks that are not contiguous
-    dist, components = _PREPARATIONS[name]
-    support = max(d.cutoff for _, d in components or [(1.0, dist)])
     for p, omega, extra, l2 in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7), (0, 3), (0.0, 0.3)):
-        config = _config(dist, p, l2=l2, grid=TimeGrid(0.0, 30.0, 151))
+        config = _config(_PREPARATIONS[name], p, l2=l2, grid=TimeGrid(0.0, 30.0, 151))
+        support = max(dist.cutoff for _, dist in config.oscillator)
         cfg = OracleConfig(n_max=required_n_max(support) + extra, couplings=config.couplings, omega=omega)
-        fast = oracle_entropy_series(config, cfg, components=components)
-        dense = oracle_entropy_series(config, cfg, components=components, dense=True)
+        fast = oracle_entropy_series(config, cfg)
+        dense = oracle_entropy_series(config, cfg, dense=True)
         assert np.max(np.abs(fast.values - dense.values)) <= 1e-12, (p, omega, extra, l2)
 
 

@@ -150,12 +150,14 @@ def test_validate_accepts_reference_scenario():
     checked = validate(config)
     assert checked.env.p == 0.5
     assert checked.couplings.lambda2 == 0.1
-    assert np.array_equal(checked.oscillator.amplitudes, config.oscillator.amplitudes)
+    [(weight, dist)] = checked.oscillator
+    assert weight == 1.0
+    assert np.array_equal(dist.amplitudes, config.oscillator[0][1].amplitudes)
 
 
 def test_validate_rejects_forged_amplitudes():
     config = _fig2c_config()
-    object.__setattr__(config.oscillator, "amplitudes", np.array([0.6, 0.6]))
+    object.__setattr__(config.oscillator[0][1], "amplitudes", np.array([0.6, 0.6]))
     with pytest.raises(UnnormalizedDistributionError):
         validate(config)
 
@@ -168,3 +170,17 @@ def test_system_config_requires_positive_lambda1():
             couplings=Couplings(0.0, 0.1),
             grid=TimeGrid(0.0, 10.0, 11),
         )
+
+
+def test_system_config_stores_the_oscillator_as_weighted_components():
+    env, couplings, grid = EnvironmentMixture(0.0), Couplings(1.0, 0.1), TimeGrid(0.0, 10.0, 11)
+    pure = number_state(2)
+    config = SystemConfig(oscillator=pure, env=env, couplings=couplings, grid=grid)
+    assert config.oscillator == ((1.0, pure),)
+    vacuum, one = number_state(0), number_state(1)
+    mixed = SystemConfig(oscillator=[(0.25, vacuum), (0.75, one)], env=env, couplings=couplings, grid=grid)
+    assert mixed.oscillator == ((0.25, vacuum), (0.75, one))
+    for weights in ((), (0.5, 0.25), (1.5, -0.5)):
+        with pytest.raises(ValidationError, match="mixture weights"):
+            SystemConfig(oscillator=list(zip(weights, (vacuum, one))), env=env,
+                         couplings=couplings, grid=grid)

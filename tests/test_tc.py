@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def test_spectral_block_below_vacuum():
 def test_spectral_rejects_bad_index():
     with pytest.raises(ValidationError):
         spectral_params(-2, Couplings(1.0, 0.1))
+
+
+@pytest.mark.parametrize("l1, l2", [(1e154, 1e-10), (1e155, 0.0), (1.0, 1e160)])
+def test_spectral_rejects_couplings_too_large_for_double_precision(l1, l2):
+    # D^2 overflows to inf in the first two; (k l1 l2)**2 raises in the third
+    for n in (-1, 0, 5):
+        with pytest.raises(ValidationError, match=re.escape(f"lambda1 = {l1!r}, lambda2 = {l2!r}")):
+            spectral_params(n, Couplings(l1, l2))
 
 
 @settings(max_examples=120, deadline=None)
@@ -188,6 +197,13 @@ def test_quads_input_validation():
         tc_coefficients(-1, Couplings(1.0, 0.1), 1.0)
     with pytest.raises(ValidationError):
         tc_coefficients(0, Couplings(1.0, 0.1), -1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            tc_coefficients(1, Couplings(1.0, 0.1), bad)
+        with pytest.raises(ValidationError):
+            tc_coefficients_primed(1, Couplings(1.0, 0.1), [0.0, bad])
+        with pytest.raises(ValidationError):
+            linear_entropy(_config(number_state(1), 0.5), bad)
 
 
 def _radical_quad_unprimed(n, couplings, t):
@@ -329,31 +345,28 @@ def test_mixture_entropy_arrays_match_dedicated_closed_form():
     from tcsim.jc import jc_mixture_entropy
 
     for f in (0.0, 0.5, 0.8):
-        components = [(f, number_state(0)), (1.0 - f, number_state(1))]
-        mixed = mixture_entropy_arrays(components, 0.0, Couplings(1.0, 0.0), t)
+        config = _config([(f, number_state(0)), (1.0 - f, number_state(1))], 0.0, l2=0.0)
+        mixed = mixture_entropy_arrays(config, t)
         assert np.max(np.abs(mixed - jc_mixture_entropy(f, 1.0, t))) <= 1e-12
 
 
 def test_mixture_entropy_arrays_reject_bad_weights():
-    config = _config(number_state(1), 0.0, l2=0.0, grid=TimeGrid(0.0, 1.0, 5))
-    cfg = OracleConfig(n_max=3, couplings=config.couplings)
+    # both pipelines read the weights from SystemConfig, which checks them
     for weights in ((0.7, 0.7), (1.2, -0.2), (0.5, float("nan"))):
         components = [(weights[0], number_state(0)), (weights[1], number_state(1))]
         with pytest.raises(ValidationError):
-            mixture_entropy_arrays(components, 0.0, config.couplings, config.grid.times())
-        with pytest.raises(ValidationError):
-            oracle_entropy_series(config, cfg, components=components)
+            _config(components, 0.0, l2=0.0, grid=TimeGrid(0.0, 1.0, 5))
 
 
 def test_mixed_binomial_and_number_state_closed_form_matches_oracle():
-    components = [(0.3, binomial_state(5, 0.4)), (0.7, number_state(2))]
-    config = _config(number_state(2), 0.3, l2=0.1, grid=TimeGrid(0.0, 30.0, 1501))
-    closed = mixture_entropy_arrays(components, 0.3, config.couplings, config.grid.times())
+    config = _config([(0.3, binomial_state(5, 0.4)), (0.7, number_state(2))], 0.3, l2=0.1,
+                     grid=TimeGrid(0.0, 30.0, 1501))
+    closed = mixture_entropy_arrays(config, config.grid.times())
     cfg = OracleConfig(n_max=7, couplings=config.couplings)
-    checked = oracle_entropy_series(config, cfg, components=components)
+    checked = oracle_entropy_series(config, cfg)
     assert np.max(np.abs(closed - checked.values)) <= 1e-10
     # a genuine mixture: neither component alone gives the same curve
-    for _, dist in components:
+    for _, dist in config.oscillator:
         pure = linear_entropy(_config(dist, 0.3, l2=0.1), config.grid.times())
         assert np.max(np.abs(closed - pure)) > 1e-3
 
