@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProbabilityError, ValidationError
+from .series import check_phase
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,16 @@ def jc_mixture_entropy(f, coupling, t):
         zeta = 1 - [f cos^2(L t) + (1-f) cos^2(sqrt(2) L t)]^2
                  - [f sin^2(L t) + (1-f) sin^2(sqrt(2) L t)]^2
 
-    with L = coupling.  ``t`` may be a scalar or an array.
+    with L = coupling.  ``t`` may be a scalar or an array; a phase
+    sqrt(2) * coupling * t past ``series.PHASE_LIMIT`` raises
+    ValidationError.
     """
     if not (isinstance(f, (int, float)) and math.isfinite(f) and 0.0 <= f <= 1.0):
         raise InvalidProbabilityError(f"f = {f!r} must lie in [0, 1]")
     if not coupling > 0:
         raise ValidationError(f"coupling must be positive, got {coupling!r}")
     t = np.asarray(t, dtype=float)
+    check_phase(math.sqrt(2.0) * coupling, t, "vacuum/one-photon mixture")
     th1 = coupling * t
     th2 = math.sqrt(2.0) * coupling * t
     excited = f * np.cos(th1) ** 2 + (1.0 - f) * np.cos(th2) ** 2

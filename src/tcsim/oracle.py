@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigendecompositionError, TruncationError, ValidationError
-from .series import TimeSeries
+from .series import TimeSeries, check_phase
 from .states import Couplings, FockDistribution, SystemConfig
 
 __all__ = [
@@ -63,6 +63,10 @@ class OracleConfig:
         object.__setattr__(self, "omega", float(self.omega))
         if not math.isfinite(self.omega):
             raise ValidationError(f"omega = {self.omega!r} must be finite")
+        if not math.isfinite(self.omega * (self.n_max + 1)):  # H's largest diagonal entry
+            raise ValidationError(
+                f"omega * (n_max + 1) = {self.omega!r} * {self.n_max + 1} overflows double precision"
+            )
 
     @property
     def dim(self) -> int:
@@ -247,8 +251,10 @@ class Propagator:
         """Evolve ``psi0`` of shape (..., d), one state per matrix of the
         stack, and return the state at each time as the last axis of a
         (..., d, n_times) array.  exp(-iEt) is computed once per call, so
-        states stacked on extra leading axes share it."""
+        states stacked on extra leading axes share it.  A phase E * t past
+        ``series.PHASE_LIMIT`` raises ValidationError."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
+        check_phase(np.max(np.abs(self.eigenvalues), initial=0.0), times, "oracle eigenvalue")
         v = self.eigenvectors
         c0 = (_adjoint(v) @ np.asarray(psi0, dtype=complex)[..., None])[..., 0]
         phases = np.exp(-1j * (self.eigenvalues[..., None] * times))

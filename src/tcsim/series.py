@@ -1,4 +1,5 @@
-"""Time series container used by the closed-form, oracle, and analysis layers."""
+"""Time series container used by the closed-form, oracle, and analysis layers,
+and the phase limit that the closed forms and the oracle share."""
 
 from __future__ import annotations
 
@@ -7,6 +8,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonuniformGridError, ValidationError
+
+# A frequency carries a rounding error of order eps relative, so a phase
+# frequency * t past 1/eps has no significant digit left.
+PHASE_LIMIT = 1.0 / np.finfo(float).eps
+
+
+def check_phase(freq: float, times, where: str) -> None:
+    """Raise ValidationError, naming the frequency and the largest time,
+    unless the phase freq * t stays below ``PHASE_LIMIT`` at every time.
+    Callers check before any cos, sin or exp evaluates the phase."""
+    t_max = float(np.max(np.abs(times), initial=0.0))
+    if not float(freq) * t_max < PHASE_LIMIT:
+        raise ValidationError(
+            f"{where}: the phase at frequency {float(freq)!r} and t = {t_max!r} is beyond "
+            f"double precision (frequency * t must stay below {PHASE_LIMIT:.4g})"
+        )
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,13 @@ class FockDistribution:
             raise ValidationError("amplitudes must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(amps)):
             raise ValidationError("amplitudes must be finite")
+        # checked before the norm, whose square could overflow: an amplitude
+        # past 1 + NORM_DRIFT_LIMIT puts the norm^2 past it as well
+        peak = float(np.max(np.abs(amps)))
+        if peak > 1.0 + NORM_DRIFT_LIMIT:
+            raise UnnormalizedDistributionError(
+                f"amplitude {peak!r} exceeds 1 by more than {NORM_DRIFT_LIMIT}"
+            )
         norm_sq = float(np.dot(amps, amps))
         if abs(norm_sq - 1.0) > NORM_DRIFT_LIMIT:
             raise UnnormalizedDistributionError(
@@ -130,7 +137,12 @@ class TimeGrid:
         object.__setattr__(self, "n_points", int(self.n_points))
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_points)
+        try:
+            return np.linspace(self.t_start, self.t_end, self.n_points)
+        except (MemoryError, ValueError) as exc:  # numpy's ValueError: past its size limit
+            raise ValidationError(
+                f"a grid of {self.n_points} points does not fit in memory"
+            ) from exc
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ Each total-excitation sector splits into four-level blocks
 whose frequencies come in two pairs +-d_plus, +-d_minus.  The propagator
 column starting from |e1 e2 n> gives the "unprimed" coefficient quad; the
 column starting from |e1 g2 n> lives in the block with index n-1 and gives
-the "primed" quad.  From the quads, the reduced single-qubit populations
-(alpha, beta) and coherence (gamma) assemble the linear entropy
+the "primed" quad.  One evaluation of block m yields both of its columns,
+the unprimed quad at n = m and the primed quad at n = m + 1, each entry
+real or -i times real.  From the quads, the reduced single-qubit
+populations (alpha, beta) and coherence (gamma) assemble the linear entropy
 
     zeta = 1 - (alpha^2 + beta^2 + 2 |gamma|^2).
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeDiscriminantError, ValidationError
-from .series import TimeSeries
+from .series import TimeSeries, check_phase
 from .states import Couplings, FockDistribution, SystemConfig
 
 __all__ = [
@@ -174,92 +176,86 @@ def _check_times(t) -> np.ndarray:
     return t
 
 
-def _quad_unprimed_arrays(n: int, couplings: Couplings, t: np.ndarray):
-    """Propagator column starting from |e1 e2 n| in block ``n``."""
-    sp = spectral_params(n, couplings)
-    l1, l2 = couplings.lambda1, couplings.lambda2
-    if sp.D == 0.0:  # both couplings zero: nothing moves
-        one = np.ones_like(t, dtype=complex)
-        zero = np.zeros_like(t, dtype=complex)
-        return one, zero.copy(), zero.copy(), zero.copy()
-    x = math.sqrt(n + 1.0)
-    y = math.sqrt(n + 2.0)
-    cos_p = np.cos(sp.d_plus * t)
-    cos_m = np.cos(sp.d_minus * t)
-    sin_p = _sin_over_freq(sp.d_plus, t)
-    sin_m = _sin_over_freq(sp.d_minus, t)
-    inv2d = 0.5 / sp.D
-    c1 = (sp.a_minus * cos_p + sp.a_plus * cos_m) * inv2d + 0j
-    c4 = (2.0 * l1 * l2 * x * y / sp.D) * (cos_p - cos_m) + 0j
-    c2 = -1j * inv2d * (
-        (l2 * x * sp.a_minus + 4.0 * l1 * l1 * l2 * x * y * y) * sin_p
-        + (l2 * x * sp.a_plus - 4.0 * l1 * l1 * l2 * x * y * y) * sin_m
-    )
-    c3 = -1j * inv2d * (
-        (l1 * x * sp.a_minus + 4.0 * l1 * l2 * l2 * x * y * y) * sin_p
-        + (l1 * x * sp.a_plus - 4.0 * l1 * l2 * l2 * x * y * y) * sin_m
-    )
-    return c1, c2, c3, c4
+def _block_columns(m: int, couplings: Couplings, t: np.ndarray):
+    """Both propagator columns of block ``m`` at times ``t``, as real arrays.
 
-
-def _quad_primed_arrays(n: int, couplings: Couplings, t: np.ndarray):
-    """Propagator column starting from |e1 g2 n|, living in block ``n - 1``.
-
-    At n = 0 the block index is -1: the |e1 e2 -1> level does not exist and
-    its amplitude vanishes identically because the x = sqrt(n) prefactor is
-    zero, with d_minus = 0 enforcing the same degeneracy spectrally.
+    The first is the unprimed quad at n = m (start |e1 e2 m>), the second
+    the primed quad at n = m + 1 (start |e1 g2 m+1>).  c1, c4, c'2 and c'3
+    are returned as they are; c2, c3, c'1 and c'4 are -i times the returned
+    value.  At m = -1 the |e1 e2 -1> level does not exist: c'1 vanishes
+    identically because the x = sqrt(m + 1) prefactor is zero, with
+    d_minus = 0 enforcing the same degeneracy spectrally.  A phase
+    d_plus * t past ``series.PHASE_LIMIT`` raises ValidationError.
     """
-    m = n - 1
     sp = spectral_params(m, couplings)
+    if sp.D == 0.0:  # both couplings zero: nothing moves
+        one, zero = np.ones_like(t), np.zeros_like(t)
+        return (one, zero, zero, zero), (zero, one, zero, zero)
+    # Past PHASE_LIMIT the t-linear terms of a block with d_minus = 0, whose
+    # coefficients vanish only up to rounding, would also grow to overflow.
+    check_phase(sp.d_plus, t, f"block {m}")
     l1, l2 = couplings.lambda1, couplings.lambda2
-    if sp.D == 0.0:
-        one = np.ones_like(t, dtype=complex)
-        zero = np.zeros_like(t, dtype=complex)
-        return zero.copy(), one, zero.copy(), zero.copy()
-    x = math.sqrt(m + 1.0)  # sqrt(n)
-    y = math.sqrt(m + 2.0)  # sqrt(n + 1)
-    ssum = x * x + y * y  # 2n + 1
+    x = math.sqrt(m + 1.0)
+    y = math.sqrt(m + 2.0)
+    ssum = x * x + y * y  # 2m + 3
     cos_p = np.cos(sp.d_plus * t)
     cos_m = np.cos(sp.d_minus * t)
     sin_p = _sin_over_freq(sp.d_plus, t)
     sin_m = _sin_over_freq(sp.d_minus, t)
     inv2d = 0.5 / sp.D
-    c2 = (sp.b_plus * cos_p + sp.b_minus * cos_m) * inv2d + 0j
-    c3 = (l1 * l2 * ssum / sp.D) * (cos_p - cos_m) + 0j
-    c1 = -1j * inv2d * (
-        (l2 * x * sp.b_plus + 2.0 * l1 * l1 * l2 * x * ssum) * sin_p
-        + (l2 * x * sp.b_minus - 2.0 * l1 * l1 * l2 * x * ssum) * sin_m
+    unprimed = (
+        (sp.a_minus * cos_p + sp.a_plus * cos_m) * inv2d,
+        inv2d * (
+            (l2 * x * sp.a_minus + 4.0 * l1 * l1 * l2 * x * y * y) * sin_p
+            + (l2 * x * sp.a_plus - 4.0 * l1 * l1 * l2 * x * y * y) * sin_m
+        ),
+        inv2d * (
+            (l1 * x * sp.a_minus + 4.0 * l1 * l2 * l2 * x * y * y) * sin_p
+            + (l1 * x * sp.a_plus - 4.0 * l1 * l2 * l2 * x * y * y) * sin_m
+        ),
+        (2.0 * l1 * l2 * x * y / sp.D) * (cos_p - cos_m),
     )
-    c4 = -1j * inv2d * (
-        (l1 * y * sp.b_plus + 2.0 * l1 * l2 * l2 * y * ssum) * sin_p
-        + (l1 * y * sp.b_minus - 2.0 * l1 * l2 * l2 * y * ssum) * sin_m
+    primed = (
+        inv2d * (
+            (l2 * x * sp.b_plus + 2.0 * l1 * l1 * l2 * x * ssum) * sin_p
+            + (l2 * x * sp.b_minus - 2.0 * l1 * l1 * l2 * x * ssum) * sin_m
+        ),
+        (sp.b_plus * cos_p + sp.b_minus * cos_m) * inv2d,
+        (l1 * l2 * ssum / sp.D) * (cos_p - cos_m),
+        inv2d * (
+            (l1 * y * sp.b_plus + 2.0 * l1 * l2 * l2 * y * ssum) * sin_p
+            + (l1 * y * sp.b_minus - 2.0 * l1 * l2 * l2 * y * ssum) * sin_m
+        ),
     )
-    return c1, c2, c3, c4
+    return unprimed, primed
+
+
+def _quad(n: int, couplings: Couplings, t, primed: bool) -> CoefficientQuad:
+    if int(n) != n or n < 0:
+        raise ValidationError(f"oscillator index must be a non-negative integer, got {n!r}")
+    t_arr = _check_times(t)
+    # block n holds the unprimed quad at n, block n - 1 the primed one
+    r1, r2, r3, r4 = _block_columns(int(n) - primed, couplings, np.atleast_1d(t_arr))[primed]
+    if primed:
+        quad = (-1j * r1, r2 + 0j, r3 + 0j, -1j * r4)
+    else:
+        quad = (r1 + 0j, -1j * r2, -1j * r3, r4 + 0j)
+    if t_arr.ndim == 0:
+        quad = tuple(complex(c[0]) for c in quad)
+    return CoefficientQuad(*quad, primed=primed)
 
 
 def tc_coefficients(n: int, couplings: Couplings, t) -> CoefficientQuad:
     """Unprimed coefficient quad at oscillator index ``n`` (environment
     qubit initially excited).  ``t`` may be a scalar or an array; the quad
     has unit norm at every time."""
-    if int(n) != n or n < 0:
-        raise ValidationError(f"oscillator index must be a non-negative integer, got {n!r}")
-    t_arr = _check_times(t)
-    c1, c2, c3, c4 = _quad_unprimed_arrays(int(n), couplings, np.atleast_1d(t_arr))
-    if t_arr.ndim == 0:
-        return CoefficientQuad(complex(c1[0]), complex(c2[0]), complex(c3[0]), complex(c4[0]), primed=False)
-    return CoefficientQuad(c1, c2, c3, c4, primed=False)
+    return _quad(n, couplings, t, primed=False)
 
 
 def tc_coefficients_primed(n: int, couplings: Couplings, t) -> CoefficientQuad:
     """Primed coefficient quad at oscillator index ``n`` (environment qubit
     initially in its ground state).  ``c1`` is identically zero at n = 0."""
-    if int(n) != n or n < 0:
-        raise ValidationError(f"oscillator index must be a non-negative integer, got {n!r}")
-    t_arr = _check_times(t)
-    c1, c2, c3, c4 = _quad_primed_arrays(int(n), couplings, np.atleast_1d(t_arr))
-    if t_arr.ndim == 0:
-        return CoefficientQuad(complex(c1[0]), complex(c2[0]), complex(c3[0]), complex(c4[0]), primed=True)
-    return CoefficientQuad(c1, c2, c3, c4, primed=True)
+    return _quad(n, couplings, t, primed=True)
 
 
 def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,41 +264,41 @@ def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray
 
     The terms are linear in the initial density, so each component's weight
     scales its amplitude products.  Per component, alpha and beta run over
-    n = 0..cutoff; gamma couples neighbouring Fock components and runs over
-    n = 0..cutoff-1.
+    the populated n; gamma couples neighbouring populated Fock components.
+    Index n reads blocks n (unprimed quad) and n - 1 (primed quad), and its
+    coherence also block n + 1; each block is evaluated once and dropped
+    once no later index reads it.  Every product is real or -i times real,
+    so the sums are real and gamma is i times a real array.
     """
     t = np.atleast_1d(_check_times(t))
     p, couplings = config.env.p, config.couplings
     alpha = np.zeros_like(t)
     beta = np.zeros_like(t)
-    gamma = np.zeros_like(t, dtype=complex)
+    gamma_im = np.zeros_like(t)
     for weight, dist in config.oscillator:
+        if weight == 0.0:
+            continue
         amps = dist.amplitudes
         ncut = dist.cutoff
-        needed = [n for n in range(ncut + 1) if weight != 0.0 and amps[n] != 0.0]
-        quads = {n: _quad_unprimed_arrays(n, couplings, t) for n in needed}
-        quads_p = {n: _quad_primed_arrays(n, couplings, t) for n in needed}
-        for n in needed:
+        blocks = {}
+        for n in range(ncut + 1):
+            if amps[n] == 0.0:
+                continue
+            coherent = n < ncut and amps[n + 1] != 0.0
+            for m in range(n - 1, n + 1 + coherent):
+                if m not in blocks:
+                    blocks[m] = _block_columns(m, couplings, t)
+            (c1, c2, c3, c4), _ = blocks[n]
+            _, (k1, k2, k3, k4) = blocks.pop(n - 1)
             w = weight * amps[n] ** 2
-            c1, c2, c3, c4 = quads[n]
-            k1, k2, k3, k4 = quads_p[n]
-            alpha += w * (
-                p * (np.abs(c3) ** 2 + np.abs(c4) ** 2)
-                + (1.0 - p) * (np.abs(k3) ** 2 + np.abs(k4) ** 2)
-            )
-            beta += w * (
-                p * (np.abs(c1) ** 2 + np.abs(c2) ** 2)
-                + (1.0 - p) * (np.abs(k1) ** 2 + np.abs(k2) ** 2)
-            )
-            if n < ncut and amps[n + 1] != 0.0:
+            alpha += w * (p * (c3**2 + c4**2) + (1.0 - p) * (k3**2 + k4**2))
+            beta += w * (p * (c1**2 + c2**2) + (1.0 - p) * (k1**2 + k2**2))
+            if coherent:
                 w2 = weight * amps[n] * amps[n + 1]
-                d1, d2, d3, d4 = quads[n + 1]
-                e1, e2, e3, e4 = quads_p[n + 1]
-                gamma += w2 * (
-                    p * (c4 * d2.conj() + c3 * d1.conj())
-                    + (1.0 - p) * (k4 * e2.conj() + k3 * e1.conj())
-                )
-    return alpha, beta, gamma
+                (d1, d2, _, _), _ = blocks[n + 1]
+                _, (e1, e2, _, _) = blocks[n]
+                gamma_im += w2 * (p * (c4 * d2 - c3 * d1) + (1.0 - p) * (k3 * e1 - k4 * e2))
+    return alpha, beta, 1j * gamma_im
 
 
 def entropy_terms(config: SystemConfig, t: float) -> EntropyTerms:
@@ -337,16 +333,12 @@ def entropy_series(config: SystemConfig) -> TimeSeries:
 
 def branch_frequencies(dist: FockDistribution, couplings: Couplings) -> np.ndarray:
     """Sorted unique block frequencies {d_plus, d_minus} of both evolution
-    branches over the distribution's support."""
-    freqs = set()
-    for n in range(dist.cutoff + 1):
-        if dist.amplitudes[n] == 0.0:
-            continue
-        for idx in (n, n - 1):
-            sp = spectral_params(idx, couplings)
-            freqs.add(sp.d_plus)
-            freqs.add(sp.d_minus)
-    return np.array(sorted(freqs))
+    branches over the distribution's support: blocks n and n - 1 of every
+    populated n."""
+    populated = np.flatnonzero(dist.amplitudes).tolist()
+    blocks = sorted({m for n in populated for m in (n - 1, n)})
+    params = [spectral_params(m, couplings) for m in blocks]
+    return np.array(sorted({f for sp in params for f in (sp.d_plus, sp.d_minus)}))
 
 
 def frequency_content(

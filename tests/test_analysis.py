@@ -6,7 +6,7 @@ import pytest
 from tcsim.analysis import dominant_frequencies, find_revivals, time_average
 from tcsim.errors import NonuniformGridError, ValidationError, WindowEmptyError
 from tcsim.jc import jc_number_entropy
-from tcsim.series import TimeSeries
+from tcsim.series import PHASE_LIMIT, TimeSeries, check_phase
 
 
 def _single_branch_series(t_end=30.0, points=3001):
@@ -44,6 +44,15 @@ def test_find_revivals_window_checks():
         find_revivals(series, after=30.0)
     with pytest.raises(WindowEmptyError):
         find_revivals(TimeSeries(np.array([0.0, 1.0]), np.array([0.0, 1.0])), after=0.0)
+
+
+def test_phase_limit_is_one_over_machine_epsilon():
+    assert PHASE_LIMIT == 2.0**52
+    check_phase(1.0, [0.0, PHASE_LIMIT - 1.0], "below")
+    check_phase(0.0, [1e308], "zero frequency")
+    for freq, t in ((1.0, PHASE_LIMIT), (2.0, PHASE_LIMIT / 2), (1e300, 1e300), (math.nan, 1.0)):
+        with pytest.raises(ValidationError, match="beyond double precision"):
+            check_phase(freq, [0.0, t], "past")
 
 
 def test_time_series_rejects_non_finite_samples():

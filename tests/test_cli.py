@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,42 @@ def test_couplings_too_large_for_double_precision_are_a_validation_error(
     err = capsys.readouterr().err
     assert f"lambda1 = {float(lambda1)!r}, lambda2 = {float(lambda2)!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("changes, source", [
+    ({"lambda1 = 1.0": "lambda1 = 1e50"}, "block 0"),
+    ({"kind = number\nN = 1": "kind = mixture01\nf = 0.5", "lambda1 = 1.0": "lambda1 = 1e150",
+      "lambda2 = 0.1": "lambda2 = 0"}, "vacuum/one-photon mixture"),
+    ({"omega = 0.0": "omega = 1e300"}, "block 0"),
+    # equal couplings: d_minus = 0, whose t-linear terms would overflow
+    ({"lambda2 = 0.1": "lambda2 = 1.0"}, "block 0"),
+    ({"omega = 0.0": "omega = 1e300", "t_end = 1e300": "t_end = 30"}, "oracle eigenvalue"),
+])
+def test_phases_beyond_double_precision_are_rejected_before_evaluation(
+    tmp_path, capsys, changes, source
+):
+    text = GOOD_SCENARIO.replace("t_end = 30", "t_end = 1e300").replace("points = 3001", "points = 11")
+    for old, new in changes.items():
+        text = text.replace(old, new)
+    path, out = tmp_path / "phase.ini", tmp_path / "phase.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: the phase at frequency ")
+    assert "is beyond double precision" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["100000000000000000", "1000000000000000000000000000000"])
+def test_grid_too_large_for_memory_is_a_validation_error(tmp_path, capsys, points):
+    # 8e17 bytes exceed every 64-bit address space, so numpy refuses the
+    # request without allocating it; 1e30 points exceed numpy's size limit
+    path = tmp_path / "huge.ini"
+    path.write_text(GOOD_SCENARIO.replace("points = 3001", f"points = {points}"), encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    assert f"a grid of {points} points does not fit in memory" in capsys.readouterr().err
 
 
 def test_run_svg_requires_out(tmp_path):
@@ -466,6 +503,8 @@ def _scenario_sections(draw):
                                  couplings={"lambda1": "1e154", "lambda2": "0"},
                                  grid={"t_end": "1e300"}), command="run")
 @example(sections=_sections_with(oracle={"omega": "1e300"}, grid={"t_end": "1e300"}), command="run")
+@example(sections=_sections_with(oscillator={"kind": "custom", "amplitudes": "1e300"}), command="run")
+@example(sections=_sections_with(oracle={"omega": "1.7e308", "n_max": "12"}), command="run")
 def test_scenario_documents_exit_with_a_documented_code(tmp_path, capsys, sections, command):
     path, out = tmp_path / "fuzz.ini", tmp_path / "fuzz.csv"
     out.unlink(missing_ok=True)

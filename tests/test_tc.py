@@ -1,11 +1,13 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tcsim.tc as tc
 from conftest import branch_amplitudes_bruteforce
 from tcsim.errors import ValidationError
 from tcsim.jc import jc_amplitudes, jc_number_entropy
@@ -338,6 +340,37 @@ def test_entropy_grid_partition_is_bitwise_stable():
     full = linear_entropy(config, t)
     split = np.concatenate([linear_entropy(config, t[:1500]), linear_entropy(config, t[1500:])])
     assert np.array_equal(full, split)
+
+
+def test_closed_form_evaluates_each_block_once(monkeypatch):
+    # index n reads blocks n and n - 1; one evaluation yields both columns
+    calls = []
+    true_params = tc.spectral_params
+
+    def counting(m, couplings):
+        calls.append(m)
+        return true_params(m, couplings)
+
+    monkeypatch.setattr(tc, "spectral_params", counting)
+    t = np.linspace(0.0, 30.0, 31)
+    for dist, blocks in ((binomial_state(400, 0.5), list(range(-1, 401))), (number_state(1), [0, 1])):
+        calls.clear()
+        mixture_entropy_arrays(_config(dist, 0.3), t)
+        assert calls == blocks
+
+
+def test_closed_form_memory_does_not_grow_with_the_support():
+    config = _config(binomial_state(400, 0.5), 0.3)
+    t = config.grid.times()
+    tracemalloc.start()
+    try:
+        mixture_entropy_arrays(config, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Only the blocks in flight are held, about 40 grid-sized arrays;
+    # holding the quads of all 401 indices would take about 6000.
+    assert peak <= 64 * t.nbytes
 
 
 def test_mixture_entropy_arrays_match_dedicated_closed_form():
