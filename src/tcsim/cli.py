@@ -11,6 +11,7 @@ too small, 5 tolerance failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,25 @@ EXIT_TOLERANCE = 5
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite number; anything else is a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number at all: reported below like nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, non-negative number."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is negative")
+    return value
 
 
 def closed_series(scenario: Scenario) -> TimeSeries:
@@ -214,14 +234,15 @@ def _load_csv(path: Path) -> TimeSeries:
 
 def cmd_analyze(args) -> int:
     series = _load_csv(Path(args.csv))
+    # both reports are formed before any output, so a failure prints nothing
     report = analysis.find_revivals(series, after=args.after)
+    spectrum = analysis.dominant_frequencies(series, count=args.peaks)
     print(f"samples: {len(series)}  t in [{series.times[0]:g}, {series.times[-1]:g}]")
     print(f"time average over (after={args.after:g}): {report.time_average:.6f}")
     print(f"local minima after t={args.after:g}: {len(report.minima)}")
     if report.global_min is not None:
         tmin, zmin = report.global_min
         print(f"global minimum: zeta = {zmin:.6e} at t = {tmin:.6f}")
-    spectrum = analysis.dominant_frequencies(series, count=args.peaks)
     print(f"frequency resolution: {spectrum.resolution:.6f}")
     for freq, magnitude in spectrum.peaks:
         print(f"peak: omega = {freq:.6f}  magnitude = {magnitude:.3f}")
@@ -252,12 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("oracle-check", help="compare closed form against brute force")
     p_chk.add_argument("scenario", nargs="?", default=None, help="scenario file path")
     p_chk.add_argument("--preset", default=None, help=f"preset id instead of a file: {', '.join(PRESET_IDS)}")
-    p_chk.add_argument("--tol", type=float, default=1e-8)
+    p_chk.add_argument("--tol", type=_tolerance, default=1e-8)
     p_chk.set_defaults(func=cmd_oracle_check)
 
     p_an = sub.add_parser("analyze", help="revival minima and spectral peaks of an emitted CSV")
     p_an.add_argument("csv", help="CSV produced by run/figure")
-    p_an.add_argument("--after", type=float, default=0.0)
+    p_an.add_argument("--after", type=_finite_float, default=0.0)
     p_an.add_argument("--peaks", type=int, default=5)
     p_an.set_defaults(func=cmd_analyze)
     return parser

@@ -69,11 +69,18 @@ class TimeSeries:
         ------
         NonuniformGridError
             If the spacing varies by more than ``rtol`` relative to its mean.
+            The message names the step farthest from the mean: with one gap
+            in an otherwise uniform grid every step is off the mean, but
+            only the gap is far from it.
         """
         if len(self) < 2:
             raise NonuniformGridError("need at least two samples to define a step")
         steps = np.diff(self.times)
         mean = steps.mean()
-        if np.max(np.abs(steps - mean)) > rtol * mean:
-            raise NonuniformGridError("time grid is not uniform")
+        i = int(np.argmax(np.abs(steps - mean)))
+        if abs(steps[i] - mean) > rtol * mean:
+            raise NonuniformGridError(
+                f"time grid is not uniform: step {i} at t = {self.times[i]:g} is "
+                f"{float(steps[i])!r}, the mean step is {float(mean)!r}"
+            )
         return float(mean)

@@ -258,13 +258,21 @@ def tc_coefficients_primed(n: int, couplings: Couplings, t) -> CoefficientQuad:
     return _quad(n, couplings, t, primed=True)
 
 
+def _density_bands(oscillator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal P_n and first off-diagonal C_n of the oscillator density matrix."""
+    P, C = np.zeros((2, 1 + max(dist.cutoff for _, dist in oscillator)))  # C[-1] stays 0
+    for weight, dist in oscillator:
+        P[: dist.cutoff + 1] += weight * dist.probabilities()
+        C[: dist.cutoff] += weight * dist.amplitudes[:-1] * dist.amplitudes[1:]
+    return P, C
+
+
 def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """alpha(t), beta(t), gamma(t) over an array of times, for the
     oscillator prepared as the mixture ``config.oscillator``.
 
-    The terms are linear in the initial density, so each component's weight
-    scales its amplitude products.  Per component, alpha and beta run over
-    the populated n; gamma couples neighbouring populated Fock components.
+    alpha and beta read the oscillator only through its density diagonal
+    P_n and gamma through its first off-diagonal C_n, over the populated n.
     Index n reads blocks n (unprimed quad) and n - 1 (primed quad), and its
     coherence also block n + 1; each block is evaluated once and dropped
     once no later index reads it.  Every product is real or -i times real,
@@ -272,32 +280,24 @@ def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray
     """
     t = np.atleast_1d(_check_times(t))
     p, couplings = config.env.p, config.couplings
+    P, C = _density_bands(config.oscillator)
     alpha = np.zeros_like(t)
     beta = np.zeros_like(t)
     gamma_im = np.zeros_like(t)
-    for weight, dist in config.oscillator:
-        if weight == 0.0:
-            continue
-        amps = dist.amplitudes
-        ncut = dist.cutoff
-        blocks = {}
-        for n in range(ncut + 1):
-            if amps[n] == 0.0:
-                continue
-            coherent = n < ncut and amps[n + 1] != 0.0
-            for m in range(n - 1, n + 1 + coherent):
-                if m not in blocks:
-                    blocks[m] = _block_columns(m, couplings, t)
-            (c1, c2, c3, c4), _ = blocks[n]
-            _, (k1, k2, k3, k4) = blocks.pop(n - 1)
-            w = weight * amps[n] ** 2
-            alpha += w * (p * (c3**2 + c4**2) + (1.0 - p) * (k3**2 + k4**2))
-            beta += w * (p * (c1**2 + c2**2) + (1.0 - p) * (k1**2 + k2**2))
-            if coherent:
-                w2 = weight * amps[n] * amps[n + 1]
-                (d1, d2, _, _), _ = blocks[n + 1]
-                _, (e1, e2, _, _) = blocks[n]
-                gamma_im += w2 * (p * (c4 * d2 - c3 * d1) + (1.0 - p) * (k3 * e1 - k4 * e2))
+    blocks = {}
+    for n in np.flatnonzero(P).tolist():
+        coherent = C[n] != 0.0
+        for m in range(n - 1, n + 1 + coherent):
+            if m not in blocks:
+                blocks[m] = _block_columns(m, couplings, t)
+        (c1, c2, c3, c4), _ = blocks[n]
+        _, (k1, k2, k3, k4) = blocks.pop(n - 1)
+        alpha += P[n] * (p * (c3**2 + c4**2) + (1.0 - p) * (k3**2 + k4**2))
+        beta += P[n] * (p * (c1**2 + c2**2) + (1.0 - p) * (k1**2 + k2**2))
+        if coherent:
+            (d1, d2, _, _), _ = blocks[n + 1]
+            _, (e1, e2, _, _) = blocks[n]
+            gamma_im += C[n] * (p * (c4 * d2 - c3 * d1) + (1.0 - p) * (k3 * e1 - k4 * e2))
     return alpha, beta, 1j * gamma_im
 
 
@@ -309,8 +309,8 @@ def entropy_terms(config: SystemConfig, t: float) -> EntropyTerms:
 
 def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
     """Linear entropy over an array of times for any oscillator preparation,
-    pure or mixed: the reduced-qubit terms mix convexly component by
-    component before the entropy is formed."""
+    pure or mixed: the reduced-qubit terms are formed once from the
+    oscillator's density bands, then the entropy from them."""
     alpha, beta, gamma = entropy_term_arrays(config, t)
     zeta = 1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2
     # rounding can land an ulp outside the mathematical range [0, 1/2]

@@ -137,7 +137,7 @@ def test_dominant_frequency_of_single_branch_entropy():
 def test_dominant_frequencies_require_uniform_grid():
     t = np.array([0.0, 1.0, 2.0, 4.0, 5.0])
     series = TimeSeries(t, np.sin(t))
-    with pytest.raises(NonuniformGridError):
+    with pytest.raises(NonuniformGridError, match=r"step 2 at t = 2 is 2\.0, the mean step is 1\.25$"):
         dominant_frequencies(series, count=1)
 
 

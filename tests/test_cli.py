@@ -349,6 +349,19 @@ def test_oracle_check_needs_target():
     assert main(["oracle-check"]) == 2
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["oracle-check", "--preset", "2a", "--tol", "nan"], "'nan' is not a finite number"),
+    (["oracle-check", "--preset", "2a", "--tol", "inf"], "'inf' is not a finite number"),
+    (["oracle-check", "--preset", "2a", "--tol", "-1"], "tolerance '-1' is negative"),
+    (["analyze", "missing.csv", "--after", "nan"], "'nan' is not a finite number"),
+])
+def test_non_finite_or_negative_numeric_options_are_usage_errors(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert value in capsys.readouterr().err
+
+
 def test_analyze_reports_peaks(tmp_path, capsys):
     assert main(["figure", "2a", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -367,6 +380,15 @@ def test_analyze_rejects_times_that_do_not_increase(tmp_path, capsys):
     path.write_text("t,zeta\n0,0.1\n2,0.2\n1,0.3\n3,0.1\n", encoding="utf-8")
     assert main(["analyze", str(path)]) == 3
     assert "strictly increasing" in capsys.readouterr().err
+
+
+def test_analyze_names_the_ragged_step_before_any_output(tmp_path, capsys):
+    path = tmp_path / "ragged.csv"
+    path.write_text("t,zeta\n0,0.1\n1,0.2\n3,0.1\n3.5,0.2\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "step 1 at t = 1 is 2.0" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("row", ["2,nan", "2,inf", "-inf,0.1", "2,1e999"])

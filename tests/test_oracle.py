@@ -1,9 +1,12 @@
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tcsim
 from conftest import basis_vector, full_index
 from tcsim.errors import EigendecompositionError, TruncationError, ValidationError
 from tcsim.jc import jc_mixture_entropy, jc_number_entropy
@@ -362,3 +365,34 @@ def test_series_stable_under_truncation_growth():
     base = oracle_entropy_series(config, OracleConfig(n_max=3, couplings=config.couplings))
     bigger = oracle_entropy_series(config, OracleConfig(n_max=6, couplings=config.couplings))
     assert np.max(np.abs(base.values - bigger.values)) <= 1e-12
+
+
+_PACKAGE = Path(tcsim.__file__).parent
+
+
+def _imported_submodules(name: str) -> set[str]:
+    """Bare names of the tcsim modules that ``tcsim.<name>`` imports."""
+    tree = ast.parse((_PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["tcsim" if node.level else None, node.module]))
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(d.split(".")[1] for d in dotted if d.startswith("tcsim."))
+    return found & {path.stem for path in _PACKAGE.glob("*.py")}
+
+
+def test_oracle_reaches_no_closed_form_module():
+    # the cross-check is independent only if no module the oracle imports,
+    # directly or through another tcsim module, holds a closed-form formula
+    reached, todo = set(), ["oracle"]
+    while todo:
+        for name in _imported_submodules(todo.pop()) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert {"states", "series"} <= reached
+    assert not reached & {"tc", "jc"}, sorted(reached)

@@ -23,6 +23,7 @@ from tcsim.oracle import (
 from tcsim.states import (
     Couplings,
     EnvironmentMixture,
+    FockDistribution,
     SystemConfig,
     TimeGrid,
     binomial_state,
@@ -260,6 +261,14 @@ def test_radical_forms_match_on_weak_coupling_branch():
 # ----------------------------------------------------------- entropy terms
 
 
+# (|0> + |1>)/sqrt(2) and (|0> - |1>)/sqrt(2) in equal parts: coherent
+# components whose mixture has no first off-diagonal (C = 0)
+_PHASE_AVERAGED = [
+    (0.5, FockDistribution(np.array([1.0, 1.0]) / math.sqrt(2.0))),
+    (0.5, FockDistribution(np.array([1.0, -1.0]) / math.sqrt(2.0))),
+]
+
+
 def _config(dist, p, l2=0.1, grid=None):
     return SystemConfig(
         oscillator=dist,
@@ -353,7 +362,14 @@ def test_closed_form_evaluates_each_block_once(monkeypatch):
 
     monkeypatch.setattr(tc, "spectral_params", counting)
     t = np.linspace(0.0, 30.0, 31)
-    for dist, blocks in ((binomial_state(400, 0.5), list(range(-1, 401))), (number_state(1), [0, 1])):
+    # a mixture evaluates the blocks its components share once
+    two_binomials = [(0.5, binomial_state(400, 0.3)), (0.5, binomial_state(400, 0.7))]
+    for dist, blocks in (
+        (binomial_state(400, 0.5), list(range(-1, 401))),
+        (number_state(1), [0, 1]),
+        (two_binomials, list(range(-1, 401))),
+        (_PHASE_AVERAGED, [-1, 0, 1]),
+    ):
         calls.clear()
         mixture_entropy_arrays(_config(dist, 0.3), t)
         assert calls == blocks
@@ -381,6 +397,9 @@ def test_mixture_entropy_arrays_match_dedicated_closed_form():
         config = _config([(f, number_state(0)), (1.0 - f, number_state(1))], 0.0, l2=0.0)
         mixed = mixture_entropy_arrays(config, t)
         assert np.max(np.abs(mixed - jc_mixture_entropy(f, 1.0, t))) <= 1e-12
+    # averaging the relative phase leaves the same vacuum/one-photon populations
+    mixed = mixture_entropy_arrays(_config(_PHASE_AVERAGED, 0.0, l2=0.0), t)
+    assert np.max(np.abs(mixed - jc_mixture_entropy(0.5, 1.0, t))) <= 1e-12
 
 
 def test_mixture_entropy_arrays_reject_bad_weights():
@@ -392,16 +411,16 @@ def test_mixture_entropy_arrays_reject_bad_weights():
 
 
 def test_mixed_binomial_and_number_state_closed_form_matches_oracle():
-    config = _config([(0.3, binomial_state(5, 0.4)), (0.7, number_state(2))], 0.3, l2=0.1,
-                     grid=TimeGrid(0.0, 30.0, 1501))
-    closed = mixture_entropy_arrays(config, config.grid.times())
-    cfg = OracleConfig(n_max=7, couplings=config.couplings)
-    checked = oracle_entropy_series(config, cfg)
-    assert np.max(np.abs(closed - checked.values)) <= 1e-10
-    # a genuine mixture: neither component alone gives the same curve
-    for _, dist in config.oscillator:
-        pure = linear_entropy(_config(dist, 0.3, l2=0.1), config.grid.times())
-        assert np.max(np.abs(closed - pure)) > 1e-3
+    for components in ([(0.3, binomial_state(5, 0.4)), (0.7, number_state(2))], _PHASE_AVERAGED):
+        config = _config(components, 0.3, l2=0.1, grid=TimeGrid(0.0, 30.0, 1501))
+        closed = mixture_entropy_arrays(config, config.grid.times())
+        cfg = OracleConfig(n_max=7, couplings=config.couplings)
+        checked = oracle_entropy_series(config, cfg)
+        assert np.max(np.abs(closed - checked.values)) <= 1e-10
+        # a genuine mixture: neither component alone gives the same curve
+        for _, dist in config.oscillator:
+            pure = linear_entropy(_config(dist, 0.3, l2=0.1), config.grid.times())
+            assert np.max(np.abs(closed - pure)) > 1e-3
 
 
 # ------------------------------------------------------- frequency content
