@@ -12,10 +12,13 @@ n_max >= (oscillator support) + 2 is exact, not approximate: the populated
 blocks close on themselves and nothing leaks past the cutoff.  The same fact
 lets the default path of ``oracle_entropy_series`` evolve only those
 blocks: it gathers the Hamiltonian's terms on the 4x4 excitation blocks the
-initial state populates, diagonalizes them with one batched ``eigh``, and
-scatters the evolved states back onto the full basis for the unchanged
-partial trace.  ``dense=True`` keeps the dense 4(n_max + 1)-dimensional
-matrix and the full density matrix as the reference.
+initial state populates, diagonalizes them with one batched ``eigh`` and
+never forms a state on the full basis.  It walks the (uniform) time grid in
+fixed chunks, evolving the first chunk once and moving it on to each later
+chunk with the 4x4 block unitaries, and takes the partial trace from the
+block states of each chunk.  ``dense=True`` keeps the dense
+4(n_max + 1)-dimensional matrix and the full density matrix as the
+reference.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
+# Complex entries of one chunk's (K, 4, components, points) block states in
+# the default path of ``oracle_entropy_series``: 2**16 entries, 1 MB.
+_CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -186,13 +192,10 @@ def _embed(q1: int, q2: int, dist: FockDistribution, n_max: int) -> np.ndarray:
     return np.kron(q[q1], np.kron(q[q2], osc))
 
 
-def initial_components(config: SystemConfig, n_max: int) -> list[tuple[float, np.ndarray]]:
-    """Pure components (weight, state vector) of the initial density matrix.
-
-    The system qubit starts excited; the environment qubit is excited with
-    probability p and ground otherwise.  The oscillator is prepared as the
-    mixture ``config.oscillator`` of (weight, FockDistribution) pairs.
-    """
+def _preparations(config: SystemConfig, n_max: int) -> list[tuple[float, int, FockDistribution]]:
+    """(weight, q2, oscillator) of each pure component of the initial state:
+    qubit1 excited, qubit2 in ``q2`` (1 = excited), the oscillator in the
+    given FockDistribution."""
     support = max(dist.cutoff for _, dist in config.oscillator)
     if n_max < required_n_max(support):
         raise TruncationError(
@@ -200,15 +203,25 @@ def initial_components(config: SystemConfig, n_max: int) -> list[tuple[float, np
             f"n_max >= {required_n_max(support)}"
         )
     p = config.env.p
-    comps = []
+    preps = []
     for w_osc, dist in config.oscillator:
         if w_osc == 0.0:
             continue
         if p > 0.0:
-            comps.append((w_osc * p, _embed(1, 1, dist, n_max)))
+            preps.append((w_osc * p, 1, dist))
         if p < 1.0:
-            comps.append((w_osc * (1.0 - p), _embed(1, 0, dist, n_max)))
-    return comps
+            preps.append((w_osc * (1.0 - p), 0, dist))
+    return preps
+
+
+def initial_components(config: SystemConfig, n_max: int) -> list[tuple[float, np.ndarray]]:
+    """Pure components (weight, state vector) of the initial density matrix.
+
+    The system qubit starts excited; the environment qubit is excited with
+    probability p and ground otherwise.  The oscillator is prepared as the
+    mixture ``config.oscillator`` of (weight, FockDistribution) pairs.
+    """
+    return [(w, _embed(1, q2, dist, n_max)) for w, q2, dist in _preparations(config, n_max)]
 
 
 def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
@@ -289,16 +302,58 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
+def _initial_blocks(config: SystemConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Excitations (K,) of the blocks the evolution reads, ascending, and the
+    (components, K, 4) initial stack with sqrt(weight) folded into each
+    component, so that rho = sum_c |psi_c><psi_c|.
+
+    |e1 e2 m> is slot 0 of block m + 2 and |e1 g2 m> slot 1 of block m + 1.
+    Below each populated block k the stack also holds block k - 1, which
+    stays zero if the state does not populate it, so every pair of
+    neighbours in the stack either differs by one excitation or has a zero
+    upper block.
+    """
+    preps = _preparations(config, n_max)
+    populated = [np.flatnonzero(dist.amplitudes) for _, _, dist in preps]
+    ks = np.concatenate([m + 1 + q2 for m, (_, q2, _) in zip(populated, preps)])
+    ks = np.flatnonzero(np.bincount(np.concatenate([ks, ks - 1])))
+    psi0 = np.zeros((len(preps), ks.size, 4))
+    for c, (m, (weight, q2, dist)) in enumerate(zip(populated, preps)):
+        psi0[c, np.searchsorted(ks, m + 1 + q2), 1 - q2] = math.sqrt(weight) * dist.amplitudes[m]
+    return ks, psi0
+
+
+def _block_entropy(psi: np.ndarray) -> np.ndarray:
+    """Linear entropy of qubit1 from contiguous (K, 4, components, n) block
+    states of consecutive excitations (see ``_initial_blocks``).
+
+    Slots 0, 1 of each block have qubit1 excited and slots 2, 3 ground.  The
+    coherence pairs slots 0 and 1 of block k with slots 2 and 3 of block
+    k - 1, which hold the same qubit2 and oscillator state.
+    """
+    k, _, components, n = psi.shape
+    parts = psi.view(float).reshape(k, 4, -1)  # real and imaginary parts
+    squares = np.einsum("ksx,ksx->sx", parts, parts).reshape(4, components, n, 2)
+    slots = (squares[..., 0] + squares[..., 1]).sum(axis=1)
+    rho_ee, rho_gg = slots[0] + slots[1], slots[2] + slots[3]
+    rho_eg = (psi[1:, :2] * psi[:-1, 2:].conj()).sum(axis=(0, 1, 2))
+    return 1.0 - (rho_ee**2 + rho_gg**2 + 2.0 * (rho_eg.real**2 + rho_eg.imag**2))
+
+
 def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool = False) -> TimeSeries:
     """Linear entropy of the system qubit over the configuration's grid,
     via build -> evolve -> reduce -> purity only.
 
-    The default path builds, diagonalizes and evolves only the excitation
-    blocks that the pure components of the initial state populate, scatters
-    the evolved states back onto the full basis and assembles the reduced
-    matrix directly, which is algebraically identical to evolving the full
-    density matrix.  With ``dense=True`` the full-matrix reference path is
-    used instead.
+    The default path builds and diagonalizes only the excitation blocks that
+    the initial state populates and holds the mixture as one stack of block
+    states.  It walks the grid in chunks of at most ``_CHUNK_ENTRIES`` state
+    entries: the first chunk is evolved from the initial stack, and the chunk
+    starting at times[s] is the first one moved on by the block unitaries
+    U(times[s] - times[0]).  That relies on the grid being uniform, which
+    ``TimeGrid`` guarantees.  Each chunk is reduced straight from its block
+    states, which is algebraically identical to evolving the full density
+    matrix and tracing it.  With ``dense=True`` the full-matrix reference
+    path is used instead.
     """
     times = config.grid.times()
     if dense:
@@ -309,21 +364,24 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
             rho_t = prop.evolve_density(rho0, t)
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
-    comps = initial_components(config, cfg.n_max)
-    # The states carry one extra trailing entry, always zero, which the -1
-    # slots of ``rows`` address both when gathering and when scattering.
-    vecs = np.zeros((len(comps), cfg.dim + 1))
-    vecs[:, :-1] = [vec for _, vec in comps]
-    q1, q2, m = _split(np.flatnonzero(vecs.any(axis=0)), cfg.n_max)
-    rows = _block_rows(np.flatnonzero(np.bincount(q1 + q2 + m)), cfg.n_max)
+    ks, psi0 = _initial_blocks(config, cfg.n_max)
+    rows = _block_rows(ks, cfg.n_max)
+    empty = rows < 0
     prop = Propagator(build_hamiltonian(cfg, rows))
-    psi = prop.evolve_state(vecs[:, rows], times)  # (components, K, 4, T)
-    full = np.zeros((cfg.dim + 1, times.size), dtype=complex)
-    halves = full[:-1].reshape(2, cfg.dim // 2, times.size)
-    rho1 = np.zeros((times.size, 2, 2), dtype=complex)
-    for (weight, _), block_psi in zip(comps, psi):
-        full[rows] = block_psi
-        rho1 += weight * np.einsum("akt,bkt->tab", halves, halves.conj())
-    zeta = 1.0 - np.einsum("tab,tba->t", rho1, rho1).real
+    # ``unitary`` does not check the phase, so the whole grid is checked here
+    check_phase(np.max(np.abs(prop.eigenvalues), initial=0.0), times, "oracle eigenvalue")
+    size = max(1, _CHUNK_ENTRIES // psi0.size)
+    first = np.ascontiguousarray(prop.evolve_state(psi0, times[:size]).transpose(1, 2, 0, 3))
+    # an empty slot's row and column of H are zero, but eigh may mix it into a
+    # degenerate eigenvalue of its block; zeroing keeps it out of the trace
+    first[empty] = 0.0
+    zeta = np.empty(times.size)
+    zeta[:size] = _block_entropy(first)
+    for start in range(size, times.size, size):
+        n = min(size, times.size - start)
+        u = prop.unitary(times[start] - times[0])
+        u[empty] = 0.0
+        moved = u @ first[..., :n].reshape(ks.size, 4, -1)
+        zeta[start : start + n] = _block_entropy(moved.reshape(ks.size, 4, -1, n))
     # rounding can land an ulp outside the mathematical range [0, 1/2]
-    return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
+    return TimeSeries(times, np.clip(zeta, 0.0, 0.5, out=zeta))

@@ -286,6 +286,9 @@ def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray
     gamma_im = np.zeros_like(t)
     blocks = {}
     for n in np.flatnonzero(P).tolist():
+        # blocks below n - 1 are left over after a gap in the populated n
+        for m in [m for m in blocks if m < n - 1]:
+            del blocks[m]
         coherent = C[n] != 0.0
         for m in range(n - 1, n + 1 + coherent):
             if m not in blocks:

@@ -8,6 +8,7 @@ import pytest
 
 import tcsim
 from conftest import basis_vector, full_index
+from tcsim import oracle
 from tcsim.errors import EigendecompositionError, TruncationError, ValidationError
 from tcsim.jc import jc_mixture_entropy, jc_number_entropy
 from tcsim.oracle import (
@@ -326,6 +327,52 @@ def test_series_block_path_matches_dense_path(name):
         fast = oracle_entropy_series(config, cfg)
         dense = oracle_entropy_series(config, cfg, dense=True)
         assert np.max(np.abs(fast.values - dense.values)) <= 1e-12, (p, omega, extra, l2)
+
+
+@pytest.mark.parametrize("name", sorted(_PREPARATIONS))
+def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
+    # every chunk after the first is the first one moved on by the block
+    # unitaries U(times[s] - times[0]); the grid starts away from t = 0
+    grid = TimeGrid(2.5, 32.5, 151)
+    advances = []
+    unitary = oracle.Propagator.unitary
+
+    def recording_unitary(self, t):
+        advances.append(t)
+        return unitary(self, t)
+
+    monkeypatch.setattr(oracle.Propagator, "unitary", recording_unitary)
+    for p, omega in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7)):
+        config = _config(_PREPARATIONS[name], p, l2=0.3, grid=grid)
+        support = max(dist.cutoff for _, dist in config.oscillator)
+        cfg = OracleConfig(n_max=required_n_max(support), couplings=config.couplings, omega=omega)
+        per_point = oracle._initial_blocks(config, cfg.n_max)[1].size
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", grid.n_points * per_point)
+        whole = oracle_entropy_series(config, cfg).values
+        dense = oracle_entropy_series(config, cfg, dense=True).values
+        for points in (1, 7, grid.n_points + 50):
+            monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", points * per_point)
+            advances.clear()
+            chunked = oracle_entropy_series(config, cfg).values
+            assert len(advances) == -(-grid.n_points // points) - 1
+            assert np.max(np.abs(chunked - whole)) <= 1e-13, (p, omega, points)
+            assert np.max(np.abs(chunked - dense)) <= 1e-12, (p, omega, points)
+
+
+def test_series_memory_stays_bounded_on_a_long_grid():
+    points = 100_001
+    config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 1000.0, points))
+    cfg = OracleConfig(n_max=3, couplings=config.couplings)
+    tracemalloc.start()
+    try:
+        oracle_entropy_series(config, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few grid arrays (times, zeta and the checks of TimeSeries) and a
+    # fixed number of chunk-sized arrays; the block states of every time at
+    # once would take 32 grid arrays more
+    assert peak <= 6 * 8 * points + 8 * 2**20
 
 
 def test_series_block_path_scales_to_a_binomial_support_of_2000(monkeypatch):

@@ -376,17 +376,27 @@ def test_closed_form_evaluates_each_block_once(monkeypatch):
 
 
 def test_closed_form_memory_does_not_grow_with_the_support():
-    config = _config(binomial_state(400, 0.5), 0.3)
-    t = config.grid.times()
-    tracemalloc.start()
-    try:
-        mixture_entropy_arrays(config, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Only the blocks in flight are held, about 40 grid-sized arrays;
-    # holding the quads of all 401 indices would take about 6000.
-    assert peak <= 64 * t.nbytes
+    # every tenth number state up to 400, mixed and as one superposition:
+    # the index after each populated n is empty, so no later index reads block n
+    amps = np.zeros(401)
+    amps[::10] = 1.0 / math.sqrt(41.0)
+    for dist in (
+        binomial_state(400, 0.5),
+        [(1.0 / 41.0, number_state(n)) for n in range(0, 401, 10)],
+        FockDistribution(amps),
+    ):
+        config = _config(dist, 0.3)
+        t = config.grid.times()
+        tracemalloc.start()
+        try:
+            mixture_entropy_arrays(config, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Only the blocks in flight are held, about 40 grid-sized arrays;
+        # holding the quads of all 401 indices would take about 6000, and
+        # keeping each block of the gapped states about 350.
+        assert peak <= 64 * t.nbytes
 
 
 def test_mixture_entropy_arrays_match_dedicated_closed_form():
