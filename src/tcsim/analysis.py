@@ -98,14 +98,11 @@ def dominant_frequencies(series: TimeSeries, count: int) -> SpectrumReport:
     mag = np.abs(np.fft.rfft(values))
     d_omega = 2.0 * np.pi / (len(series) * dt)
     # interior local maxima; DC is excluded by construction (mean removed)
-    candidates = [
-        k
-        for k in range(1, mag.size - 1)
-        if mag[k] > mag[k - 1] and mag[k] >= mag[k + 1]
-    ]
-    candidates.sort(key=lambda k: -mag[k])
+    candidates = 1 + np.flatnonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:]))
+    # strongest first; equal magnitudes keep the lower bin first
+    candidates = candidates[np.argsort(-mag[candidates], kind="stable")]
     peaks = []
-    for k in candidates[:count]:
+    for k in candidates[:count].tolist():
         curvature = mag[k - 1] - 2.0 * mag[k] + mag[k + 1]
         shift = 0.5 * (mag[k - 1] - mag[k + 1]) / curvature if curvature != 0 else 0.0
         peaks.append(((k + shift) * d_omega, float(mag[k])))

@@ -145,14 +145,13 @@ def svg_lines(series: TimeSeries, title: str) -> list[str]:
     return lines
 
 
-def _run_scenario(scenario: Scenario, out: Path | None, svg: bool, svg_path: Path | None,
-                  title: str) -> int:
+def _run_scenario(scenario: Scenario, out: Path | None, svg_path: Path | None, title: str) -> int:
+    """Write the scenario's CSV to ``out`` (stdout if None), and its SVG plot
+    to ``svg_path`` unless that is None."""
     closed = closed_series(scenario)
     checked = oracle_series(scenario) if scenario.oracle_enabled else None
     write_text(out, csv_lines(scenario, closed, checked))
-    if svg:
-        if svg_path is None:
-            raise ScenarioParseError("--svg needs an output file to name the plot after")
+    if svg_path is not None:
         write_text(svg_path, svg_lines(closed, title))
     return EXIT_OK
 
@@ -162,8 +161,8 @@ def cmd_run(args) -> int:
     out = Path(args.out) if args.out else None
     if args.svg and out is None:
         raise ScenarioParseError("--svg requires --out")
-    svg_path = out.with_suffix(".svg") if (args.svg and out) else None
-    return _run_scenario(scenario, out, args.svg, svg_path, title=f"scenario {args.scenario}")
+    svg_path = out.with_suffix(".svg") if args.svg else None
+    return _run_scenario(scenario, out, svg_path, title=f"scenario {args.scenario}")
 
 
 def cmd_figure(args) -> int:
@@ -171,19 +170,16 @@ def cmd_figure(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"fig{scenario.label}.csv"
-    svg_path = out_dir / f"fig{scenario.label}.svg"
-    _run_scenario(scenario, out, args.svg, svg_path, title=f"figure {scenario.label}")
-    print(f"wrote {out}" + (f" and {svg_path}" if args.svg else ""))
+    svg_path = out_dir / f"fig{scenario.label}.svg" if args.svg else None
+    _run_scenario(scenario, out, svg_path, title=f"figure {scenario.label}")
+    print(f"wrote {out}" + (f" and {svg_path}" if svg_path else ""))
     return EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
-    if args.preset is not None:
-        scenario = preset(args.preset)
-    elif args.scenario is not None:
-        scenario = load_scenario(args.scenario)
-    else:
-        raise ScenarioParseError("oracle-check needs a scenario file or --preset")
+    if (args.scenario is None) == (args.preset is None):
+        raise ScenarioParseError("oracle-check needs exactly one of a scenario file and --preset")
+    scenario = load_scenario(args.scenario) if args.preset is None else preset(args.preset)
     closed = closed_series(scenario)
     checked = oracle_series(scenario)
     errors = np.abs(closed.values - checked.values)

@@ -15,13 +15,17 @@ A scenario file looks like::
     t_start = 0
     t_end = 30
     points = 3001
-    [oracle]                 ; optional
-    enabled = true
+    [oracle]                 ; optional, in whole or in part
+    enabled = true           ; true/false, yes/no or 1/0; defaults to false
     n_max = 3                ; defaults to support + 2
-    omega = 0.0
+    omega = 0.0              ; defaults to 0
 
-Unknown sections or keys are rejected outright so typos cannot silently
-change a run.
+The format lives in two tables: ``_KINDS`` holds each oscillator kind's keys
+and ``_SECTIONS`` every other section's keys, each with its value type and
+the field it fills.  Parsing, the key checks, the CSV header written by
+``Scenario.to_lines`` and its read-back by ``scenario_from_header`` all read
+them.  Unknown sections or keys are rejected outright so typos cannot
+silently change a run.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScenarioParseError
+from .oracle import required_n_max
 from .states import (
     Couplings,
     EnvironmentMixture,
@@ -61,15 +66,17 @@ def _number_list(raw: str) -> tuple[float, ...]:
 class _Value:
     """How one scenario value is read from its text and written back."""
 
-    parse: Callable[[str], object]
+    parse: Callable[[str], object]  # raises ValueError or KeyError on a bad text
     write: Callable[[object], str]
     noun: str  # what a text that fails to parse is not
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _INT = _Value(int, str, "an integer")
 _FLOAT = _Value(float, _fmt, "a number")
 _FLOATS = _Value(_number_list, lambda values: " ".join(_fmt(v) for v in values),
                  "a non-empty list of numbers")
+_BOOL = _Value(lambda raw: _BOOLEANS[raw.lower()], lambda flag: "true" if flag else "false", "a boolean")
 
 
 @dataclass(frozen=True)
@@ -89,14 +96,18 @@ _KINDS = {
     "custom": _Kind({"amplitudes": _FLOATS}, lambda amps: [(1.0, FockDistribution(np.array(amps)))]),
 }
 
-_ALLOWED_KEYS = {
-    "oscillator": {"kind"}.union(*(kind.keys for kind in _KINDS.values())),
-    "environment": {"p"},
-    "couplings": {"lambda1", "lambda2"},
-    "grid": {"t_start", "t_end", "points"},
-    "oracle": {"enabled", "n_max", "omega"},
+# Every other section in header order: each key's value type and the field it
+# fills, a TimeGrid field under [grid] and a Scenario field elsewhere.  Every
+# key is required except under [oracle], where a missing key keeps the
+# Scenario default.
+_SECTIONS: dict[str, dict[str, tuple[_Value, str]]] = {
+    "environment": {"p": (_FLOAT, "p")},
+    "couplings": {"lambda1": (_FLOAT, "lambda1"), "lambda2": (_FLOAT, "lambda2")},
+    "grid": {"t_start": (_FLOAT, "t_start"), "t_end": (_FLOAT, "t_end"), "points": (_INT, "n_points")},
+    "oracle": {"enabled": (_BOOL, "oracle_enabled"), "n_max": (_INT, "oracle_n_max"),
+               "omega": (_FLOAT, "oracle_omega")},
 }
-_REQUIRED_SECTIONS = ("oscillator", "environment", "couplings", "grid")
+_OPTIONAL = "oracle"
 
 
 def _kind(name: str) -> _Kind:
@@ -141,7 +152,7 @@ class Scenario:
     def effective_n_max(self) -> int:
         if self.oracle_n_max is not None:
             return self.oracle_n_max
-        return max(dist.cutoff for _, dist in self.oscillator_components()) + 2
+        return required_n_max(max(dist.cutoff for _, dist in self.oscillator_components()))
 
     def to_lines(self) -> list[str]:
         """Canonical scenario text, one `[section] key = value` per line.
@@ -149,44 +160,41 @@ class Scenario:
         keys = _KINDS[self.kind].keys
         lines = [f"[oscillator] kind = {self.kind}"]
         lines += [f"[oscillator] {key} = {keys[key].write(value)}" for key, value in self.params]
-        lines.append(f"[environment] p = {_fmt(self.p)}")
-        lines.append(f"[couplings] lambda1 = {_fmt(self.lambda1)}")
-        lines.append(f"[couplings] lambda2 = {_fmt(self.lambda2)}")
-        lines.append(f"[grid] t_start = {_fmt(self.grid.t_start)}")
-        lines.append(f"[grid] t_end = {_fmt(self.grid.t_end)}")
-        lines.append(f"[grid] points = {self.grid.n_points}")
-        lines.append(f"[oracle] enabled = {'true' if self.oracle_enabled else 'false'}")
-        if self.oracle_n_max is not None:
-            lines.append(f"[oracle] n_max = {self.oracle_n_max}")
-        lines.append(f"[oracle] omega = {_fmt(self.oracle_omega)}")
+        for name, section in _SECTIONS.items():
+            holder = self.grid if name == "grid" else self
+            for key, (value, field) in section.items():
+                if getattr(holder, field) is not None:  # an unset n_max is left out
+                    lines.append(f"[{name}] {key} = {value.write(getattr(holder, field))}")
         return lines
 
 
-def _get(section: configparser.SectionProxy, key: str, value: _Value = _FLOAT):
-    raw = section[key]
+def _read(section: str, key: str, raw: str, value: _Value):
+    """One value of the document, parsed from its (stripped) text."""
     try:
         return value.parse(raw)
-    except ValueError as exc:
-        raise ScenarioParseError(f"[{section.name}] {key} = {raw!r} is not {value.noun}") from exc
+    except (KeyError, ValueError) as exc:
+        raise ScenarioParseError(f"[{section}] {key} = {raw!r} is not {value.noun}") from exc
 
 
-def _build_scenario(parser: configparser.ConfigParser, label: str) -> Scenario:
-    sections = set(parser.sections())
-    unknown_sections = sections - set(_ALLOWED_KEYS)
+def _build_scenario(sections: dict[str, dict[str, str]], label: str) -> Scenario:
+    """The scenario of a `{section: {key: text}}` document."""
+    known = {"oscillator": {"kind"}.union(*(kind.keys for kind in _KINDS.values())),
+             **{name: set(section) for name, section in _SECTIONS.items()}}
+    unknown_sections = set(sections) - set(known)
     if unknown_sections:
         raise ScenarioParseError(f"unknown sections: {sorted(unknown_sections)}")
-    missing = [s for s in _REQUIRED_SECTIONS if s not in sections]
+    missing = [name for name in known if name not in sections and name != _OPTIONAL]
     if missing:
         raise ScenarioParseError(f"missing sections: {missing}")
-    for sec in sections:
-        unknown = set(parser[sec]) - _ALLOWED_KEYS[sec]
+    for name, keys in sections.items():
+        unknown = set(keys) - known[name]
         if unknown:
-            raise ScenarioParseError(f"unknown keys in [{sec}]: {sorted(unknown)}")
+            raise ScenarioParseError(f"unknown keys in [{name}]: {sorted(unknown)}")
 
-    osc = parser["oscillator"]
+    osc = sections["oscillator"]
     if "kind" not in osc:
         raise ScenarioParseError("[oscillator] needs a kind")
-    kind = osc["kind"].strip()
+    kind = osc["kind"]
     keys = _kind(kind).keys
     extra = set(osc) - {"kind"} - set(keys)
     if extra:
@@ -194,66 +202,30 @@ def _build_scenario(parser: configparser.ConfigParser, label: str) -> Scenario:
     absent = set(keys) - set(osc)
     if absent:
         raise ScenarioParseError(f"kind = {kind} requires keys {sorted(absent)}")
-    params = tuple((key, _get(osc, key, value)) for key, value in keys.items())
+    params = tuple((key, _read("oscillator", key, osc[key], value)) for key, value in keys.items())
 
-    grid_sec = parser["grid"]
-    for key in ("t_start", "t_end", "points"):
-        if key not in grid_sec:
-            raise ScenarioParseError(f"[grid] needs {key}")
-    grid = TimeGrid(_get(grid_sec, "t_start"), _get(grid_sec, "t_end"), _get(grid_sec, "points", _INT))
-
-    env_sec = parser["environment"]
-    if "p" not in env_sec:
-        raise ScenarioParseError("[environment] needs p")
-    cpl_sec = parser["couplings"]
-    for key in ("lambda1", "lambda2"):
-        if key not in cpl_sec:
-            raise ScenarioParseError(f"[couplings] needs {key}")
-
-    oracle_enabled = False
-    oracle_n_max = None
-    oracle_omega = 0.0
-    if "oracle" in sections:
-        osec = parser["oracle"]
-        if "enabled" in osec:
-            raw = osec["enabled"].strip().lower()
-            if raw not in ("true", "false", "yes", "no", "1", "0"):
-                raise ScenarioParseError(f"[oracle] enabled = {osec['enabled']!r} is not a boolean")
-            oracle_enabled = raw in ("true", "yes", "1")
-        if "n_max" in osec:
-            oracle_n_max = _get(osec, "n_max", _INT)
-        if "omega" in osec:
-            oracle_omega = _get(osec, "omega")
-
-    return Scenario(
-        kind=kind,
-        params=params,
-        p=_get(env_sec, "p"),
-        lambda1=_get(cpl_sec, "lambda1"),
-        lambda2=_get(cpl_sec, "lambda2"),
-        grid=grid,
-        oracle_enabled=oracle_enabled,
-        oracle_n_max=oracle_n_max,
-        oracle_omega=oracle_omega,
-        label=label,
-    )
+    fields = {}
+    for name, section in _SECTIONS.items():
+        given = sections.get(name, {})
+        read = {}
+        for key, (value, field) in section.items():
+            if key in given:
+                read[field] = _read(name, key, given[key], value)
+            elif name != _OPTIONAL:
+                raise ScenarioParseError(f"[{name}] needs {key}")
+        fields.update({"grid": TimeGrid(**read)} if name == "grid" else read)
+    return Scenario(kind=kind, params=params, label=label, **fields)
 
 
-def _read_ini(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=(";", "#"), interpolation=None
-    )
+def parse_scenario(text: str, label: str = "") -> Scenario:
+    """Parse a scenario document; raises ScenarioParseError on any defect."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N, M, q, f, ...)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ScenarioParseError(str(exc)) from exc
-    return parser
-
-
-def parse_scenario(text: str, label: str = "") -> Scenario:
-    """Parse a scenario document; raises ScenarioParseError on any defect."""
-    return _build_scenario(_read_ini(text), label)
+    return _build_scenario({name: dict(parser[name]) for name in parser.sections()}, label)
 
 
 def load_scenario(path) -> Scenario:
@@ -268,21 +240,19 @@ def load_scenario(path) -> Scenario:
 def scenario_from_header(lines) -> Scenario:
     """Rebuild a scenario from the `# [section] key = value` comment lines of
     an emitted CSV file."""
-    entries = []
+    sections: dict[str, dict[str, str]] = {}
     for line in lines:
         body = line.lstrip("#").strip()
-        if body.startswith("[") and "]" in body and "=" in body:
-            sec, rest = body[1:].split("]", 1)
-            entries.append((sec.strip(), rest.strip()))
-    if not entries:
+        name, _, entry = body[1:].partition("]")
+        key, equals, raw = (part.strip() for part in entry.partition("="))
+        if body.startswith("[") and equals:
+            keys = sections.setdefault(name.strip(), {})
+            if key in keys:
+                raise ScenarioParseError(f"[{name.strip()}] {key} appears twice in the header")
+            keys[key] = raw
+    if not sections:
         raise ScenarioParseError("no scenario metadata found in header")
-    grouped: dict[str, list[str]] = {}
-    for sec, kv in entries:
-        grouped.setdefault(sec, []).append(kv)
-    text = "\n".join(
-        "\n".join([f"[{sec}]"] + kvs) for sec, kvs in grouped.items()
-    )
-    return parse_scenario(text, label="csv-header")
+    return _build_scenario(sections, "csv-header")
 
 
 _STANDARD_GRID = TimeGrid(0.0, 30.0, 3001)

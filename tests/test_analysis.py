@@ -119,6 +119,13 @@ def test_dominant_frequencies_recover_separated_sinusoids():
     found = sorted(freq for freq, _ in report.peaks)
     for expected, got in zip([0.7, 1.3, 2.9], found):
         assert abs(got - expected) <= report.resolution
+    # a tie: +1 at the first sample and -1 halfway along put magnitude exactly
+    # 2 in every odd bin and 0 in every even one; equal peaks come lowest first
+    t = np.linspace(0.0, 15.0, 16)
+    values = np.zeros(16)
+    values[0], values[8] = 1.0, -1.0
+    report = dominant_frequencies(TimeSeries(t, values), count=3)
+    assert report.peaks == [(k * report.resolution, 2.0) for k in (1, 3, 5)]
 
 
 def test_dominant_frequency_of_single_branch_entropy():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +11,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tcsim.tc as tc
-from tcsim.cli import closed_series, main, oracle_series
+from tcsim.cli import closed_series, csv_lines, main, oracle_series
 from tcsim.errors import ScenarioParseError
 from tcsim.scenario import (
     PRESET_IDS,
+    Scenario,
     parse_scenario,
     preset,
     scenario_from_header,
 )
+from tcsim.series import TimeSeries
 
 GOOD_SCENARIO = """\
 [oscillator]
@@ -108,15 +111,103 @@ def test_presets_carry_reference_parameters():
         preset("9")
 
 
+EVERY_KEY_SCENARIO = """\
+[oscillator]
+kind = custom
+amplitudes = 0.6 0.8
+[environment]
+p = 0.25
+[couplings]
+lambda1 = 1.5
+lambda2 = 0.2
+[grid]
+t_start = 0.5
+t_end = 12
+points = 11
+[oracle]
+enabled = yes
+n_max = 4
+omega = 0.7
+"""
+
+
+def _emitted_header(sc):
+    stub = TimeSeries(np.array([0.0, 1.0]), np.zeros(2))
+    return [line for line in csv_lines(sc, stub, None) if line.startswith("#")]
+
+
 def test_header_round_trip():
-    sc = preset("2c")
-    rebuilt = scenario_from_header([f"# {line}" for line in sc.to_lines()])
-    assert rebuilt.kind == sc.kind
-    assert rebuilt.params == sc.params
-    assert rebuilt.p == sc.p
-    assert (rebuilt.lambda1, rebuilt.lambda2) == (sc.lambda1, sc.lambda2)
-    assert rebuilt.grid == sc.grid
-    assert rebuilt.oracle_omega == sc.oracle_omega
+    for sc in [preset(pid) for pid in PRESET_IDS] + [parse_scenario(EVERY_KEY_SCENARIO)]:
+        rebuilt = scenario_from_header(_emitted_header(sc))
+        assert rebuilt.label == "csv-header"
+        assert replace(rebuilt, label=sc.label) == sc
+
+
+def test_header_lists_every_key_in_table_order():
+    sc = parse_scenario(EVERY_KEY_SCENARIO)
+    assert (sc.oracle_enabled, sc.oracle_n_max, sc.oracle_omega) == (True, 4, 0.7)
+    assert sc.to_lines() == [
+        "[oscillator] kind = custom",
+        "[oscillator] amplitudes = 0.59999999999999998 0.80000000000000004",
+        "[environment] p = 0.25",
+        "[couplings] lambda1 = 1.5",
+        "[couplings] lambda2 = 0.20000000000000001",
+        "[grid] t_start = 0.5",
+        "[grid] t_end = 12",
+        "[grid] points = 11",
+        "[oracle] enabled = true",
+        "[oracle] n_max = 4",
+        "[oracle] omega = 0.69999999999999996",
+    ]
+    # an unset n_max is left out of the header
+    assert "[oracle] n_max" not in " ".join(preset("2c").to_lines())
+
+
+def test_oracle_keys_default_to_the_scenario_defaults():
+    defaults = {field.name: field.default for field in fields(Scenario)
+                if field.name.startswith("oracle_")}
+    assert defaults == {"oracle_enabled": False, "oracle_n_max": None, "oracle_omega": 0.0}
+    without = GOOD_SCENARIO[: GOOD_SCENARIO.index("[oracle]")]
+    sc = parse_scenario(without)
+    assert {name: getattr(sc, name) for name in defaults} == defaults
+    partial = parse_scenario(without + "[oracle]\nomega = 0.5\n")
+    assert (partial.oracle_enabled, partial.oracle_n_max, partial.oracle_omega) == (False, None, 0.5)
+
+
+@pytest.mark.parametrize("enabled, flag", [
+    ("true", True), ("Yes", True), ("1", True), ("false", False), ("no", False), ("0", False),
+])
+def test_oracle_enabled_accepts_the_documented_booleans(enabled, flag):
+    assert parse_scenario(GOOD_SCENARIO.replace("enabled = true", f"enabled = {enabled}")).oracle_enabled is flag
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("enabled = true", "enabled = maybe", r"^\[oracle\] enabled = 'maybe' is not a boolean$"),
+    ("omega = 0.0", "omega = 0.0\nomgea = 1", r"^unknown keys in \[oracle\]: \['omgea'\]$"),
+    ("points = 3001\n", "", r"^\[grid\] needs points$"),
+    ("N = 1", "N = one", r"^\[oscillator\] N = 'one' is not an integer$"),
+])
+def test_scenario_errors_name_the_section_and_key(old, new, message):
+    text = GOOD_SCENARIO.replace(old, new)
+    with pytest.raises(ScenarioParseError, match=message):
+        parse_scenario(text)
+    # the CSV header read-back checks its lines against the same table
+    header, section = [], ""
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line
+        else:
+            header.append(f"# {section} {line}")
+    with pytest.raises(ScenarioParseError, match=message):
+        scenario_from_header(header)
+
+
+def test_header_rejects_a_repeated_key():
+    header = _emitted_header(preset("2c"))
+    with pytest.raises(ScenarioParseError, match=r"^\[couplings\] lambda2 appears twice in the header$"):
+        scenario_from_header(header + ["# [couplings] lambda2 = 0.5"])
+    with pytest.raises(ScenarioParseError, match="no scenario metadata"):
+        scenario_from_header(["# tcsim", "t,zeta"])
 
 
 # ----------------------------------------------------------------- commands
@@ -347,6 +438,13 @@ def test_oracle_check_passes_tight_tolerance_when_decoupled(tmp_path):
 
 def test_oracle_check_needs_target():
     assert main(["oracle-check"]) == 2
+
+
+def test_oracle_check_rejects_a_file_and_a_preset_together(capsys):
+    assert main(["oracle-check", "does-not-exist.ini", "--preset", "2c"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exactly one of a scenario file and --preset" in captured.err
 
 
 @pytest.mark.parametrize("argv, value", [

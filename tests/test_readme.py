@@ -1,0 +1,43 @@
+"""The scenario documents and the library example shown in README.md and in
+the `tcsim.scenario` docstring still parse and run as documented."""
+
+import contextlib
+import io
+import re
+import textwrap
+from pathlib import Path
+
+import tcsim.scenario
+from tcsim.scenario import parse_scenario
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _fenced(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README, flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_scenario_document_parses():
+    [document] = _fenced("ini")
+    sc = parse_scenario(document)
+    assert (sc.kind, sc.params, sc.p) == ("binomial", (("M", 11), ("q", 0.95)), 0.5)
+    assert (sc.oracle_enabled, sc.oracle_n_max, sc.oracle_omega) == (True, 13, 0.0)
+
+
+def test_module_docstring_scenario_document_parses():
+    doc = tcsim.scenario.__doc__
+    example = doc[doc.index("::\n") + 3:]
+    document = textwrap.dedent(example[: re.search(r"\n\S", example).start()])
+    sc = parse_scenario(document)
+    assert (sc.kind, sc.params, sc.p, sc.grid.n_points) == ("number", (("N", 1),), 0.5, 3001)
+    assert (sc.oracle_enabled, sc.oracle_n_max, sc.oracle_omega) == (True, 3, 0.0)
+
+
+def test_readme_library_example_runs_to_its_printed_errors():
+    [example] = _fenced("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    errors = [float(line) for line in out.getvalue().split()]
+    assert len(errors) == 2
+    assert all(err <= 1e-12 for err in errors)
