@@ -14,7 +14,6 @@ from .oracle import (
     OracleConfig,
     Propagator,
     build_hamiltonian,
-    evolve,
     initial_density,
     oracle_entropy_series,
     purity,
@@ -34,11 +33,8 @@ from .states import (
 )
 from .tc import (
     CoefficientQuad,
-    EntropyTerms,
     SpectralParams,
     entropy_series,
-    entropy_terms,
-    linear_entropy,
     spectral_params,
     tc_coefficients,
     tc_coefficients_primed,
@@ -63,18 +59,14 @@ __all__ = [
     "jc_mixture_entropy",
     "SpectralParams",
     "CoefficientQuad",
-    "EntropyTerms",
     "spectral_params",
     "tc_coefficients",
     "tc_coefficients_primed",
-    "entropy_terms",
-    "linear_entropy",
     "entropy_series",
     "OracleConfig",
     "Propagator",
     "build_hamiltonian",
     "initial_density",
-    "evolve",
     "reduce_qubit1",
     "purity",
     "oracle_entropy_series",

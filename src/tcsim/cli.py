@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, jc, oracle, tc
 from .errors import ScenarioParseError, TruncationError, ValidationError
-from .scenario import PRESET_IDS, Scenario, load_scenario, preset
+from .scenario import PRESET_IDS, Scenario, _fmt, load_scenario, preset
 from .series import TimeSeries
 
 EXIT_OK = 0
@@ -27,10 +27,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_TRUNCATION = 4
 EXIT_TOLERANCE = 5
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _finite_float(text: str) -> float:
@@ -52,6 +48,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _int_at_least(least: int):
+    """argparse type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{text!r} is less than {least}")
+        return value
+
+    return parse
+
+
 def closed_series(scenario: Scenario) -> TimeSeries:
     """Closed-form entropy series for any scenario kind.
 
@@ -64,11 +75,11 @@ def closed_series(scenario: Scenario) -> TimeSeries:
     the 3001 rows.
     """
     config = scenario.system_config()
-    times = config.grid.times()
     if scenario.kind == "mixture01" and scenario.lambda2 == 0.0:
+        times = config.grid.times()
         f = dict(scenario.params)["f"]
         return TimeSeries(times, jc.jc_mixture_entropy(f, scenario.lambda1, times))
-    return TimeSeries(times, tc.mixture_entropy_arrays(config, times))
+    return tc.entropy_series(config)
 
 
 def oracle_series(scenario: Scenario) -> TimeSeries:
@@ -99,8 +110,11 @@ def write_text(path: Path | None, lines: list[str]) -> None:
     body = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(body)
-    else:
+        return
+    try:
         path.write_text(body, encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioParseError(f"cannot write {path}: {exc}") from exc
 
 
 def svg_lines(series: TimeSeries, title: str) -> list[str]:
@@ -161,14 +175,22 @@ def cmd_run(args) -> int:
     out = Path(args.out) if args.out else None
     if args.svg and out is None:
         raise ScenarioParseError("--svg requires --out")
-    svg_path = out.with_suffix(".svg") if args.svg else None
+    try:
+        svg_path = out.with_suffix(".svg") if args.svg else None
+    except ValueError as exc:  # no file name to put the suffix on, as in "."
+        raise ScenarioParseError(f"cannot write {out}: {exc}") from exc
+    if args.svg and svg_path == out:
+        raise ScenarioParseError(f"--svg would write the plot over the CSV {out}")
     return _run_scenario(scenario, out, svg_path, title=f"scenario {args.scenario}")
 
 
 def cmd_figure(args) -> int:
     scenario = preset(args.id, t_end=args.t_end, points=args.points)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioParseError(f"cannot write {out_dir}: {exc}") from exc
     out = out_dir / f"fig{scenario.label}.csv"
     svg_path = out_dir / f"fig{scenario.label}.svg" if args.svg else None
     _run_scenario(scenario, out, svg_path, title=f"figure {scenario.label}")
@@ -261,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="materialize a figure preset")
     p_fig.add_argument("id", help=f"preset id: {', '.join(PRESET_IDS)}")
     p_fig.add_argument("--svg", action="store_true", help="also emit figN.svg")
-    p_fig.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p_fig.add_argument("--points", type=int, default=None)
+    p_fig.add_argument("--t-end", type=_finite_float, default=None, dest="t_end")
+    p_fig.add_argument("--points", type=_int_at_least(2), default=None)
     p_fig.add_argument("--out-dir", default=".", dest="out_dir")
     p_fig.set_defaults(func=cmd_figure)
 
@@ -275,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="revival minima and spectral peaks of an emitted CSV")
     p_an.add_argument("csv", help="CSV produced by run/figure")
     p_an.add_argument("--after", type=_finite_float, default=0.0)
-    p_an.add_argument("--peaks", type=int, default=5)
+    p_an.add_argument("--peaks", type=_int_at_least(1), default=5)
     p_an.set_defaults(func=cmd_analyze)
     return parser
 

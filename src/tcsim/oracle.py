@@ -37,10 +37,8 @@ __all__ = [
     "build_hamiltonian",
     "total_excitation",
     "excitation_block",
-    "initial_components",
     "initial_density",
     "Propagator",
-    "evolve",
     "reduce_qubit1",
     "purity",
     "oracle_entropy_series",
@@ -184,12 +182,13 @@ def required_n_max(support_cutoff: int) -> int:
     return support_cutoff + 2
 
 
-def _embed(q1: int, q2: int, dist: FockDistribution, n_max: int) -> np.ndarray:
-    no = n_max + 1
-    osc = np.zeros(no)
+def _embed(q2: int, dist: FockDistribution, n_max: int) -> np.ndarray:
+    """State vector with qubit1 excited, qubit2 in ``q2`` (1 = excited) and
+    the oscillator in ``dist``."""
+    osc = np.zeros(n_max + 1)
     osc[: dist.cutoff + 1] = dist.amplitudes
-    q = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-    return np.kron(q[q1], np.kron(q[q2], osc))
+    excited, qubit2 = np.eye(2)[1], np.eye(2)[q2]
+    return np.kron(excited, np.kron(qubit2, osc))
 
 
 def _preparations(config: SystemConfig, n_max: int) -> list[tuple[float, int, FockDistribution]]:
@@ -214,22 +213,18 @@ def _preparations(config: SystemConfig, n_max: int) -> list[tuple[float, int, Fo
     return preps
 
 
-def initial_components(config: SystemConfig, n_max: int) -> list[tuple[float, np.ndarray]]:
-    """Pure components (weight, state vector) of the initial density matrix.
+def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
+    """Initial density matrix, of rank at most twice the number of
+    oscillator components.
 
     The system qubit starts excited; the environment qubit is excited with
     probability p and ground otherwise.  The oscillator is prepared as the
     mixture ``config.oscillator`` of (weight, FockDistribution) pairs.
     """
-    return [(w, _embed(1, q2, dist, n_max)) for w, q2, dist in _preparations(config, n_max)]
-
-
-def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
-    """Initial density matrix, of rank at most twice the number of
-    oscillator components."""
     dim = 4 * (n_max + 1)
     rho = np.zeros((dim, dim), dtype=complex)
-    for weight, vec in initial_components(config, n_max):
+    for weight, q2, dist in _preparations(config, n_max):
+        vec = _embed(q2, dist, n_max)
         rho += weight * np.outer(vec, vec.conj())
     return rho
 
@@ -274,17 +269,9 @@ class Propagator:
         return (v * c0[..., None, :]) @ phases
 
     def evolve_density(self, rho0: np.ndarray, t: float) -> np.ndarray:
+        """Density matrix ``rho0`` evolved to the single time ``t``."""
         u = self.unitary(t)
         return u @ np.asarray(rho0, dtype=complex) @ _adjoint(u)
-
-
-def evolve(rho0: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary evolution of a density matrix for a single time.
-
-    For a whole grid, build one ``Propagator`` and reuse it; this
-    convenience wrapper decomposes ``h`` on every call.
-    """
-    return Propagator(h).evolve_density(rho0, t)
 
 
 def reduce_qubit1(rho: np.ndarray) -> np.ndarray:

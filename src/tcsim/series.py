@@ -13,6 +13,9 @@ from .errors import NonuniformGridError, ValidationError
 # frequency * t past 1/eps has no significant digit left.
 PHASE_LIMIT = 1.0 / np.finfo(float).eps
 
+# Relative spread of the steps that ``TimeSeries.step`` accepts as uniform.
+STEP_RTOL = 1e-9
+
 
 def check_phase(freq: float, times, where: str) -> None:
     """Raise ValidationError, naming the frequency and the largest time,
@@ -62,13 +65,13 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.times.size
 
-    def step(self, rtol: float = 1e-9) -> float:
+    def step(self) -> float:
         """Return the uniform grid spacing.
 
         Raises
         ------
         NonuniformGridError
-            If the spacing varies by more than ``rtol`` relative to its mean.
+            If the spacing varies by more than ``STEP_RTOL`` relative to its mean.
             The message names the step farthest from the mean: with one gap
             in an otherwise uniform grid every step is off the mean, but
             only the gap is far from it.
@@ -78,7 +81,7 @@ class TimeSeries:
         steps = np.diff(self.times)
         mean = steps.mean()
         i = int(np.argmax(np.abs(steps - mean)))
-        if abs(steps[i] - mean) > rtol * mean:
+        if abs(steps[i] - mean) > STEP_RTOL * mean:
             raise NonuniformGridError(
                 f"time grid is not uniform: step {i} at t = {self.times[i]:g} is "
                 f"{float(steps[i])!r}, the mean step is {float(mean)!r}"

@@ -34,17 +34,17 @@ from .states import Couplings, FockDistribution, SystemConfig
 __all__ = [
     "SpectralParams",
     "CoefficientQuad",
-    "EntropyTerms",
     "spectral_params",
     "tc_coefficients",
     "tc_coefficients_primed",
-    "entropy_terms",
     "entropy_term_arrays",
-    "linear_entropy",
     "entropy_series",
     "mixture_entropy_arrays",
     "frequency_content",
 ]
+
+# Most branch frequencies ``frequency_content`` takes the closure of.
+_MAX_BASE = 40
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,6 @@ class CoefficientQuad:
             + np.abs(self.c3) ** 2
             + np.abs(self.c4) ** 2
         )
-
-
-@dataclass(frozen=True)
-class EntropyTerms:
-    """Reduced system-qubit matrix elements: ground population ``alpha``,
-    excited population ``beta`` (alpha + beta = 1), and the coherence
-    ``gamma`` with |gamma| <= 1/2."""
-
-    alpha: float
-    beta: float
-    gamma: complex
 
 
 def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
@@ -269,7 +258,9 @@ def _density_bands(oscillator) -> tuple[np.ndarray, np.ndarray]:
 
 def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """alpha(t), beta(t), gamma(t) over an array of times, for the
-    oscillator prepared as the mixture ``config.oscillator``.
+    oscillator prepared as the mixture ``config.oscillator``: the system
+    qubit's ground and excited populations (alpha + beta = 1) and its
+    coherence, |gamma| <= 1/2.
 
     alpha and beta read the oscillator only through its density diagonal
     P_n and gamma through its first off-diagonal C_n, over the populated n.
@@ -304,28 +295,15 @@ def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray
     return alpha, beta, 1j * gamma_im
 
 
-def entropy_terms(config: SystemConfig, t: float) -> EntropyTerms:
-    """Reduced-qubit populations and coherence at a single time."""
-    alpha, beta, gamma = entropy_term_arrays(config, [float(t)])
-    return EntropyTerms(alpha=float(alpha[0]), beta=float(beta[0]), gamma=complex(gamma[0]))
-
-
 def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
-    """Linear entropy over an array of times for any oscillator preparation,
-    pure or mixed: the reduced-qubit terms are formed once from the
-    oscillator's density bands, then the entropy from them."""
+    """Linear entropy of the system qubit over an array of times, always in
+    [0, 0.5], for any oscillator preparation, pure or mixed: the
+    reduced-qubit terms are formed once from the oscillator's density bands,
+    then the entropy from them."""
     alpha, beta, gamma = entropy_term_arrays(config, t)
     zeta = 1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2
     # rounding can land an ulp outside the mathematical range [0, 1/2]
     return np.clip(zeta, 0.0, 0.5)
-
-
-def linear_entropy(config: SystemConfig, t):
-    """Linear entropy of the system qubit at time(s) ``t``; always in
-    [0, 0.5].  Reduces to the single-branch closed form when the
-    environment coupling vanishes."""
-    zeta = mixture_entropy_arrays(config, t)
-    return zeta if np.ndim(t) else float(zeta[0])
 
 
 def entropy_series(config: SystemConfig) -> TimeSeries:
@@ -344,9 +322,7 @@ def branch_frequencies(dist: FockDistribution, couplings: Couplings) -> np.ndarr
     return np.array(sorted({f for sp in params for f in (sp.d_plus, sp.d_minus)}))
 
 
-def frequency_content(
-    dist: FockDistribution, couplings: Couplings, max_base: int = 40
-) -> np.ndarray:
+def frequency_content(dist: FockDistribution, couplings: Couplings) -> np.ndarray:
     """Predicted discrete frequencies of the entropy signal.
 
     The coefficient quads oscillate at the branch frequencies; their squared
@@ -355,14 +331,14 @@ def frequency_content(
     contains pairwise sums and differences taken once more.  The returned
     array is that two-level closure, sorted and deduplicated.
 
-    ``max_base`` caps the branch-frequency count; the closure grows with its
+    ``_MAX_BASE`` caps the branch-frequency count; the closure grows with its
     fourth power and is only meaningful for small supports.
     """
     base = branch_frequencies(dist, couplings)
-    if base.size > max_base:
+    if base.size > _MAX_BASE:
         raise ValidationError(
             f"support yields {base.size} branch frequencies; "
-            f"frequency_content is limited to {max_base}"
+            f"frequency_content is limited to {_MAX_BASE}"
         )
     level1 = np.concatenate([np.add.outer(base, base).ravel(),
                              np.abs(np.subtract.outer(base, base)).ravel()])

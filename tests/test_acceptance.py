@@ -28,7 +28,7 @@ from tcsim.states import (
 from tcsim.tc import (
     entropy_term_arrays,
     frequency_content,
-    linear_entropy,
+    mixture_entropy_arrays,
     spectral_params,
     tc_coefficients,
     tc_coefficients_primed,
@@ -93,7 +93,7 @@ def test_criterion_02_single_branch_periodicity():
         reference = 0.5 * np.sin(2.0 * math.sqrt(n + 1) * times) ** 2
         baseline = None
         for p in (0.0, 0.1, 0.5, 1.0):
-            zeta = linear_entropy(_config(number_state(n), p, l2=0.0), times)
+            zeta = mixture_entropy_arrays(_config(number_state(n), p, l2=0.0), times)
             worst_formula = max(worst_formula, float(np.max(np.abs(zeta - reference))))
             if baseline is None:
                 baseline = zeta
@@ -103,7 +103,7 @@ def test_criterion_02_single_branch_periodicity():
                 )
         omega = 2.0 * math.sqrt(n + 1)
         zero_times = [k * math.pi / omega for k in range(1, int(30.0 * omega / math.pi))]
-        zeros = linear_entropy(_config(number_state(n), 0.5, l2=0.0), np.array(zero_times))
+        zeros = mixture_entropy_arrays(_config(number_state(n), 0.5, l2=0.0), np.array(zero_times))
         worst_zero = max(worst_zero, float(np.max(zeros)))
     assert worst_formula <= 1e-10
     assert worst_zero <= 1e-12
@@ -186,7 +186,7 @@ def test_criterion_05_unitarity_and_probability():
         worst_prob = max(worst_prob, float(np.max(np.abs(alpha + beta - 1.0))))
         zeta = 1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2
         assert np.all(zeta >= -1e-12) and np.all(zeta <= 0.5 + 1e-12)
-        clipped = linear_entropy(config, t)
+        clipped = mixture_entropy_arrays(config, t)
         assert np.all(clipped >= 0.0) and np.all(clipped <= 0.5)
     assert worst_prob <= 1e-10
     print(

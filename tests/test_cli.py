@@ -321,6 +321,30 @@ def test_run_svg_requires_out(tmp_path):
     assert main(["run", str(scenario_path), "--svg"]) == 2
 
 
+def test_run_svg_refuses_to_overwrite_the_csv(tmp_path, capsys):
+    scenario_path = tmp_path / "sc.ini"
+    scenario_path.write_text(GOOD_SCENARIO, encoding="utf-8")
+    out = tmp_path / "plot.svg"
+    assert main(["run", str(scenario_path), "--out", str(out), "--svg"]) == 2
+    assert not out.exists()
+    assert str(out) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out, flags", [("missing/x.csv", []), (".", []), (".", ["--svg"])])
+def test_run_to_an_unwritable_path_is_a_usage_error(tmp_path, monkeypatch, capsys, out, flags):
+    monkeypatch.chdir(tmp_path)
+    Path("sc.ini").write_text(GOOD_SCENARIO, encoding="utf-8")
+    assert main(["run", "sc.ini", "--out", out, *flags]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_figure_out_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["figure", "2c", "--out-dir", str(taken)]) == 2
+    assert f"cannot write {taken}" in capsys.readouterr().err
+
+
 def test_figure_outputs_are_byte_identical(tmp_path):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     assert main(["figure", "2c", "--out-dir", str(dir_a)]) == 0
@@ -452,6 +476,10 @@ def test_oracle_check_rejects_a_file_and_a_preset_together(capsys):
     (["oracle-check", "--preset", "2a", "--tol", "inf"], "'inf' is not a finite number"),
     (["oracle-check", "--preset", "2a", "--tol", "-1"], "tolerance '-1' is negative"),
     (["analyze", "missing.csv", "--after", "nan"], "'nan' is not a finite number"),
+    (["figure", "2a", "--t-end", "nan"], "'nan' is not a finite number"),
+    (["figure", "2a", "--t-end", "inf"], "'inf' is not a finite number"),
+    (["figure", "2a", "--points", "1"], "'1' is less than 2"),
+    (["analyze", "missing.csv", "--peaks", "0"], "'0' is less than 1"),
 ])
 def test_non_finite_or_negative_numeric_options_are_usage_errors(capsys, argv, value):
     with pytest.raises(SystemExit) as exc:

@@ -15,9 +15,7 @@ from tcsim.oracle import (
     OracleConfig,
     Propagator,
     build_hamiltonian,
-    evolve,
     excitation_block,
-    initial_components,
     initial_density,
     oracle_entropy_series,
     purity,
@@ -176,22 +174,17 @@ def test_initial_density_supports_vacuum_one_photon_mixture():
     diag = np.diag(rho).real
     assert diag[full_index(1, 0, 0, n_max)] == pytest.approx(0.3)
     assert diag[full_index(1, 0, 1, n_max)] == pytest.approx(0.7)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
-    evs = np.linalg.eigvalsh(rho)
-    assert evs.min() >= -1e-12
-
-
-def test_initial_components_weights_sum_to_one():
-    comps = initial_components(_config(binomial_state(4, 0.5), 0.25), n_max=6)
-    assert sum(w for w, _ in comps) == pytest.approx(1.0, abs=1e-14)
-    for _, vec in comps:
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    binomial = initial_density(_config(binomial_state(4, 0.5), 0.25), n_max=6)
+    for rho in (rho, binomial):
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+        evs = np.linalg.eigvalsh(rho)
+        assert evs.min() >= -1e-12
 
 
 def test_truncation_guard():
     assert required_n_max(1) == 3
     with pytest.raises(TruncationError):
-        initial_components(_config(number_state(1), 0.5), n_max=2)
+        initial_density(_config(number_state(1), 0.5), n_max=2)
     config = _config(number_state(1), 0.5)
     with pytest.raises(TruncationError):
         oracle_entropy_series(config, OracleConfig(n_max=2, couplings=config.couplings))
@@ -204,8 +197,8 @@ def test_evolve_identity_cases():
     config = _config(number_state(1), 0.5)
     rho0 = initial_density(config, n_max=3)
     h = build_hamiltonian(OracleConfig(n_max=3, couplings=config.couplings))
-    assert np.max(np.abs(evolve(rho0, h, 0.0) - rho0)) <= 1e-14
-    assert np.max(np.abs(evolve(rho0, np.zeros_like(h), 7.3) - rho0)) <= 1e-14
+    assert np.max(np.abs(Propagator(h).evolve_density(rho0, 0.0) - rho0)) <= 1e-14
+    assert np.max(np.abs(Propagator(np.zeros_like(h)).evolve_density(rho0, 7.3) - rho0)) <= 1e-14
 
 
 def test_evolve_preserves_density_matrix_structure():

@@ -33,9 +33,7 @@ from tcsim.tc import (
     branch_frequencies,
     entropy_series,
     entropy_term_arrays,
-    entropy_terms,
     frequency_content,
-    linear_entropy,
     mixture_entropy_arrays,
     spectral_params,
     tc_coefficients,
@@ -206,7 +204,7 @@ def test_quads_input_validation():
         with pytest.raises(ValidationError):
             tc_coefficients_primed(1, Couplings(1.0, 0.1), [0.0, bad])
         with pytest.raises(ValidationError):
-            linear_entropy(_config(number_state(1), 0.5), bad)
+            mixture_entropy_arrays(_config(number_state(1), 0.5), bad)
 
 
 def _radical_quad_unprimed(n, couplings, t):
@@ -279,8 +277,8 @@ def _config(dist, p, l2=0.1, grid=None):
 
 
 def test_terms_identity_at_t0():
-    terms = entropy_terms(_config(binomial_state(5, 0.4), 0.3), 0.0)
-    assert terms.alpha == 0.0 and terms.beta == 1.0 and terms.gamma == 0.0
+    alpha, beta, gamma = entropy_term_arrays(_config(binomial_state(5, 0.4), 0.3), 0.0)
+    assert alpha.tolist() == [0.0] and beta.tolist() == [1.0] and gamma.tolist() == [0.0]
 
 
 def test_terms_number_state_has_no_coherence():
@@ -294,12 +292,12 @@ def test_terms_match_reduced_density_matrix():
     cfg = OracleConfig(n_max=13, couplings=config.couplings)
     prop = Propagator(build_hamiltonian(cfg))
     rho0 = initial_density(config, 13)
-    for t in (3.0, 7.5, 21.0):
+    times = [3.0, 7.5, 21.0]
+    for t, alpha, beta, gamma in zip(times, *entropy_term_arrays(config, times)):
         reduced = reduce_qubit1(prop.evolve_density(rho0, t))
-        terms = entropy_terms(config, t)
-        assert abs(terms.alpha - reduced[0, 0].real) <= 1e-8
-        assert abs(terms.beta - reduced[1, 1].real) <= 1e-8
-        assert abs(terms.gamma - reduced[0, 1]) <= 1e-8
+        assert abs(alpha - reduced[0, 0].real) <= 1e-8
+        assert abs(beta - reduced[1, 1].real) <= 1e-8
+        assert abs(gamma - reduced[0, 1]) <= 1e-8
 
 
 def test_terms_probability_conservation_and_coherence_bound():
@@ -314,7 +312,7 @@ def test_terms_probability_conservation_and_coherence_bound():
 
 
 def test_entropy_zero_at_t0():
-    assert linear_entropy(_config(binomial_state(4, 0.3), 0.7), 0.0) == 0.0
+    assert mixture_entropy_arrays(_config(binomial_state(4, 0.3), 0.7), 0.0).tolist() == [0.0]
 
 
 def test_entropy_reduces_to_single_branch_and_ignores_p_when_decoupled():
@@ -323,7 +321,7 @@ def test_entropy_reduces_to_single_branch_and_ignores_p_when_decoupled():
         reference = jc_number_entropy(n, 1.0, t)
         baseline = None
         for p in (0.0, 0.3, 1.0):
-            zeta = linear_entropy(_config(number_state(n), p, l2=0.0), t)
+            zeta = mixture_entropy_arrays(_config(number_state(n), p, l2=0.0), t)
             assert np.max(np.abs(zeta - reference)) <= 1e-12
             if baseline is None:
                 baseline = zeta
@@ -346,8 +344,8 @@ def test_entropy_series_matches_bruteforce_reference_scenario():
 def test_entropy_grid_partition_is_bitwise_stable():
     config = _config(binomial_state(6, 0.6), 0.4)
     t = config.grid.times()
-    full = linear_entropy(config, t)
-    split = np.concatenate([linear_entropy(config, t[:1500]), linear_entropy(config, t[1500:])])
+    full = mixture_entropy_arrays(config, t)
+    split = np.concatenate([mixture_entropy_arrays(config, part) for part in (t[:1500], t[1500:])])
     assert np.array_equal(full, split)
 
 
@@ -429,7 +427,7 @@ def test_mixed_binomial_and_number_state_closed_form_matches_oracle():
         assert np.max(np.abs(closed - checked.values)) <= 1e-10
         # a genuine mixture: neither component alone gives the same curve
         for _, dist in config.oscillator:
-            pure = linear_entropy(_config(dist, 0.3, l2=0.1), config.grid.times())
+            pure = mixture_entropy_arrays(_config(dist, 0.3, l2=0.1), config.grid.times())
             assert np.max(np.abs(closed - pure)) > 1e-3
 
 
