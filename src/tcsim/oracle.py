@@ -3,7 +3,7 @@ space: build the numeric Hamiltonian, evolve by eigendecomposition, partial
 trace to the system qubit, and read off the purity.  No closed-form
 coefficient or frequency enters anywhere in this module.
 
-Basis ordering is fixed and load-bearing: the full index is
+The dense basis ordering is fixed and load-bearing: the full index is
 ``(q1 * 2 + q2) * (n_max + 1) + m`` with qubit index 0 = ground and
 1 = excited, i.e. qubit1 varies slowest and the oscillator fastest.
 
@@ -11,14 +11,15 @@ Because the coupling conserves the total excitation number, truncating at
 n_max >= (oscillator support) + 2 is exact, not approximate: the populated
 blocks close on themselves and nothing leaks past the cutoff.  The same fact
 lets the default path of ``oracle_entropy_series`` evolve only those
-blocks: it gathers the Hamiltonian's terms on the 4x4 excitation blocks the
+blocks.  It addresses each state by its total excitation k and its slot in
+the 4x4 block of k (``_SLOTS``), builds the Hamiltonian on the blocks the
 initial state populates, diagonalizes them with one batched ``eigh`` and
-never forms a state on the full basis.  It walks the (uniform) time grid in
-fixed chunks, evolving the first chunk once and moving it on to each later
-chunk with the 4x4 block unitaries, and takes the partial trace from the
-block states of each chunk.  ``dense=True`` keeps the dense
-4(n_max + 1)-dimensional matrix and the full density matrix as the
-reference.
+never forms a state on the full basis, so no array of that path is sized by
+n_max.  It walks the (uniform) time grid in fixed chunks, evolving the
+first chunk once and moving it on to each later chunk with the 4x4 block
+unitaries, and takes the partial trace from the block states of each
+chunk.  ``dense=True`` keeps the dense 4(n_max + 1)-dimensional matrix and
+the full density matrix as the reference.
 """
 
 from __future__ import annotations
@@ -77,17 +78,27 @@ class OracleConfig:
         return 4 * (self.n_max + 1)
 
 
+# The conserved block of total excitation k, one row per slot: qubit1,
+# qubit2 and the photon number's depth below k of |e1 e2 k-2>, |e1 g2 k-1>,
+# |g1 e2 k-1> and |g1 g2 k>.
+_SLOTS = np.array([[1, 1, 2], [1, 0, 1], [0, 1, 1], [0, 0, 0]])
+
+
 def _terms(cfg: OracleConfig) -> list:
     """H as a list of (coef, q1 op, q2 op, oscillator op) kron factors.
 
     Each oscillator operator has one nonzero diagonal and is kept as
-    ``(values, offset)``, the arguments of ``np.diag``, so that the block path
-    never forms an (n_max + 1)-square matrix.
+    ``(offset, entry)``, where ``entry(m)`` is the diagonal's value at the
+    smaller photon number m of its row and column, so that the block path
+    never forms an oscillator-sized array.
     """
-    no = cfg.n_max + 1
-    root = np.sqrt(np.arange(1.0, no))
-    a, a_dag = (root, 1), (root, -1)
-    number, one = (np.arange(float(no)), 0), (np.ones(no), 0)
+
+    def root(m):
+        return np.sqrt(m + 1.0)
+
+    a, a_dag = (1, root), (-1, root)
+    number = (0, lambda m: m.astype(float))
+    one = (0, lambda m: np.ones(m.shape))
     sz = np.diag([-1.0, 1.0])
     sp = np.array([[0.0, 0.0], [1.0, 0.0]])
     i2 = np.eye(2)
@@ -104,20 +115,7 @@ def _terms(cfg: OracleConfig) -> list:
     ]
 
 
-def _split(index, n_max: int):
-    """(q1, q2, m) of full basis indices."""
-    q, m = np.divmod(index, n_max + 1)
-    return q // 2, q % 2, m
-
-
-def _diagonal_entries(op, rows, cols) -> np.ndarray:
-    """Entries ``np.diag(*op)[rows, cols]`` without forming the matrix."""
-    values, offset = op
-    at = np.clip(np.minimum(rows, cols), 0, values.size - 1)
-    return np.where(cols - rows == offset, values[at], 0.0)
-
-
-def build_hamiltonian(cfg: OracleConfig, blocks=None) -> np.ndarray:
+def build_hamiltonian(cfg: OracleConfig, excitations=None) -> np.ndarray:
     """Hamiltonian on the truncated space (units hbar = 1):
 
         H = omega a+a + (omega/2)(sz1 + sz2)
@@ -126,42 +124,35 @@ def build_hamiltonian(cfg: OracleConfig, blocks=None) -> np.ndarray:
     The matrix is real symmetric and commutes with the total excitation
     operator, which is what makes the truncation exact.
 
-    With ``blocks=None`` the result is the dense dim x dim matrix.  Given a
-    (K, d) array of basis indices it is the (K, d, d) stack of the
-    sub-matrices ``H[np.ix_(row, row)]``, evaluated from the same terms
-    without the dense matrix; an index of -1 marks an empty slot, whose row
-    and column are zero.
+    With ``excitations=None`` the result is the dense dim x dim matrix.
+    Given K total excitations it is the (K, 4, 4) stack of the conserved
+    blocks, in the slot order of ``_SLOTS``, evaluated from the same terms
+    without the dense matrix; a slot whose photon number would be negative
+    has a zero row and column.
     """
     terms = _terms(cfg)
-    if blocks is None:
-        return sum(coef * np.kron(q1, np.kron(q2, np.diag(*osc))) for coef, q1, q2, osc in terms)
-    rows = np.asarray(blocks)
-    valid = rows >= 0
-    q1, q2, m = _split(np.where(valid, rows, 0), cfg.n_max)
-
-    def pairs(x):
-        return x[..., :, None], x[..., None, :]
-
+    if excitations is None:
+        no = cfg.n_max + 1
+        return sum(
+            coef * np.kron(q1, np.kron(q2, np.diag(entry(np.arange(no - abs(offset))), offset)))
+            for coef, q1, q2, (offset, entry) in terms
+        )
+    q1, q2 = (np.ix_(q, q) for q in _SLOTS[:, :2].T)
+    m = np.asarray(excitations)[:, None] - _SLOTS[:, 2]
+    rows, cols = m[:, :, None], m[:, None, :]
+    lower = np.maximum(np.minimum(rows, cols), 0)
     h = sum(
-        coef * (f1[pairs(q1)] * (f2[pairs(q2)] * _diagonal_entries(osc, *pairs(m))))
-        for coef, f1, f2, osc in terms
+        coef * (f1[q1] * (f2[q2] * np.where(cols - rows == offset, entry(lower), 0.0)))
+        for coef, f1, f2, (offset, entry) in terms
     )
-    return np.where(valid[..., :, None] & valid[..., None, :], h, 0.0)
+    valid = m >= 0
+    return np.where(valid[:, :, None] & valid[:, None, :], h, 0.0)
 
 
 def total_excitation(cfg: OracleConfig) -> np.ndarray:
     """Operator counting quanta: a+a + (sz1 + 1)/2 + (sz2 + 1)/2."""
-    q1, q2, m = _split(np.arange(cfg.dim), cfg.n_max)
-    return np.diag((q1 + q2 + m).astype(float))
-
-
-def _block_rows(excitations, n_max: int) -> np.ndarray:
-    """(K, 4) basis indices of the conserved blocks of total excitation k,
-    {|e1 e2 k-2>, |e1 g2 k-1>, |g1 e2 k-1>, |g1 g2 k>}, one row per k.
-    A slot whose photon number would be negative holds -1."""
-    m = np.asarray(excitations)[:, None] - np.array([2, 1, 1, 0])
-    qubits = np.array([3, 2, 1, 0])  # q1 * 2 + q2 of each slot
-    return np.where(m >= 0, qubits * (n_max + 1) + m, -1)
+    q, m = np.divmod(np.arange(cfg.dim), cfg.n_max + 1)
+    return np.diag((q // 2 + q % 2 + m).astype(float))
 
 
 def excitation_block(cfg: OracleConfig, n: int) -> np.ndarray:
@@ -173,7 +164,7 @@ def excitation_block(cfg: OracleConfig, n: int) -> np.ndarray:
     if n < 0 or n + 2 > cfg.n_max:
         raise TruncationError(f"block n = {n} needs n_max >= {n + 2}, have {cfg.n_max}")
     interaction = OracleConfig(cfg.n_max, cfg.couplings, omega=0.0)
-    return build_hamiltonian(interaction, _block_rows([n + 2], cfg.n_max))[0]
+    return build_hamiltonian(interaction, [n + 2])[0]
 
 
 def required_n_max(support_cutoff: int) -> int:
@@ -352,9 +343,8 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
     ks, psi0 = _initial_blocks(config, cfg.n_max)
-    rows = _block_rows(ks, cfg.n_max)
-    empty = rows < 0
-    prop = Propagator(build_hamiltonian(cfg, rows))
+    empty = ks[:, None] < _SLOTS[:, 2]
+    prop = Propagator(build_hamiltonian(cfg, ks))
     # ``unitary`` does not check the phase, so the whole grid is checked here
     check_phase(np.max(np.abs(prop.eigenvalues), initial=0.0), times, "oracle eigenvalue")
     size = max(1, _CHUNK_ENTRIES // psi0.size)

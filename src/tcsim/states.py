@@ -169,11 +169,20 @@ class SystemConfig:
             raise ValidationError("lambda1 must be positive for a nontrivial scenario")
 
 
+def _levels(make, count: int) -> np.ndarray:
+    """``make(count)`` for an array over ``count`` Fock levels; a count that
+    does not fit in memory raises ValidationError."""
+    try:
+        return make(count)
+    except (MemoryError, ValueError) as exc:  # numpy's ValueError: past its size limit
+        raise ValidationError(f"a support of {count} Fock levels does not fit in memory") from exc
+
+
 def number_state(n: int) -> FockDistribution:
     """Distribution with all weight on Fock state ``n``."""
     if int(n) != n or n < 0:
         raise ValidationError(f"number state index must be a non-negative integer, got {n!r}")
-    amps = np.zeros(int(n) + 1)
+    amps = _levels(np.zeros, int(n) + 1)
     amps[int(n)] = 1.0
     return FockDistribution(amps)
 
@@ -201,7 +210,7 @@ def binomial_state(m: int, q: float) -> FockDistribution:
         return number_state(0)
     if q == 1.0:
         return number_state(m)
-    n = np.arange(m + 1)
+    n = _levels(np.arange, m + 1)
     log_binom = np.array(
         [math.lgamma(m + 1) - math.lgamma(m - k + 1) - math.lgamma(k + 1) for k in n]
     )

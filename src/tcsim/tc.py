@@ -23,6 +23,7 @@ formulas and the tests pinning them are documented in RESOLVED_EQUATIONS.md.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,9 @@ def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
 
     with s = l1^2 + l2^2, so equal couplings give d_minus = 0 exactly and a
     decoupled environment gives a_minus = b_minus = 0 exactly.  Couplings
-    too large for D^2 or the frequencies to fit in double precision raise
-    ValidationError.
+    too large for D^2 or the frequencies to fit in double precision, or
+    nonzero couplings so small that D^2 falls below the smallest normal
+    double, raise ValidationError; exactly zero couplings give all zeros.
     """
     if int(n) != n or n < -1:
         raise ValidationError(f"block index must be an integer >= -1, got {n!r}")
@@ -129,9 +131,14 @@ def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
     d_sq = r * r + cross
     if d_sq < 0:  # unreachable for real couplings; kept as a hard guard
         raise NegativeDiscriminantError(f"discriminant {d_sq!r} is negative")
-    big_d = math.sqrt(d_sq)
-    if big_d == 0.0:
+    if l1 == 0.0 and l2 == 0.0:
         return SpectralParams(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    if d_sq < sys.float_info.min:  # D^2 underflows: D and the weights would be wrong or 0
+        raise ValidationError(
+            f"couplings lambda1 = {l1!r}, lambda2 = {l2!r} underflow double precision "
+            f"in block {n}"
+        )
+    big_d = math.sqrt(d_sq)
     denom = k * s + big_d
     d_plus = math.sqrt(0.5 * denom)
     d_minus = math.sqrt(2.0 * (n + 1) * (n + 2) * r * r / denom)

@@ -84,6 +84,28 @@ def test_criterion_01_oracle_equivalence_master_check():
     )
 
 
+def test_criterion_01_holds_across_coupling_scales():
+    # zeta depends on lambda1 t and lambda2 / lambda1 only, so every scale
+    # that double precision represents gives the lambda1 = 1 curve
+    preparations = ((number_state(1), 0.5), (binomial_state(11, 0.95), 0.3))
+    worst_oracle = worst_scale = 0.0
+    for dist, p in preparations:
+        reference = tc.entropy_series(_config(dist, p, l1=1.0, l2=0.1)).values
+        for lam in (1e-30, 1e-6, 1e6, 1e30):
+            config = _config(dist, p, l1=lam, l2=0.1 * lam, grid=TimeGrid(0.0, 30.0 / lam, 3001))
+            closed = tc.entropy_series(config).values
+            cfg = OracleConfig(n_max=dist.cutoff + 2, couplings=config.couplings)
+            checked = oracle_entropy_series(config, cfg).values
+            worst_oracle = max(worst_oracle, float(np.max(np.abs(closed - checked))))
+            worst_scale = max(worst_scale, float(np.max(np.abs(closed - reference))))
+    assert worst_oracle <= 1e-12
+    assert worst_scale <= 1e-12
+    print(
+        f"\n[PASS] criterion 1 across lambda1 in 1e-30..1e30: max |closed - oracle| = "
+        f"{worst_oracle:.3e}, max |closed - (lambda1 = 1)| = {worst_scale:.3e} (tol 1e-12)"
+    )
+
+
 def test_criterion_02_single_branch_periodicity():
     times = GRID.times()
     worst_formula = 0.0

@@ -279,6 +279,21 @@ def test_couplings_too_large_for_double_precision_are_a_validation_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lambda1, lambda2", [("1e-170", "0"), ("1e-100", "1e-100")])
+def test_couplings_too_small_for_double_precision_are_a_validation_error(
+    tmp_path, capsys, lambda1, lambda2
+):
+    text = GOOD_SCENARIO.replace("lambda1 = 1.0", f"lambda1 = {lambda1}")
+    text = text.replace("lambda2 = 0.1", f"lambda2 = {lambda2}").replace("p = 0.5", "p = 0")
+    text = text.replace("t_end = 30", f"t_end = {30 / float(lambda1)!r}").replace("points = 3001", "points = 301")
+    path, out = tmp_path / "tiny.ini", tmp_path / "tiny.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"lambda1 = {float(lambda1)!r}, lambda2 = {float(lambda2)!r}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("changes, source", [
     ({"lambda1 = 1.0": "lambda1 = 1e50"}, "block 0"),
     ({"kind = number\nN = 1": "kind = mixture01\nf = 0.5", "lambda1 = 1.0": "lambda1 = 1e150",
@@ -604,10 +619,11 @@ def _normalized(values):
 
 
 _BAD_TOKENS = ("nan", "inf", "-inf", "-1", "0", "1e154", "1e300", "abc", "")
-# N, M, n_max and the amplitude count stop at 12 and points at 64: larger
-# values allocate in proportion.  `[grid] points` has no upper bound in the
-# parser, so a huge valid count would try to allocate it in full; that is
-# not exercised here.
+# N, M and the amplitude count stop at 12 and points at 64: larger values
+# allocate in proportion.  n_max allocates nothing on the default oracle
+# path, so it is drawn up to 10**18.  `[grid] points` has no upper bound in
+# the parser, so a huge valid count would try to allocate it in full; that
+# is not exercised here.
 _KIND_KEYS = {
     "number": {"N": _ints(0, 12)},
     "binomial": {"M": _ints(1, 12), "q": _floats(0.0, 1.0)},
@@ -619,7 +635,7 @@ _SECTION_KEYS = {
     "environment": {"p": _floats(0.0, 1.0)},
     "couplings": {"lambda1": _floats(0.0, 5.0), "lambda2": _floats(0.0, 5.0)},
     "grid": {"t_start": _floats(0.0, 10.0), "t_end": _floats(0.0, 100.0), "points": _ints(2, 64)},
-    "oracle": {"enabled": st.sampled_from(["true", "false"]), "n_max": _ints(0, 12),
+    "oracle": {"enabled": st.sampled_from(["true", "false"]), "n_max": _ints(0, 10**18),
                "omega": _floats(-5.0, 5.0)},
 }
 
@@ -653,6 +669,9 @@ def _scenario_sections(draw):
 @example(sections=_sections_with(oracle={"omega": "1e300"}, grid={"t_end": "1e300"}), command="run")
 @example(sections=_sections_with(oscillator={"kind": "custom", "amplitudes": "1e300"}), command="run")
 @example(sections=_sections_with(oracle={"omega": "1.7e308", "n_max": "12"}), command="run")
+@example(sections=_sections_with(oracle={"enabled": "true", "n_max": str(10**18)}), command="oracle-check")
+@example(sections=_sections_with(oscillator={"kind": "number", "N": str(10**20)}), command="run")
+@example(sections=_sections_with(oscillator={"kind": "binomial", "M": str(10**17), "q": "0.5"}), command="run")
 def test_scenario_documents_exit_with_a_documented_code(tmp_path, capsys, sections, command):
     path, out = tmp_path / "fuzz.ini", tmp_path / "fuzz.csv"
     out.unlink(missing_ok=True)

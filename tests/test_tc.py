@@ -78,6 +78,16 @@ def test_spectral_rejects_couplings_too_large_for_double_precision(l1, l2):
             spectral_params(n, Couplings(l1, l2))
 
 
+@pytest.mark.parametrize("l1, l2", [(1e-170, 0.0), (1e-100, 1e-100), (1e-80, 1e-80), (0.0, 1e-160)])
+def test_spectral_rejects_couplings_too_small_for_double_precision(l1, l2):
+    # D^2 underflows to 0, or in the third to a subnormal off by 6e-6
+    # relative; exactly zero couplings keep their zero params
+    for n in (-1, 0, 5):
+        with pytest.raises(ValidationError, match=re.escape(f"lambda1 = {l1!r}, lambda2 = {l2!r}")):
+            spectral_params(n, Couplings(l1, l2))
+    assert spectral_params(0, Couplings(0.0, 0.0)).D == 0.0
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     n=st.integers(min_value=-1, max_value=40),
