@@ -135,6 +135,8 @@ def svg_lines(series: TimeSeries, title: str) -> list[str]:
     pts = " ".join(f"{sx(t):.2f},{sy(z):.2f}" for t, z in zip(series.times, series.values))
     tick_ts = np.linspace(t0, t1, 7)
     tick_zs = np.linspace(z0, z1, 6)
+    # escaped by hand: xml.sax.saxutils would import urllib.request into every run
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',

@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: parse errors exit 2,
 validation errors 3, truncation errors 4 (tolerance failures exit 5 but
-are reported, not raised).
+are reported, not raised).  EigendecompositionError has no exit code: the
+oracle's own Hamiltonians are symmetric and checked finite before ``eigh``.
 """
 
 
@@ -20,11 +21,6 @@ class UnnormalizedDistributionError(ValidationError):
 
 class EmptyTimeGridError(ValidationError):
     """A time grid has fewer than two points or a non-positive span."""
-
-
-class NegativeDiscriminantError(ArithmeticError):
-    """The spectral discriminant came out negative (cannot happen for
-    valid couplings; raised defensively)."""
 
 
 class TruncationError(ValueError):

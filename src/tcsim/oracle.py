@@ -14,12 +14,12 @@ lets the default path of ``oracle_entropy_series`` evolve only those
 blocks.  It addresses each state by its total excitation k and its slot in
 the 4x4 block of k (``_SLOTS``), builds the Hamiltonian on the blocks the
 initial state populates, diagonalizes them with one batched ``eigh`` and
-never forms a state on the full basis, so no array of that path is sized by
-n_max.  It walks the (uniform) time grid in fixed chunks, evolving the
-first chunk once and moving it on to each later chunk with the 4x4 block
-unitaries, and takes the partial trace from the block states of each
-chunk.  ``dense=True`` keeps the dense 4(n_max + 1)-dimensional matrix and
-the full density matrix as the reference.
+never forms a state on the full basis, so n_max sizes none of its arrays and
+omega need only keep the blocks' entries finite.  It walks the (uniform)
+time grid in fixed chunks, evolving the first chunk once, moving it on to
+each later chunk with the 4x4 block unitaries and taking the partial trace
+from each chunk's block states.  ``dense=True`` keeps the dense
+4(n_max + 1)-dimensional matrix and the full density matrix as the reference.
 """
 
 from __future__ import annotations
@@ -68,14 +68,6 @@ class OracleConfig:
         object.__setattr__(self, "omega", float(self.omega))
         if not math.isfinite(self.omega):
             raise ValidationError(f"omega = {self.omega!r} must be finite")
-        if not math.isfinite(self.omega * (self.n_max + 1)):  # H's largest diagonal entry
-            raise ValidationError(
-                f"omega * (n_max + 1) = {self.omega!r} * {self.n_max + 1} overflows double precision"
-            )
-
-    @property
-    def dim(self) -> int:
-        return 4 * (self.n_max + 1)
 
 
 # The conserved block of total excitation k, one row per slot: qubit1,
@@ -128,31 +120,33 @@ def build_hamiltonian(cfg: OracleConfig, excitations=None) -> np.ndarray:
     Given K total excitations it is the (K, 4, 4) stack of the conserved
     blocks, in the slot order of ``_SLOTS``, evaluated from the same terms
     without the dense matrix; a slot whose photon number would be negative
-    has a zero row and column.
+    has a zero row and column.  An entry that overflows double precision
+    raises ValidationError naming omega and the couplings.
     """
     terms = _terms(cfg)
-    if excitations is None:
-        no = cfg.n_max + 1
-        return sum(
-            coef * np.kron(q1, np.kron(q2, np.diag(entry(np.arange(no - abs(offset))), offset)))
-            for coef, q1, q2, (offset, entry) in terms
-        )
-    q1, q2 = (np.ix_(q, q) for q in _SLOTS[:, :2].T)
-    m = np.asarray(excitations)[:, None] - _SLOTS[:, 2]
-    rows, cols = m[:, :, None], m[:, None, :]
-    lower = np.maximum(np.minimum(rows, cols), 0)
-    h = sum(
-        coef * (f1[q1] * (f2[q2] * np.where(cols - rows == offset, entry(lower), 0.0)))
-        for coef, f1, f2, (offset, entry) in terms
-    )
-    valid = m >= 0
-    return np.where(valid[:, :, None] & valid[:, None, :], h, 0.0)
-
-
-def total_excitation(cfg: OracleConfig) -> np.ndarray:
-    """Operator counting quanta: a+a + (sz1 + 1)/2 + (sz2 + 1)/2."""
-    q, m = np.divmod(np.arange(cfg.dim), cfg.n_max + 1)
-    return np.diag((q // 2 + q % 2 + m).astype(float))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        if excitations is None:
+            no = cfg.n_max + 1
+            h = sum(
+                coef * np.kron(q1, np.kron(q2, np.diag(entry(np.arange(no - abs(offset))), offset)))
+                for coef, q1, q2, (offset, entry) in terms
+            )
+        else:
+            q1, q2 = (np.ix_(q, q) for q in _SLOTS[:, :2].T)
+            m = np.asarray(excitations)[:, None] - _SLOTS[:, 2]
+            rows, cols = m[:, :, None], m[:, None, :]
+            lower = np.maximum(np.minimum(rows, cols), 0)
+            h = sum(
+                coef * (f1[q1] * (f2[q2] * np.where(cols - rows == offset, entry(lower), 0.0)))
+                for coef, f1, f2, (offset, entry) in terms
+            )
+            valid = m >= 0
+            h = np.where(valid[:, :, None] & valid[:, None, :], h, 0.0)
+    if not np.all(np.isfinite(h)):
+        c = cfg.couplings
+        raise ValidationError(f"omega = {cfg.omega!r}, lambda1 = {c.lambda1!r}, lambda2 = "
+                              f"{c.lambda2!r} overflow double precision in the oracle Hamiltonian")
+    return h
 
 
 def excitation_block(cfg: OracleConfig, n: int) -> np.ndarray:
@@ -218,6 +212,12 @@ def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
         vec = _embed(q2, dist, n_max)
         rho += weight * np.outer(vec, vec.conj())
     return rho
+
+
+def total_excitation(cfg: OracleConfig) -> np.ndarray:
+    """Operator counting quanta on the dense basis: a+a + (sz1 + 1)/2 + (sz2 + 1)/2."""
+    q, m = np.divmod(np.arange(4 * (cfg.n_max + 1)), cfg.n_max + 1)
+    return np.diag((q // 2 + q % 2 + m).astype(float))
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:

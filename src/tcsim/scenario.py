@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScenarioParseError
-from .oracle import required_n_max
+from .oracle import OracleConfig, required_n_max
 from .states import (
     Couplings,
     EnvironmentMixture,
@@ -135,6 +135,8 @@ class Scenario:
 
     def __post_init__(self):
         _kind(self.kind)
+        # checked with the oracle off too, so that no invalid value reaches a CSV header
+        OracleConfig(self.oracle_n_max or 0, Couplings(self.lambda1, self.lambda2), self.oracle_omega)
 
     def oscillator_components(self) -> list[tuple[float, FockDistribution]]:
         """The oscillator preparation as (weight, pure distribution) pairs."""
@@ -218,11 +220,12 @@ def _build_scenario(sections: dict[str, dict[str, str]], label: str) -> Scenario
 
 
 def parse_scenario(text: str, label: str = "") -> Scenario:
-    """Parse a scenario document; raises ScenarioParseError on any defect."""
+    """Parse a scenario document; raises ScenarioParseError on a malformed
+    document and ValidationError on a value out of range."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N, M, q, f, ...)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=label or "<string>")
     except configparser.Error as exc:
         raise ScenarioParseError(str(exc)) from exc
     return _build_scenario({name: dict(parser[name]) for name in parser.sections()}, label)
@@ -230,9 +233,9 @@ def parse_scenario(text: str, label: str = "") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario {path!r}: {exc}") from exc
     return parse_scenario(text, label=str(path))
 

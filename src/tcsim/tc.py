@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeDiscriminantError, ValidationError
+from .errors import ValidationError
 from .series import TimeSeries, check_phase
 from .states import Couplings, FockDistribution, SystemConfig
 
@@ -128,9 +128,7 @@ def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
         cross = 4.0 * (k * l1 * l2) ** 2
     except OverflowError:  # float ** raises where * would give inf
         cross = math.inf
-    d_sq = r * r + cross
-    if d_sq < 0:  # unreachable for real couplings; kept as a hard guard
-        raise NegativeDiscriminantError(f"discriminant {d_sq!r} is negative")
+    d_sq = r * r + cross  # >= 0, +inf or NaN; the finiteness check below rejects the last two
     if l1 == 0.0 and l2 == 0.0:
         return SpectralParams(n, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if d_sq < sys.float_info.min:  # D^2 underflows: D and the weights would be wrong or 0

@@ -1,9 +1,11 @@
+import codecs
 import hashlib
 import json
 import re
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from tcsim.errors import ScenarioParseError
 from tcsim.scenario import (
     PRESET_IDS,
     Scenario,
+    load_scenario,
     parse_scenario,
     preset,
     scenario_from_header,
@@ -51,6 +54,26 @@ def test_parse_good_scenario():
     assert sc.p == 0.5 and sc.lambda2 == 0.1
     assert sc.grid.n_points == 3001
     assert sc.oracle_enabled and sc.oracle_n_max == 3
+
+
+def test_load_scenario_skips_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.ini"
+    path.write_bytes(codecs.BOM_UTF8 + GOOD_SCENARIO.encode("utf-8"))
+    assert load_scenario(path) == parse_scenario(GOOD_SCENARIO, label=str(path))
+
+
+def test_scenario_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(GOOD_SCENARIO.replace("p = 0.5", "p = 0.5 ; \xb5").encode("latin-1"))
+    assert main(["run", str(path)]) == 2
+    assert f"cannot read scenario {str(path)!r}" in capsys.readouterr().err
+
+
+def test_scenario_syntax_errors_name_the_file(tmp_path, capsys):
+    path = tmp_path / "headless.ini"
+    path.write_text("p = 0.5\n" + GOOD_SCENARIO, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert f"file: {str(path)!r}, line: 1" in capsys.readouterr().err
 
 
 def test_parse_rejects_unknown_key():
@@ -257,12 +280,42 @@ def test_run_validates_the_environment_on_the_single_branch_route(tmp_path):
     assert main(["run", str(path)]) == 3
 
 
-@pytest.mark.parametrize("command, omega", [("run", "nan"), ("oracle-check", "inf")])
-def test_non_finite_omega_is_a_validation_error(tmp_path, capsys, command, omega):
+@pytest.mark.parametrize("command, omega, enabled", [
+    ("run", "nan", "true"), ("oracle-check", "inf", "true"), ("run", "nan", "false"),
+], ids=["run-nan", "oracle-check-inf", "run-nan-oracle-off"])
+def test_non_finite_omega_is_a_validation_error(tmp_path, capsys, command, omega, enabled):
+    text = GOOD_SCENARIO.replace("omega = 0.0", f"omega = {omega}")
     path = tmp_path / "omega.ini"
-    path.write_text(GOOD_SCENARIO.replace("omega = 0.0", f"omega = {omega}"), encoding="utf-8")
+    path.write_text(text.replace("enabled = true", f"enabled = {enabled}"), encoding="utf-8")
     assert main([command, str(path)]) == 3
     assert f"omega = {omega} must be finite" in capsys.readouterr().err
+
+
+def test_negative_n_max_is_a_validation_error_with_the_oracle_off(tmp_path, capsys):
+    text = GOOD_SCENARIO.replace("enabled = true", "enabled = false").replace("n_max = 3", "n_max = -7")
+    path, out = tmp_path / "n_max.ini", tmp_path / "n_max.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert "n_max must be a non-negative integer, got -7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_check_passes_where_only_the_dense_diagonal_would_overflow(tmp_path, capsys):
+    # omega (n_max + 1) overflows, but the blocks that |1> populates hold at most 3 omega
+    text = GOOD_SCENARIO.replace("t_end = 30", "t_end = 1e-300").replace("omega = 0.0", "omega = 1e291")
+    path = tmp_path / "omega.ini"
+    path.write_text(text.replace("n_max = 3", f"n_max = {10**18}"), encoding="utf-8")
+    assert main(["oracle-check", str(path)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_omega_overflowing_the_oracle_hamiltonian_is_a_validation_error(tmp_path, capsys):
+    text = GOOD_SCENARIO.replace("omega = 0.0", "omega = 1e308").replace("n_max = 3\n", "")
+    path, out = tmp_path / "omega.ini", tmp_path / "omega.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert "omega = 1e+308, lambda1 = 1.0, lambda2 = 0.1 overflow" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lambda1, lambda2", [("1e154", "1e-10"), ("1e155", "0"), ("1", "1e160")])
@@ -343,6 +396,14 @@ def test_run_svg_refuses_to_overwrite_the_csv(tmp_path, capsys):
     assert main(["run", str(scenario_path), "--out", str(out), "--svg"]) == 2
     assert not out.exists()
     assert str(out) in capsys.readouterr().err
+
+
+def test_run_svg_escapes_the_title(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("R&D<1>.ini").write_text(GOOD_SCENARIO.replace("points = 3001", "points = 11"), encoding="utf-8")
+    assert main(["run", "R&D<1>.ini", "--out", "rd.csv", "--svg"]) == 0
+    title = minidom.parse("rd.svg").getElementsByTagName("text")[0]
+    assert title.firstChild.data == "scenario R&D<1>.ini"
 
 
 @pytest.mark.parametrize("out, flags", [("missing/x.csv", []), (".", []), (".", ["--svg"])])

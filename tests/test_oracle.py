@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -89,7 +90,7 @@ def test_hamiltonian_matches_kron_product_definition(rng):
             omega=float(rng.uniform(0, 4)),
         )
         h = build_hamiltonian(cfg)
-        assert h.shape == (cfg.dim, cfg.dim)
+        assert h.shape == (4 * (n_max + 1), 4 * (n_max + 1))
         assert np.max(np.abs(h - _reference_hamiltonian(cfg))) <= 1e-12
 
 
@@ -135,6 +136,16 @@ def test_hamiltonian_conserves_total_excitation(rng):
         n_op = total_excitation(cfg)
         comm = h @ n_op - n_op @ h
         assert np.max(np.abs(comm)) <= 1e-12
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_hamiltonian_entries_beyond_double_precision_are_a_validation_error(dense):
+    # lambda1 sqrt(m + 1) overflows from m = 3, which |3> reaches; no numpy
+    # RuntimeWarning may escape on the way (pyproject's filterwarnings makes it an error)
+    config = _config(number_state(3), 0.5, l1=1e308, grid=TimeGrid(0.0, 1.0, 11))
+    cfg = OracleConfig(n_max=required_n_max(3), couplings=config.couplings)
+    with pytest.raises(ValidationError, match=re.escape("omega = 0.0, lambda1 = 1e+308, lambda2 = 0.1")):
+        oracle_entropy_series(config, cfg, dense=dense)
 
 
 def test_excitation_block_spectrum_is_symmetric():

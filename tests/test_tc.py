@@ -112,7 +112,7 @@ def test_spectral_identities(n, lam1, ratio):
 
 
 def test_discriminant_never_negative():
-    # the guard in spectral_params must be unreachable for real couplings
+    # D^2 = (l1^2 - l2^2)^2 + 4 (2n+3)^2 l1^2 l2^2 is a sum of squares
     for n in range(-1, 60):
         for lam1 in (0.0, 0.01, 0.5, 1.0, 3.0):
             for lam2 in (0.0, 0.01, 0.5, 1.0, 3.0):
