@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProbabilityError, ValidationError
-from .series import check_phase
+from .series import check_integer, check_phase
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ def jc_amplitudes(n: int, coupling: float, t: float) -> JcAmplitudes:
     Returns cos(theta) on |e, n> and -i sin(theta) on |g, n+1> with
     theta = coupling * t * sqrt(n + 1).
     """
-    if int(n) != n or n < 0:
-        raise ValidationError(f"n must be a non-negative integer, got {n!r}")
+    n = check_integer(n, 0, "n must be a non-negative integer, got {!r}")
     if not coupling > 0:
         raise ValidationError(f"coupling must be positive, got {coupling!r}")
     if t < 0:
@@ -52,7 +51,7 @@ def jc_amplitudes(n: int, coupling: float, t: float) -> JcAmplitudes:
     return JcAmplitudes(
         c_excited=complex(math.cos(theta)),
         c_ground=complex(0.0, -math.sin(theta)),
-        n=int(n),
+        n=n,
         t=float(t),
     )
 
@@ -64,8 +63,7 @@ def jc_number_entropy(n, coupling, t):
     pi / (2 * coupling * sqrt(n+1)) and bounded by [0, 0.5].  ``t`` may be a
     scalar or an array.
     """
-    if int(n) != n or n < 0:
-        raise ValidationError(f"n must be a non-negative integer, got {n!r}")
+    n = check_integer(n, 0, "n must be a non-negative integer, got {!r}")
     if not coupling > 0:
         raise ValidationError(f"coupling must be positive, got {coupling!r}")
     t = np.asarray(t, dtype=float)

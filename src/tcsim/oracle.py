@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigendecompositionError, TruncationError, ValidationError
-from .series import TimeSeries, check_phase
+from .series import TimeSeries, check_integer, check_phase
 from .states import Couplings, FockDistribution, SystemConfig
 
 __all__ = [
@@ -62,9 +62,8 @@ class OracleConfig:
     omega: float = 0.0
 
     def __post_init__(self):
-        if int(self.n_max) != self.n_max or self.n_max < 0:
-            raise ValidationError(f"n_max must be a non-negative integer, got {self.n_max!r}")
-        object.__setattr__(self, "n_max", int(self.n_max))
+        n_max = check_integer(self.n_max, 0, "n_max must be a non-negative integer, got {!r}")
+        object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "omega", float(self.omega))
         if not math.isfinite(self.omega):
             raise ValidationError(f"omega = {self.omega!r} must be finite")

@@ -29,6 +29,17 @@ def check_phase(freq: float, times, where: str) -> None:
         )
 
 
+def check_integer(value, least: int, message: str, error: type = ValidationError) -> int:
+    """``value`` as an int if it is an integer >= ``least``; otherwise raise
+    ``error(message.format(value))``, also for NaN, infinities and None."""
+    try:
+        if int(value) == value and value >= least:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(message.format(value))
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Ordered, finite (t, value) pairs on a strictly increasing time grid.

@@ -20,6 +20,7 @@ from .errors import (
     UnnormalizedDistributionError,
     ValidationError,
 )
+from .series import check_integer
 
 # Norm drift below this is treated as rounding and silently repaired;
 # anything larger is a user error.
@@ -130,11 +131,11 @@ class TimeGrid:
             raise EmptyTimeGridError(
                 f"need t_end > t_start >= 0, got [{self.t_start}, {self.t_end}]"
             )
-        if int(self.n_points) != self.n_points or self.n_points < 2:
-            raise EmptyTimeGridError(f"n_points = {self.n_points!r} must be an integer >= 2")
+        n_points = check_integer(self.n_points, 2, "n_points = {!r} must be an integer >= 2",
+                                 EmptyTimeGridError)
         object.__setattr__(self, "t_start", float(self.t_start))
         object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", n_points)
 
     def times(self) -> np.ndarray:
         try:
@@ -180,10 +181,9 @@ def _levels(make, count: int) -> np.ndarray:
 
 def number_state(n: int) -> FockDistribution:
     """Distribution with all weight on Fock state ``n``."""
-    if int(n) != n or n < 0:
-        raise ValidationError(f"number state index must be a non-negative integer, got {n!r}")
-    amps = _levels(np.zeros, int(n) + 1)
-    amps[int(n)] = 1.0
+    n = check_integer(n, 0, "number state index must be a non-negative integer, got {!r}")
+    amps = _levels(np.zeros, n + 1)
+    amps[n] = 1.0
     return FockDistribution(amps)
 
 
@@ -201,11 +201,9 @@ def binomial_state(m: int, q: float) -> FockDistribution:
         Single-excitation probability in [0, 1].  q = 1 reduces exactly to
         ``number_state(m)`` and q = 0 to the vacuum.
     """
-    if int(m) != m or m < 1:
-        raise ValidationError(f"m must be a positive integer, got {m!r}")
+    m = check_integer(m, 1, "m must be a positive integer, got {!r}")
     if not (isinstance(q, (int, float)) and math.isfinite(q) and 0.0 <= q <= 1.0):
         raise InvalidProbabilityError(f"q = {q!r} must lie in [0, 1]")
-    m = int(m)
     if q == 0.0:
         return number_state(0)
     if q == 1.0:

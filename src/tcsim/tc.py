@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .series import TimeSeries, check_phase
+from .series import TimeSeries, check_integer, check_phase
 from .states import Couplings, FockDistribution, SystemConfig
 
 __all__ = [
@@ -117,9 +117,7 @@ def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
     nonzero couplings so small that D^2 falls below the smallest normal
     double, raise ValidationError; exactly zero couplings give all zeros.
     """
-    if int(n) != n or n < -1:
-        raise ValidationError(f"block index must be an integer >= -1, got {n!r}")
-    n = int(n)
+    n = check_integer(n, -1, "block index must be an integer >= -1, got {!r}")
     l1, l2 = couplings.lambda1, couplings.lambda2
     s = l1 * l1 + l2 * l2
     r = l1 * l1 - l2 * l2
@@ -225,11 +223,10 @@ def _block_columns(m: int, couplings: Couplings, t: np.ndarray):
 
 
 def _quad(n: int, couplings: Couplings, t, primed: bool) -> CoefficientQuad:
-    if int(n) != n or n < 0:
-        raise ValidationError(f"oscillator index must be a non-negative integer, got {n!r}")
+    n = check_integer(n, 0, "oscillator index must be a non-negative integer, got {!r}")
     t_arr = _check_times(t)
     # block n holds the unprimed quad at n, block n - 1 the primed one
-    r1, r2, r3, r4 = _block_columns(int(n) - primed, couplings, np.atleast_1d(t_arr))[primed]
+    r1, r2, r3, r4 = _block_columns(n - primed, couplings, np.atleast_1d(t_arr))[primed]
     if primed:
         quad = (-1j * r1, r2 + 0j, r3 + 0j, -1j * r4)
     else:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tcsim.tc as tc
-from tcsim.cli import closed_series, csv_lines, main, oracle_series
+from tcsim.cli import _CSV_BLOCK_ROWS, _load_csv, closed_series, csv_lines, main, oracle_series
 from tcsim.errors import ScenarioParseError
 from tcsim.scenario import (
     PRESET_IDS,
@@ -456,6 +456,33 @@ def test_figure_bytes_match_the_pinned_digest(tmp_path, preset_id):
     assert digest == pinned[preset_id]
 
 
+def _reference_body(columns):
+    """The data rows of a CSV, formatted one field at a time."""
+    return [",".join(format(float(x), ".17g") for x in row) for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("preset_id", ["1", "2c", "6"])
+def test_oracle_columns_match_a_per_field_reference(preset_id):
+    sc = preset(preset_id)
+    closed, checked = closed_series(sc), oracle_series(sc)
+    lines = csv_lines(sc, closed, checked)
+    assert lines[len(sc.to_lines())] == "t,zeta,zeta_oracle,abs_err"
+    errors = [abs(z - zo) for z, zo in zip(closed.values, checked.values)]
+    reference = _reference_body([closed.times, closed.values, checked.values, errors])
+    assert "\n".join(lines[len(sc.to_lines()) + 1:]).split("\n") == reference
+
+
+def test_awkward_doubles_match_a_per_field_reference_across_blocks():
+    awkward = [5e-324, 1e-300, 0.1, 1 / 3, 2.0**60, 0.0]
+    n = 2 * _CSV_BLOCK_ROWS + 7
+    times = np.arange(n) / 3 + 1e-300
+    values = np.resize(awkward, n)
+    lines = csv_lines(preset("2c"), TimeSeries(times, values), None)
+    blocks = lines[len(preset("2c").to_lines()) + 1:]
+    assert len(blocks) == 3
+    assert "\n".join(blocks).split("\n") == _reference_body([times, values])
+
+
 def test_figure_one_takes_the_mixture_closed_form_path(tmp_path):
     from tcsim.jc import jc_mixture_entropy
 
@@ -615,6 +642,26 @@ def test_analyze_rejects_undecodable_file(tmp_path):
     path = tmp_path / "binary.csv"
     path.write_bytes(b"t,zeta\n0,\xff\xfe\n")
     assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize("enabled", ["false", "true"])
+def test_load_csv_reads_back_the_emitted_series(tmp_path, enabled):
+    path, out = tmp_path / "sc.ini", tmp_path / "out.csv"
+    path.write_text(GOOD_SCENARIO.replace("enabled = true", f"enabled = {enabled}"), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    expected = closed_series(load_scenario(path))
+    series = _load_csv(out)
+    assert np.array_equal(series.times, expected.times)
+    assert np.array_equal(series.values, expected.values)
+
+
+def test_analyze_names_the_file_and_the_field_of_a_bad_row(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,zeta\n0,0.1\n1,0.2\n2,abc\n3,0.1\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "abc" in captured.err
+    assert captured.out == ""
 
 
 _CSV_FIELD = st.one_of(

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcsim import jc, tc
 from tcsim.errors import (
     EmptyTimeGridError,
     FanoUndefinedError,
@@ -10,6 +13,7 @@ from tcsim.errors import (
     UnnormalizedDistributionError,
     ValidationError,
 )
+from tcsim.oracle import OracleConfig
 from tcsim.states import (
     Couplings,
     EnvironmentMixture,
@@ -184,3 +188,26 @@ def test_system_config_stores_the_oscillator_as_weighted_components():
         with pytest.raises(ValidationError, match="mixture weights"):
             SystemConfig(oscillator=list(zip(weights, (vacuum, one))), env=env,
                          couplings=couplings, grid=grid)
+
+
+_COUPLINGS = Couplings(1.0, 0.1)
+# Every integer argument the library checks, each as a call that takes the
+# value under test; the error each one raises when the value is no integer.
+_INTEGER_SITES = {
+    "OracleConfig": (lambda x: OracleConfig(x, _COUPLINGS), ValidationError),
+    "spectral_params": (lambda x: tc.spectral_params(x, _COUPLINGS), ValidationError),
+    "tc_coefficients": (lambda x: tc.tc_coefficients(x, _COUPLINGS, 1.0), ValidationError),
+    "TimeGrid": (lambda x: TimeGrid(0.0, 1.0, x), EmptyTimeGridError),
+    "number_state": (number_state, ValidationError),
+    "binomial_state": (lambda x: binomial_state(x, 0.5), ValidationError),
+    "jc_amplitudes": (lambda x: jc.jc_amplitudes(x, 1.0, 1.0), ValidationError),
+    "jc_number_entropy": (lambda x: jc.jc_number_entropy(x, 1.0, 1.0), ValidationError),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), None, 1.5], ids=repr)
+@pytest.mark.parametrize("site", sorted(_INTEGER_SITES))
+def test_integer_arguments_reject_anything_but_a_finite_integer(site, value):
+    call, error = _INTEGER_SITES[site]
+    with pytest.raises(error, match=re.escape(f"{value!r}")):
+        call(value)
