@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +94,7 @@ def oracle_series(scenario: Scenario) -> TimeSeries:
     return oracle.oracle_entropy_series(config, cfg)
 
 
-_CSV_BLOCK_ROWS = 4096  # rows per % operation, so the temporary tuple stays small
+_CSV_BLOCK_ROWS = 4096  # rows per % operation, so the temporary table and tuple stay small
 
 
 def csv_lines(scenario: Scenario, closed: TimeSeries, checked: TimeSeries | None) -> list[str]:
@@ -102,23 +103,23 @@ def csv_lines(scenario: Scenario, closed: TimeSeries, checked: TimeSeries | None
     columns = {"t": closed.times, "zeta": closed.values}
     if checked is not None:
         columns.update(zeta_oracle=checked.values, abs_err=np.abs(closed.values - checked.values))
-    table = np.column_stack(list(columns.values()))
     row = ",".join(["%.17g"] * len(columns))
     lines = [f"# {entry}" for entry in scenario.to_lines()] + [",".join(columns)]
-    for block in np.split(table, range(_CSV_BLOCK_ROWS, len(table), _CSV_BLOCK_ROWS)):
+    for start in range(0, len(closed), _CSV_BLOCK_ROWS):
+        block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS] for column in columns.values()])
         lines.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
     return lines
 
 
 def write_text(path: Path | None, lines: list[str]) -> None:
-    body = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(body)
-        return
+    """Each of ``lines`` and a newline, written one at a time to ``path`` (stdout if None)."""
     try:
-        path.write_text(body, encoding="utf-8")
+        with nullcontext(sys.stdout) if path is None else path.open("w", encoding="utf-8") as f:
+            for line in lines:
+                f.write(line)
+                f.write("\n")
     except OSError as exc:
-        raise ScenarioParseError(f"cannot write {path}: {exc}") from exc
+        raise ScenarioParseError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
 def svg_lines(series: TimeSeries, title: str) -> list[str]:
@@ -221,21 +222,36 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
+def _seek_first_row(f) -> bool:
+    """Move the text file ``f`` to its first line that is not blank and does not start with
+    ``#`` or ``t,``; False, at the end of the file, if there is none."""
+    start = f.tell()
+    for line in iter(f.readline, ""):
+        text = line.strip()
+        if text and not text.startswith(("#", "t,")):
+            f.seek(start)
+            return True
+        start = f.tell()
+    return False
+
+
 def _load_csv(path: Path) -> TimeSeries:
-    """The first two columns of the lines that are not blank, ``#`` or ``t,``, parsed by numpy
-    in one call.  A row numpy cannot parse, or that is not finite, exits 2 and names the file;
-    a zeta outside [0, 0.5] exits 3."""
+    """The first two columns of the rows after the leading blank, ``#`` and ``t,`` lines,
+    parsed by numpy from the open file in one call, which skips empty and ``#`` lines and
+    drops the text after a ``#``.  A row numpy cannot parse, or that is not finite, exits 2
+    and names the file; a zeta outside [0, 0.5] exits 3."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with path.open(encoding="utf-8") as f:
+            has_rows = _seek_first_row(f)
+            if has_rows:
+                times, values = np.loadtxt(f, delimiter=",", usecols=(0, 1), ndmin=2,
+                                           unpack=True, comments="#")
+    except (OSError, UnicodeDecodeError) as exc:  # caught before ValueError, its base
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
-    rows = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith(("#", "t,"))]
-    if not rows:
-        raise ScenarioParseError(f"no data rows in {path}")
-    try:
-        times, values = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2, unpack=True, comments=None)
     except ValueError as exc:
         raise ScenarioParseError(f"bad CSV row in {path}: {exc}") from exc
+    if not has_rows:
+        raise ScenarioParseError(f"no data rows in {path}")
     bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values)))
     if bad.size:
         i = bad[0]

@@ -66,7 +66,7 @@ class TimeSeries:
         if bad.size:
             i = bad[0]
             raise ValidationError(f"sample {i} is not finite: t = {times[i]:g}, value = {values[i]:g}")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):  # one byte per point, where np.diff holds eight
             raise ValidationError("times must be strictly increasing")
         times.setflags(write=False)
         values.setflags(write=False)

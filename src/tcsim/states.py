@@ -125,7 +125,11 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+        try:
+            finite = math.isfinite(self.t_start) and math.isfinite(self.t_end)
+        except TypeError:  # not a real number, as None or "1"
+            finite = False
+        if not finite:
             raise EmptyTimeGridError("grid endpoints must be finite")
         if self.t_start < 0 or self.t_end <= self.t_start:
             raise EmptyTimeGridError(

@@ -47,6 +47,10 @@ __all__ = [
 # Most branch frequencies ``frequency_content`` takes the closure of.
 _MAX_BASE = 40
 
+# Grid points per slice of ``mixture_entropy_arrays``: its working memory is
+# a few blocks of eight arrays of this length, whatever the grid length.
+_CHUNK_POINTS = 8192
+
 
 @dataclass(frozen=True)
 class SpectralParams:
@@ -168,24 +172,32 @@ def _check_times(t) -> np.ndarray:
     return t
 
 
-def _block_columns(m: int, couplings: Couplings, t: np.ndarray):
-    """Both propagator columns of block ``m`` at times ``t``, as real arrays.
+def _checked_params(m: int, couplings: Couplings, t) -> SpectralParams:
+    """``spectral_params`` of block ``m``; a phase d_plus * t past
+    ``series.PHASE_LIMIT`` at the largest of the times ``t`` raises
+    ValidationError.  Past it the t-linear terms of a block with
+    d_minus = 0, whose coefficients vanish only up to rounding, would also
+    grow to overflow."""
+    sp = spectral_params(m, couplings)
+    check_phase(sp.d_plus, t, f"block {m}")
+    return sp
+
+
+def _block_columns(sp: SpectralParams, couplings: Couplings, t: np.ndarray):
+    """Both propagator columns of block ``m = sp.n`` at times ``t``, as real arrays.
 
     The first is the unprimed quad at n = m (start |e1 e2 m>), the second
     the primed quad at n = m + 1 (start |e1 g2 m+1>).  c1, c4, c'2 and c'3
     are returned as they are; c2, c3, c'1 and c'4 are -i times the returned
     value.  At m = -1 the |e1 e2 -1> level does not exist: c'1 vanishes
     identically because the x = sqrt(m + 1) prefactor is zero, with
-    d_minus = 0 enforcing the same degeneracy spectrally.  A phase
-    d_plus * t past ``series.PHASE_LIMIT`` raises ValidationError.
+    d_minus = 0 enforcing the same degeneracy spectrally.  The caller has
+    checked the phase with ``_checked_params``.
     """
-    sp = spectral_params(m, couplings)
     if sp.D == 0.0:  # both couplings zero: nothing moves
         one, zero = np.ones_like(t), np.zeros_like(t)
         return (one, zero, zero, zero), (zero, one, zero, zero)
-    # Past PHASE_LIMIT the t-linear terms of a block with d_minus = 0, whose
-    # coefficients vanish only up to rounding, would also grow to overflow.
-    check_phase(sp.d_plus, t, f"block {m}")
+    m = sp.n
     l1, l2 = couplings.lambda1, couplings.lambda2
     x = math.sqrt(m + 1.0)
     y = math.sqrt(m + 2.0)
@@ -226,7 +238,8 @@ def _quad(n: int, couplings: Couplings, t, primed: bool) -> CoefficientQuad:
     n = check_integer(n, 0, "oscillator index must be a non-negative integer, got {!r}")
     t_arr = _check_times(t)
     # block n holds the unprimed quad at n, block n - 1 the primed one
-    r1, r2, r3, r4 = _block_columns(n - primed, couplings, np.atleast_1d(t_arr))[primed]
+    sp = _checked_params(n - primed, couplings, t_arr)
+    r1, r2, r3, r4 = _block_columns(sp, couplings, np.atleast_1d(t_arr))[primed]
     if primed:
         quad = (-1j * r1, r2 + 0j, r3 + 0j, -1j * r4)
     else:
@@ -258,6 +271,50 @@ def _density_bands(oscillator) -> tuple[np.ndarray, np.ndarray]:
     return P, C
 
 
+def _block_params(bands, couplings: Couplings, t: np.ndarray) -> dict[int, SpectralParams]:
+    """Phase-checked spectral params of every block the terms read over the
+    times ``t``, evaluated once each, in the order the terms first read them:
+    index n reads blocks n - 1 and n, and with a coherence n + 1 as well."""
+    P, C = bands
+    t_max = float(np.max(t, initial=0.0))  # so each check names the largest t
+    params = {}
+    for n in np.flatnonzero(P).tolist():
+        for m in range(n - 1, n + 1 + (C[n] != 0.0)):
+            if m not in params:
+                params[m] = _checked_params(m, couplings, t_max)
+    return params
+
+
+def _terms(config: SystemConfig, bands, params: dict[int, SpectralParams],
+           t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha, beta, gamma over ``t`` from the density bands and the params of
+    ``_block_params``; each block's columns are formed once and dropped once
+    no later index reads them."""
+    p, couplings = config.env.p, config.couplings
+    P, C = bands
+    alpha = np.zeros_like(t)
+    beta = np.zeros_like(t)
+    gamma_im = np.zeros_like(t)
+    blocks = {}
+    for n in np.flatnonzero(P).tolist():
+        # blocks below n - 1 are left over after a gap in the populated n
+        for m in [m for m in blocks if m < n - 1]:
+            del blocks[m]
+        coherent = C[n] != 0.0
+        for m in range(n - 1, n + 1 + coherent):
+            if m not in blocks:
+                blocks[m] = _block_columns(params[m], couplings, t)
+        (c1, c2, c3, c4), _ = blocks[n]
+        _, (k1, k2, k3, k4) = blocks.pop(n - 1)
+        alpha += P[n] * (p * (c3**2 + c4**2) + (1.0 - p) * (k3**2 + k4**2))
+        beta += P[n] * (p * (c1**2 + c2**2) + (1.0 - p) * (k1**2 + k2**2))
+        if coherent:
+            (d1, d2, _, _), _ = blocks[n + 1]
+            _, (e1, e2, _, _) = blocks[n]
+            gamma_im += C[n] * (p * (c4 * d2 - c3 * d1) + (1.0 - p) * (k3 * e1 - k4 * e2))
+    return alpha, beta, 1j * gamma_im
+
+
 def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """alpha(t), beta(t), gamma(t) over an array of times, for the
     oscillator prepared as the mixture ``config.oscillator``: the system
@@ -272,40 +329,31 @@ def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray
     so the sums are real and gamma is i times a real array.
     """
     t = np.atleast_1d(_check_times(t))
-    p, couplings = config.env.p, config.couplings
-    P, C = _density_bands(config.oscillator)
-    alpha = np.zeros_like(t)
-    beta = np.zeros_like(t)
-    gamma_im = np.zeros_like(t)
-    blocks = {}
-    for n in np.flatnonzero(P).tolist():
-        # blocks below n - 1 are left over after a gap in the populated n
-        for m in [m for m in blocks if m < n - 1]:
-            del blocks[m]
-        coherent = C[n] != 0.0
-        for m in range(n - 1, n + 1 + coherent):
-            if m not in blocks:
-                blocks[m] = _block_columns(m, couplings, t)
-        (c1, c2, c3, c4), _ = blocks[n]
-        _, (k1, k2, k3, k4) = blocks.pop(n - 1)
-        alpha += P[n] * (p * (c3**2 + c4**2) + (1.0 - p) * (k3**2 + k4**2))
-        beta += P[n] * (p * (c1**2 + c2**2) + (1.0 - p) * (k1**2 + k2**2))
-        if coherent:
-            (d1, d2, _, _), _ = blocks[n + 1]
-            _, (e1, e2, _, _) = blocks[n]
-            gamma_im += C[n] * (p * (c4 * d2 - c3 * d1) + (1.0 - p) * (k3 * e1 - k4 * e2))
-    return alpha, beta, 1j * gamma_im
+    bands = _density_bands(config.oscillator)
+    params = _block_params(bands, config.couplings, t)
+    return _terms(config, bands, params, t)
 
 
 def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
     """Linear entropy of the system qubit over an array of times, always in
     [0, 0.5], for any oscillator preparation, pure or mixed: the
     reduced-qubit terms are formed once from the oscillator's density bands,
-    then the entropy from them."""
-    alpha, beta, gamma = entropy_term_arrays(config, t)
-    zeta = 1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2
-    # rounding can land an ulp outside the mathematical range [0, 1/2]
-    return np.clip(zeta, 0.0, 0.5)
+    then the entropy from them.
+
+    The grid is walked in slices of ``_CHUNK_POINTS`` times, so only the
+    returned array grows with its length; each block's spectral params are
+    formed, and its phase checked over the whole grid, once before the walk.
+    """
+    t = np.atleast_1d(_check_times(t))
+    bands = _density_bands(config.oscillator)
+    params = _block_params(bands, config.couplings, t)
+    zeta = np.empty_like(t)
+    for start in range(0, len(t), _CHUNK_POINTS):
+        part = slice(start, start + _CHUNK_POINTS)
+        alpha, beta, gamma = _terms(config, bands, params, t[part])
+        # rounding can land an ulp outside the mathematical range [0, 1/2]
+        np.clip(1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2, 0.0, 0.5, out=zeta[part])
+    return zeta
 
 
 def entropy_series(config: SystemConfig) -> TimeSeries:

@@ -1,7 +1,9 @@
 import codecs
 import hashlib
+import io
 import json
 import re
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,7 +15,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tcsim.tc as tc
-from tcsim.cli import _CSV_BLOCK_ROWS, _load_csv, closed_series, csv_lines, main, oracle_series
+from tcsim.cli import (
+    _CSV_BLOCK_ROWS,
+    _load_csv,
+    closed_series,
+    csv_lines,
+    main,
+    oracle_series,
+    write_text,
+)
 from tcsim.errors import ScenarioParseError
 from tcsim.scenario import (
     PRESET_IDS,
@@ -657,11 +667,88 @@ def test_load_csv_reads_back_the_emitted_series(tmp_path, enabled):
 
 def test_analyze_names_the_file_and_the_field_of_a_bad_row(tmp_path, capsys):
     path = tmp_path / "bad.csv"
-    path.write_text("t,zeta\n0,0.1\n1,0.2\n2,abc\n3,0.1\n", encoding="utf-8")
+    # numpy counts the data rows from 0, and counts no header, blank or # line
+    for head in ("t,zeta\n", "# a\n\n#b\nt,zeta\n"):
+        path.write_text(head + "0,0.1\n1,0.2\n\n2,abc\n3,0.1\n", encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (f"bad CSV row in {path}: could not convert string 'abc' to float64 at row 2, column 2"
+                in captured.err)
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("oracle_columns", [False, True], ids=["2 columns", "4 columns"])
+@pytest.mark.parametrize("preset_id", PRESET_IDS)
+def test_load_csv_reads_back_every_preset_bit_for_bit(tmp_path, preset_id, oracle_columns):
+    sc = preset(preset_id)
+    closed = closed_series(sc)
+    path = tmp_path / "fig.csv"
+    write_text(path, csv_lines(sc, closed, oracle_series(sc) if oracle_columns else None))
+    series = _load_csv(path)
+    assert np.array_equal(series.times, closed.times)
+    assert np.array_equal(series.values, closed.values)
+
+
+@pytest.mark.parametrize("text", [
+    "\n# a\n\n#b\nt,zeta\n0,0.25\n1,0.125\n",
+    "# a\r\nt,zeta\r\n0,0.25\r\n1,0.125\r\n",
+    "  # a\n   \n  t,zeta \n 0 , 0.25 \n1 ,0.125  \n",
+    "t,zeta\n0,0.25\n\n# a\n1,0.125 # b\n",
+], ids=["blank and # lines first", "CRLF", "spaces", "empty and # lines among the rows"])
+def test_load_csv_reads_header_variants(tmp_path, text):
+    path = tmp_path / "variant.csv"
+    path.write_bytes(text.encode("utf-8"))
+    series = _load_csv(path)
+    assert series.times.tolist() == [0.0, 1.0] and series.values.tolist() == [0.25, 0.125]
+
+
+@pytest.mark.parametrize("text", ["", "# a\nt,zeta\n", "# a\r\nt,zeta\r\n\r\n   \r\n"],
+                         ids=["empty", "header only", "CRLF header and blank lines"])
+def test_analyze_without_data_rows_exits_2_without_a_warning(tmp_path, capsys, text):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(path)]) == 2
+    assert f"no data rows in {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["t,zeta", "  "], ids=["header", "spaces"])
+def test_analyze_rejects_a_header_or_space_line_after_the_first_data_row(tmp_path, capsys, line):
+    path = tmp_path / "late.csv"
+    path.write_text(f"t,zeta\n0,0.1\n{line}\n1,0.2\n", encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert str(path) in captured.err and "abc" in captured.err
-    assert captured.out == ""
+    assert f"bad CSV row in {path}: could not convert string " in capsys.readouterr().err
+
+
+def test_analyze_reports_undecodable_bytes_deep_in_the_body_as_unreadable(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"t,zeta\n" + b"".join(b"%d,0.1\n" % k for k in range(100_000)) + b"9,\xff\n")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {path}: 'utf-8' codec can't decode byte 0xff" in err
+    assert "bad CSV row" not in err
+
+
+def test_run_to_a_failing_stdout_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    path = tmp_path / "sc.ini"
+    path.write_text(GOOD_SCENARIO.replace("points = 3001", "points = 11"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert main(["run", str(path)]) == 2
+    assert "cannot write stdout: [Errno 32] Broken pipe" in capsys.readouterr().err
+
+
+def test_write_text_sends_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
+    sc = preset("2c", points=2 * _CSV_BLOCK_ROWS + 7)
+    lines = csv_lines(sc, closed_series(sc), None)
+    write_text(tmp_path / "out.csv", lines)
+    write_text(None, lines)
+    assert capsys.readouterr().out == (tmp_path / "out.csv").read_text(encoding="utf-8")
+    assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 _CSV_FIELD = st.one_of(

@@ -1,0 +1,64 @@
+"""Working memory of the long-grid layers.
+
+Each layer returns an output that grows with the grid: the closed form its
+zeta array, the CSV writer its lines, the reader its two columns.  What a
+layer allocates beyond that output must stay under one bound of a few MB
+at 25,001 and at 250,001 points, and grow by less than one grid-sized
+array of doubles between the two: the layers walk the grid in chunks and
+blocks, and beyond their output keep at most a few one-byte masks per point.
+"""
+
+from __future__ import annotations
+
+import sys
+import tracemalloc
+
+import numpy as np
+
+from tcsim import tc
+from tcsim.cli import _load_csv, closed_series, csv_lines, write_text
+from tcsim.scenario import preset
+
+_BOUND = 3 * 2**20
+_SIZES = (25_001, 250_001)
+
+
+def _working_bytes(call, output_bytes) -> int:
+    """Peak bytes that ``call()`` allocates beyond ``output_bytes(result)``."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - output_bytes(result)
+
+
+def _layers(points: int, path) -> dict[str, int]:
+    # figure 3's |1> at its 100 samples per unit time
+    sc = preset("3", t_end=(points - 1) / 100, points=points)
+    config = sc.system_config()
+    t = config.grid.times()
+    closed = closed_series(sc)
+
+    def write():
+        lines = csv_lines(sc, closed, None)
+        write_text(path, lines)
+        return lines
+
+    return {
+        "closed form": _working_bytes(lambda: tc.mixture_entropy_arrays(config, t),
+                                      lambda zeta: zeta.nbytes),
+        "CSV write": _working_bytes(write, lambda lines: sys.getsizeof(lines)
+                                    + sum(map(sys.getsizeof, lines))),
+        "CSV read": _working_bytes(lambda: _load_csv(path),
+                                   lambda series: series.times.nbytes + series.values.nbytes),
+    }
+
+
+def test_long_grid_layers_hold_bounded_working_memory(tmp_path):
+    small, large = (_layers(points, tmp_path / f"{points}.csv") for points in _SIZES)
+    one_array = np.dtype(float).itemsize * (_SIZES[1] - _SIZES[0])
+    for layer in small:
+        assert small[layer] < _BOUND and large[layer] < _BOUND, (layer, small[layer], large[layer])
+        assert large[layer] - small[layer] < one_array, (layer, small[layer], large[layer])

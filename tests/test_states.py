@@ -140,6 +140,12 @@ def test_time_grid_validation():
         TimeGrid(0.0, 5.0, 1)
 
 
+@pytest.mark.parametrize("t_start, t_end", [(None, 1.0), (0.0, "1")], ids=repr)
+def test_time_grid_rejects_endpoints_that_are_not_numbers(t_start, t_end):
+    with pytest.raises(EmptyTimeGridError, match="grid endpoints must be finite"):
+        TimeGrid(t_start, t_end, 3)
+
+
 def _fig2c_config():
     return SystemConfig(
         oscillator=number_state(1),

@@ -20,6 +20,7 @@ from tcsim.oracle import (
     oracle_entropy_series,
     reduce_qubit1,
 )
+from tcsim.series import PHASE_LIMIT
 from tcsim.states import (
     Couplings,
     EnvironmentMixture,
@@ -352,11 +353,17 @@ def test_entropy_series_matches_bruteforce_reference_scenario():
 
 
 def test_entropy_grid_partition_is_bitwise_stable():
+    # a grid of three chunks, cut where no chunk boundary falls
     config = _config(binomial_state(6, 0.6), 0.4)
-    t = config.grid.times()
+    chunk = tc._CHUNK_POINTS
+    t = np.linspace(0.0, 30.0, 2 * chunk + 7)
     full = mixture_entropy_arrays(config, t)
-    split = np.concatenate([mixture_entropy_arrays(config, part) for part in (t[:1500], t[1500:])])
+    cuts = [0, 1500, chunk + 3, 2 * chunk + 1, t.size]
+    split = np.concatenate([mixture_entropy_arrays(config, t[a:b]) for a, b in zip(cuts, cuts[1:])])
     assert np.array_equal(full, split)
+    # and the chunks give the values of the whole grid taken at once
+    alpha, beta, gamma = entropy_term_arrays(config, t)
+    assert np.array_equal(full, np.clip(1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2, 0.0, 0.5))
 
 
 def test_closed_form_evaluates_each_block_once(monkeypatch):
@@ -369,7 +376,8 @@ def test_closed_form_evaluates_each_block_once(monkeypatch):
         return true_params(m, couplings)
 
     monkeypatch.setattr(tc, "spectral_params", counting)
-    t = np.linspace(0.0, 30.0, 31)
+    # a grid of three chunks: the params of each block carry across them
+    t = np.linspace(0.0, 30.0, 2 * tc._CHUNK_POINTS + 1)
     # a mixture evaluates the blocks its components share once
     two_binomials = [(0.5, binomial_state(400, 0.3)), (0.5, binomial_state(400, 0.7))]
     for dist, blocks in (
@@ -381,6 +389,14 @@ def test_closed_form_evaluates_each_block_once(monkeypatch):
         calls.clear()
         mixture_entropy_arrays(_config(dist, 0.3), t)
         assert calls == blocks
+
+
+def test_phase_limit_error_names_the_largest_time_of_the_grid():
+    # every chunk of this grid passes the limit; the error names the last t
+    t = np.linspace(0.0, 1e16, 2 * tc._CHUNK_POINTS + 7)
+    assert t[tc._CHUNK_POINTS - 1] > PHASE_LIMIT
+    with pytest.raises(ValidationError, match=r"^block 0: .* and t = 1e\+16 is beyond"):
+        mixture_entropy_arrays(_config(number_state(1), 0.5), t)
 
 
 def test_closed_form_memory_does_not_grow_with_the_support():
