@@ -11,6 +11,7 @@ too small, 5 tolerance failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import math
 import sys
 from contextlib import nullcontext
@@ -235,6 +236,32 @@ def _seek_first_row(f) -> bool:
     return False
 
 
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> str:
+    """The decoder's message for the first bytes of ``path`` that are not UTF-8, with their
+    offset in the file rather than in the block the text reader was decoding (``exc``, whose
+    message is kept if the file cannot be read again).  The file is read in binary blocks
+    through one incremental decoder, so memory stays bounded."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    try:
+        with path.open("rb") as f:
+            while block := f.read(2**16):
+                held = len(decoder.getstate()[0])  # bytes of a sequence cut by the last block
+                decoder.decode(block)
+                offset += len(block)
+            held = len(decoder.getstate()[0])
+            decoder.decode(b"", final=True)
+    except UnicodeDecodeError as found:
+        start = offset - held + found.start
+        end = offset - held + found.end - 1
+        what = (f"byte 0x{found.object[found.start]:02x} in position {start}" if end == start
+                else f"bytes in position {start}-{end}")
+        return f"'utf-8' codec can't decode {what}: {found.reason}"
+    except OSError:
+        pass
+    return str(exc)
+
+
 def _load_csv(path: Path) -> TimeSeries:
     """The first two columns of the rows after the leading blank, ``#`` and ``t,`` lines,
     parsed by numpy from the open file in one call, which skips empty and ``#`` lines and
@@ -246,7 +273,9 @@ def _load_csv(path: Path) -> TimeSeries:
             if has_rows:
                 times, values = np.loadtxt(f, delimiter=",", usecols=(0, 1), ndmin=2,
                                            unpack=True, comments="#")
-    except (OSError, UnicodeDecodeError) as exc:  # caught before ValueError, its base
+    except UnicodeDecodeError as exc:  # caught before ValueError, its base
+        raise ScenarioParseError(f"cannot read {path}: {_undecodable(path, exc)}") from exc
+    except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ScenarioParseError(f"bad CSV row in {path}: {exc}") from exc

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidProbabilityError, ValidationError
 from .series import check_integer, check_phase
+from .tc import _CHUNK_POINTS
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,8 @@ def jc_mixture_entropy(f, coupling, t):
 
     with L = coupling.  ``t`` may be a scalar or an array; a phase
     sqrt(2) * coupling * t past ``series.PHASE_LIMIT`` raises
-    ValidationError.
+    ValidationError.  The times are walked in slices of ``tc._CHUNK_POINTS``,
+    so only the returned array grows with their number.
     """
     if not (isinstance(f, (int, float)) and math.isfinite(f) and 0.0 <= f <= 1.0):
         raise InvalidProbabilityError(f"f = {f!r} must lie in [0, 1]")
@@ -91,10 +93,14 @@ def jc_mixture_entropy(f, coupling, t):
         raise ValidationError(f"coupling must be positive, got {coupling!r}")
     t = np.asarray(t, dtype=float)
     check_phase(math.sqrt(2.0) * coupling, t, "vacuum/one-photon mixture")
-    th1 = coupling * t
-    th2 = math.sqrt(2.0) * coupling * t
-    excited = f * np.cos(th1) ** 2 + (1.0 - f) * np.cos(th2) ** 2
-    ground = f * np.sin(th1) ** 2 + (1.0 - f) * np.sin(th2) ** 2
-    # rounding can land an ulp outside the mathematical range [0, 1/2]
-    zeta = np.clip(1.0 - excited**2 - ground**2, 0.0, 0.5)
+    zeta = np.empty(t.shape)
+    times, out = t.reshape(-1), zeta.reshape(-1)
+    for start in range(0, times.size, _CHUNK_POINTS):
+        part = slice(start, start + _CHUNK_POINTS)
+        th1 = coupling * times[part]
+        th2 = math.sqrt(2.0) * coupling * times[part]
+        excited = f * np.cos(th1) ** 2 + (1.0 - f) * np.cos(th2) ** 2
+        ground = f * np.sin(th1) ** 2 + (1.0 - f) * np.sin(th2) ** 2
+        # rounding can land an ulp outside the mathematical range [0, 1/2]
+        np.clip(1.0 - excited**2 - ground**2, 0.0, 0.5, out=out[part])
     return zeta if zeta.ndim else float(zeta)

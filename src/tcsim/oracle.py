@@ -16,10 +16,12 @@ the 4x4 block of k (``_SLOTS``), builds the Hamiltonian on the blocks the
 initial state populates, diagonalizes them with one batched ``eigh`` and
 never forms a state on the full basis, so n_max sizes none of its arrays and
 omega need only keep the blocks' entries finite.  It walks the (uniform)
-time grid in fixed chunks, evolving the first chunk once, moving it on to
-each later chunk with the 4x4 block unitaries and taking the partial trace
-from each chunk's block states.  ``dense=True`` keeps the dense
-4(n_max + 1)-dimensional matrix and the full density matrix as the reference.
+time grid in fixed chunks: it evolves the first chunk once and holds it as
+the real and imaginary parts of its eigen-coefficients (the blocks are real
+symmetric, so their eigenvectors are real), reaches every chunk from those
+with one real 8x8 block rotation, and takes the partial trace from each
+chunk's block states.  ``dense=True`` keeps the dense 4(n_max + 1)-dimensional
+matrix and the full density matrix as the reference.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
-# Complex entries of one chunk's (K, 4, components, points) block states in
-# the default path of ``oracle_entropy_series``: 2**16 entries, 1 MB.
+# Complex entries of one chunk's block states, (K, 4) per component and
+# point, in the default path of ``oracle_entropy_series``: 2**16 entries, 1 MB
+# (held there as 2**17 real and imaginary parts).
 _CHUNK_ENTRIES = 2**16
 
 
@@ -300,21 +303,27 @@ def _initial_blocks(config: SystemConfig, n_max: int) -> tuple[np.ndarray, np.nd
     return ks, psi0
 
 
-def _block_entropy(psi: np.ndarray) -> np.ndarray:
-    """Linear entropy of qubit1 from contiguous (K, 4, components, n) block
-    states of consecutive excitations (see ``_initial_blocks``).
+def _block_entropy(parts: np.ndarray, components: int) -> np.ndarray:
+    """Linear entropy of qubit1 from block states of consecutive excitations
+    (see ``_initial_blocks``) held as real and imaginary parts: a
+    (K, 8, components * n) array whose rows 0-3 are the real parts of the
+    four slots and rows 4-7 their imaginary parts, and whose last axis runs
+    over the components and, fastest, the n times.
 
     Slots 0, 1 of each block have qubit1 excited and slots 2, 3 ground.  The
     coherence pairs slots 0 and 1 of block k with slots 2 and 3 of block
     k - 1, which hold the same qubit2 and oscillator state.
     """
-    k, _, components, n = psi.shape
-    parts = psi.view(float).reshape(k, 4, -1)  # real and imaginary parts
-    squares = np.einsum("ksx,ksx->sx", parts, parts).reshape(4, components, n, 2)
-    slots = (squares[..., 0] + squares[..., 1]).sum(axis=1)
+    squares = np.einsum("ksx,ksx->sx", parts, parts).reshape(2, 4, components, -1)
+    slots = squares.sum(axis=(0, 2))
     rho_ee, rho_gg = slots[0] + slots[1], slots[2] + slots[3]
-    rho_eg = (psi[1:, :2] * psi[:-1, 2:].conj()).sum(axis=(0, 1, 2))
-    return 1.0 - (rho_ee**2 + rho_gg**2 + 2.0 * (rho_eg.real**2 + rho_eg.imag**2))
+    halves = parts.reshape(parts.shape[0], 2, 4, -1)  # (block, real/imaginary, slot, x)
+    x, y = halves[1:, :, :2], halves[:-1, :, 2:]
+    # rho_eg = sum x conj(y), whose real part is xr yr + xi yi and imaginary part xi yr - xr yi
+    eg_re = np.einsum("kpsx,kpsx->x", x, y)
+    eg_im = np.einsum("ksx,ksx->x", x[:, 1], y[:, 0]) - np.einsum("ksx,ksx->x", x[:, 0], y[:, 1])
+    eg_re, eg_im = (part.reshape(components, -1).sum(axis=0) for part in (eg_re, eg_im))
+    return 1.0 - (rho_ee**2 + rho_gg**2 + 2.0 * (eg_re**2 + eg_im**2))
 
 
 def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool = False) -> TimeSeries:
@@ -324,13 +333,16 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
     The default path builds and diagonalizes only the excitation blocks that
     the initial state populates and holds the mixture as one stack of block
     states.  It walks the grid in chunks of at most ``_CHUNK_ENTRIES`` state
-    entries: the first chunk is evolved from the initial stack, and the chunk
-    starting at times[s] is the first one moved on by the block unitaries
-    U(times[s] - times[0]).  That relies on the grid being uniform, which
-    ``TimeGrid`` guarantees.  Each chunk is reduced straight from its block
-    states, which is algebraically identical to evolving the full density
-    matrix and tracing it.  With ``dense=True`` the full-matrix reference
-    path is used instead.
+    entries.  The first chunk is evolved from the initial stack and kept as
+    the real and imaginary parts of its coefficients V^T psi in the blocks'
+    real eigenvectors V.  The chunk starting at times[s] is the first one
+    moved on by U(s') = V exp(-iEs') V^T with s' = times[s] - times[0],
+    applied to those parts as the real block rotation [[A, B], [-B, A]],
+    A = V cos(Es') and B = V sin(Es'); the first chunk is the case s' = 0.
+    That relies on the grid being uniform, which ``TimeGrid`` guarantees.
+    Each chunk is reduced straight from its block states, which is
+    algebraically identical to evolving the full density matrix and tracing
+    it.  With ``dense=True`` the full-matrix reference path is used instead.
     """
     times = config.grid.times()
     if dense:
@@ -342,22 +354,33 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
     ks, psi0 = _initial_blocks(config, cfg.n_max)
-    empty = ks[:, None] < _SLOTS[:, 2]
     prop = Propagator(build_hamiltonian(cfg, ks))
-    # ``unitary`` does not check the phase, so the whole grid is checked here
+    # the rotations below do not check the phase, so the whole grid is checked here
     check_phase(np.max(np.abs(prop.eigenvalues), initial=0.0), times, "oracle eigenvalue")
-    size = max(1, _CHUNK_ENTRIES // psi0.size)
-    first = np.ascontiguousarray(prop.evolve_state(psi0, times[:size]).transpose(1, 2, 0, 3))
     # an empty slot's row and column of H are zero, but eigh may mix it into a
-    # degenerate eigenvalue of its block; zeroing keeps it out of the trace
-    first[empty] = 0.0
+    # degenerate eigenvalue of its block; zeroing its rows of the (real)
+    # eigenvectors keeps it out of every chunk
+    v = prop.eigenvectors
+    v[ks[:, None] < _SLOTS[:, 2]] = 0.0
+    components = psi0.shape[0]
+    size = max(1, _CHUNK_ENTRIES // psi0.size)
+    first = prop.evolve_state(psi0, times[:size])
+    # eigen-coefficients V^T psi of the first chunk, real and imaginary parts
+    # as rows (K, 8) and components x times along the last axis
+    coef = (np.swapaxes(v, -1, -2) @ first.view(float)).reshape(components, ks.size, 4, -1, 2)
+    coef = np.ascontiguousarray(coef.transpose(1, 4, 2, 0, 3)).reshape(ks.size, 8, components, -1)
+    del first
+    rotation = np.empty((ks.size, 2, 4, 2, 4))
     zeta = np.empty(times.size)
-    zeta[:size] = _block_entropy(first)
-    for start in range(size, times.size, size):
+    for start in range(0, times.size, size):
         n = min(size, times.size - start)
-        u = prop.unitary(times[start] - times[0])
-        u[empty] = 0.0
-        moved = u @ first[..., :n].reshape(ks.size, 4, -1)
-        zeta[start : start + n] = _block_entropy(moved.reshape(ks.size, 4, -1, n))
+        # U(s) = V exp(-iEs) V^T on (real, imaginary) parts is the block
+        # rotation [[A, B], [-B, A]] of the coefficients, A = V cos(Es) and B = V sin(Es)
+        phase = prop.eigenvalues[:, None, :] * (times[start] - times[0])
+        rotation[:, 0, :, 0] = rotation[:, 1, :, 1] = v * np.cos(phase)
+        rotation[:, 0, :, 1] = v * np.sin(phase)
+        rotation[:, 1, :, 0] = -rotation[:, 0, :, 1]
+        moved = rotation.reshape(ks.size, 8, 8) @ coef[..., :n].reshape(ks.size, 8, -1)
+        zeta[start : start + n] = _block_entropy(moved, components)
     # rounding can land an ulp outside the mathematical range [0, 1/2]
     return TimeSeries(times, np.clip(zeta, 0.0, 0.5, out=zeta))

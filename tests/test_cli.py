@@ -730,6 +730,22 @@ def test_analyze_reports_undecodable_bytes_deep_in_the_body_as_unreadable(tmp_pa
     assert "bad CSV row" not in err
 
 
+@pytest.mark.parametrize("tail", [b"\xff\n" + b"1,0.1\n" * 1000, b"\xe2\x82"],
+                         ids=["invalid-start", "truncated-at-end"])
+def test_analyze_names_the_file_offset_of_undecodable_bytes(tmp_path, capsys, tail):
+    # a comment line of two-byte characters at odd offsets, so that one of them
+    # straddles the end of every even-sized read block, and the bad bytes about
+    # 1.2 MB in, far past the first block numpy decodes
+    data = (b"t,zeta\n#x" + "\u00e9".encode() * 50_000 + b"\n"
+            + b"".join(b"%d,0.1\n" % k for k in range(100_000)) + b"9," + tail)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    path = tmp_path / "binary.csv"
+    path.write_bytes(data)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: {whole.value}\n"
+
+
 def test_run_to_a_failing_stdout_is_a_usage_error(tmp_path, monkeypatch, capsys):
     class BrokenPipe(io.StringIO):
         def write(self, text):

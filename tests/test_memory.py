@@ -1,11 +1,12 @@
 """Working memory of the long-grid layers.
 
 Each layer returns an output that grows with the grid: the closed form its
-zeta array, the CSV writer its lines, the reader its two columns.  What a
-layer allocates beyond that output must stay under one bound of a few MB
-at 25,001 and at 250,001 points, and grow by less than one grid-sized
-array of doubles between the two: the layers walk the grid in chunks and
-blocks, and beyond their output keep at most a few one-byte masks per point.
+zeta array (on the general route and on preset 1's jc route), the CSV writer
+its lines, the reader its two columns.  What a layer allocates beyond that
+output must stay under one bound of a few MB at 25,001 and at 250,001
+points, and grow by less than one grid-sized array of doubles between the
+two: the layers walk the grid in chunks and blocks, and beyond their output
+keep at most a few one-byte masks per point.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 
-from tcsim import tc
+from tcsim import jc, tc
 from tcsim.cli import _load_csv, closed_series, csv_lines, write_text
 from tcsim.scenario import preset
 
@@ -40,6 +41,9 @@ def _layers(points: int, path) -> dict[str, int]:
     config = sc.system_config()
     t = config.grid.times()
     closed = closed_series(sc)
+    # preset 1, the vacuum/one-photon mixture that closed_series routes to jc,
+    # on the same grid
+    mixture = preset("1", t_end=(points - 1) / 100, points=points)
 
     def write():
         lines = csv_lines(sc, closed, None)
@@ -49,6 +53,9 @@ def _layers(points: int, path) -> dict[str, int]:
     return {
         "closed form": _working_bytes(lambda: tc.mixture_entropy_arrays(config, t),
                                       lambda zeta: zeta.nbytes),
+        "jc closed form": _working_bytes(
+            lambda: jc.jc_mixture_entropy(dict(mixture.params)["f"], mixture.lambda1, t),
+            lambda zeta: zeta.nbytes),
         "CSV write": _working_bytes(write, lambda lines: sys.getsizeof(lines)
                                     + sum(map(sys.getsizeof, lines))),
         "CSV read": _working_bytes(lambda: _load_csv(path),

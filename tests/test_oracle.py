@@ -250,6 +250,16 @@ def test_propagator_evolves_a_stack_like_each_matrix(rng):
         assert np.max(np.abs(evolved[c, k] - single)) <= 1e-13
 
 
+@pytest.mark.parametrize("omega", [0.0, 0.7])
+def test_propagator_of_the_block_stack_has_real_eigenvectors(omega):
+    # the default path of oracle_entropy_series moves its chunks on by a real
+    # rotation built from these eigenvectors
+    cfg = OracleConfig(n_max=12, couplings=Couplings(1.0, 0.3), omega=omega)
+    prop = Propagator(build_hamiltonian(cfg, np.arange(1, 12)))
+    assert prop.eigenvectors.dtype == np.float64
+    assert prop.eigenvalues.dtype == np.float64
+
+
 # ------------------------------------------------------------ partial trace
 
 
@@ -335,17 +345,18 @@ def test_series_block_path_matches_dense_path(name):
 
 @pytest.mark.parametrize("name", sorted(_PREPARATIONS))
 def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
-    # every chunk after the first is the first one moved on by the block
-    # unitaries U(times[s] - times[0]); the grid starts away from t = 0
+    # every chunk, the first included, is the first one moved on by the
+    # block rotation of U(times[s] - times[0]) and reduced once; the grid
+    # starts away from t = 0
     grid = TimeGrid(2.5, 32.5, 151)
-    advances = []
-    unitary = oracle.Propagator.unitary
+    reductions = []
+    block_entropy = oracle._block_entropy
 
-    def recording_unitary(self, t):
-        advances.append(t)
-        return unitary(self, t)
+    def recording_block_entropy(parts, components):
+        reductions.append(parts.shape)
+        return block_entropy(parts, components)
 
-    monkeypatch.setattr(oracle.Propagator, "unitary", recording_unitary)
+    monkeypatch.setattr(oracle, "_block_entropy", recording_block_entropy)
     for p, omega in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7)):
         config = _config(_PREPARATIONS[name], p, l2=0.3, grid=grid)
         support = max(dist.cutoff for _, dist in config.oscillator)
@@ -356,9 +367,9 @@ def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
         dense = oracle_entropy_series(config, cfg, dense=True).values
         for points in (1, 7, grid.n_points + 50):
             monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", points * per_point)
-            advances.clear()
+            reductions.clear()
             chunked = oracle_entropy_series(config, cfg).values
-            assert len(advances) == -(-grid.n_points // points) - 1
+            assert len(reductions) == -(-grid.n_points // points)
             assert np.max(np.abs(chunked - whole)) <= 1e-13, (p, omega, points)
             assert np.max(np.abs(chunked - dense)) <= 1e-12, (p, omega, points)
 
@@ -377,6 +388,21 @@ def test_series_memory_stays_bounded_on_a_long_grid():
     # fixed number of chunk-sized arrays; the block states of every time at
     # once would take 32 grid arrays more
     assert peak <= 6 * 8 * points + 8 * 2**20
+
+
+def test_series_block_path_memory_stays_bounded_on_a_wide_support():
+    # binomial M=400 on 3001 points: K = 403 blocks, 2 components, 20 points
+    # per 1 MB chunk; the first chunk, its coefficients and one moved chunk
+    # are alive at once, next to a few grid arrays
+    config = _config(binomial_state(400, 0.5), 0.37)
+    cfg = OracleConfig(n_max=required_n_max(400), couplings=config.couplings)
+    tracemalloc.start()
+    try:
+        oracle_entropy_series(config, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_series_block_path_scales_to_a_binomial_support_of_2000(monkeypatch):
