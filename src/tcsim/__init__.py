@@ -1,79 +1,38 @@
 """tcsim: exact entropy dynamics of a qubit-oscillator system weakly coupled
 to a single-qubit environment, with a brute-force matrix-evolution oracle
-cross-checking every closed form."""
+cross-checking every closed form.
 
-from .analysis import (
-    RevivalReport,
-    SpectrumReport,
-    dominant_frequencies,
-    find_revivals,
-    time_average,
-)
-from .jc import JcAmplitudes, jc_amplitudes, jc_mixture_entropy, jc_number_entropy
-from .oracle import (
-    OracleConfig,
-    Propagator,
-    build_hamiltonian,
-    initial_density,
-    oracle_entropy_series,
-    purity,
-    reduce_qubit1,
-)
-from .series import TimeSeries
-from .states import (
-    Couplings,
-    EnvironmentMixture,
-    FockDistribution,
-    SystemConfig,
-    TimeGrid,
-    binomial_state,
-    fano_factor,
-    number_state,
-    validate,
-)
-from .tc import (
-    CoefficientQuad,
-    SpectralParams,
-    entropy_series,
-    spectral_params,
-    tc_coefficients,
-    tc_coefficients_primed,
-)
+Each name below is imported from its submodule on first access, so importing
+the package, or one of its submodules, loads no layer that is not used."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TimeSeries",
-    "FockDistribution",
-    "EnvironmentMixture",
-    "Couplings",
-    "TimeGrid",
-    "SystemConfig",
-    "number_state",
-    "binomial_state",
-    "fano_factor",
-    "validate",
-    "JcAmplitudes",
-    "jc_amplitudes",
-    "jc_number_entropy",
-    "jc_mixture_entropy",
-    "SpectralParams",
-    "CoefficientQuad",
-    "spectral_params",
-    "tc_coefficients",
-    "tc_coefficients_primed",
-    "entropy_series",
-    "OracleConfig",
-    "Propagator",
-    "build_hamiltonian",
-    "initial_density",
-    "reduce_qubit1",
-    "purity",
-    "oracle_entropy_series",
-    "RevivalReport",
-    "SpectrumReport",
-    "find_revivals",
-    "time_average",
-    "dominant_frequencies",
-    "__version__",
-]
+_SUBMODULE_NAMES = {
+    "series": ("TimeSeries",),
+    "states": ("FockDistribution", "EnvironmentMixture", "Couplings", "TimeGrid", "SystemConfig",
+               "OracleConfig", "number_state", "binomial_state", "fano_factor", "validate"),
+    "jc": ("JcAmplitudes", "jc_amplitudes", "jc_number_entropy", "jc_mixture_entropy"),
+    "tc": ("SpectralParams", "CoefficientQuad", "spectral_params", "tc_coefficients",
+           "tc_coefficients_primed", "entropy_series"),
+    "oracle": ("Propagator", "build_hamiltonian", "initial_density", "reduce_qubit1", "purity",
+               "oracle_entropy_series"),
+    "analysis": ("RevivalReport", "SpectrumReport", "find_revivals", "time_average",
+                 "dominant_frequencies"),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

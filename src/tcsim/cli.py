@@ -6,6 +6,9 @@ Subcommands: ``run`` a scenario file, materialize a figure preset with
 
 Exit codes: 0 ok, 2 parse/usage error, 3 validation error, 4 truncation
 too small, 5 tolerance failure.
+
+The oracle, the analysis and the jc closed form are imported by the functions
+that use them, so a process loads only the layers its subcommand runs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, jc, oracle, tc
+from . import tc
 from .errors import ScenarioParseError, TruncationError, ValidationError
 from .scenario import PRESET_IDS, Scenario, _fmt, load_scenario, preset
 from .series import TimeSeries
@@ -78,6 +81,7 @@ def closed_series(scenario: Scenario) -> TimeSeries:
     """
     config = scenario.system_config()
     if scenario.kind == "mixture01" and scenario.lambda2 == 0.0:
+        from . import jc
         times = config.grid.times()
         f = dict(scenario.params)["f"]
         return TimeSeries(times, jc.jc_mixture_entropy(f, scenario.lambda1, times))
@@ -86,12 +90,9 @@ def closed_series(scenario: Scenario) -> TimeSeries:
 
 def oracle_series(scenario: Scenario) -> TimeSeries:
     """Brute-force entropy series for any scenario kind."""
+    from . import oracle
     config = scenario.system_config()
-    cfg = oracle.OracleConfig(
-        n_max=scenario.effective_n_max(),
-        couplings=config.couplings,
-        omega=scenario.oracle_omega,
-    )
+    cfg = oracle.OracleConfig(scenario.effective_n_max(), config.couplings, scenario.oracle_omega)
     return oracle.oracle_entropy_series(config, cfg)
 
 
@@ -262,11 +263,47 @@ def _undecodable(path: Path, exc: UnicodeDecodeError) -> str:
     return str(exc)
 
 
+def _is_number(field: str) -> bool:
+    """Whether numpy's CSV reader takes ``field`` as a double: what ``float`` takes, but
+    for digit separators and digits other than ASCII."""
+    text = field.strip()
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
+
+
+def _bad_row(path: Path) -> str | None:
+    """The first data row of ``path`` that numpy's reader rejects and why, as ``data row N``
+    counting from 1 over the rows numpy reads, as the other row messages count; None if
+    none is found.  Called only after numpy has failed, since it reads the file again."""
+    try:
+        with path.open(encoding="utf-8", errors="replace") as f:
+            _seek_first_row(f)
+            row = 0
+            for line in f:
+                text = line.rstrip("\n").partition("#")[0]
+                if not text:  # numpy skips empty lines and lines of only a comment
+                    continue
+                row += 1
+                fields = text.split(",")
+                for column in (0, 1):  # in numpy's order: a bad t before a missing zeta
+                    if column == len(fields):
+                        return f"data row {row} of {path} has 1 column; t and zeta need 2"
+                    if not _is_number(fields[column]):
+                        return (f"data row {row} of {path}, column {column + 1}, "
+                                f"is not a number: {fields[column]!r}")
+    except OSError:
+        pass
+    return None
+
+
 def _load_csv(path: Path) -> TimeSeries:
     """The first two columns of the rows after the leading blank, ``#`` and ``t,`` lines,
     parsed by numpy from the open file in one call, which skips empty and ``#`` lines and
     drops the text after a ``#``.  A row numpy cannot parse, or that is not finite, exits 2
-    and names the file; a zeta outside [0, 0.5] exits 3."""
+    and names the file and the data row; a zeta outside [0, 0.5] exits 3."""
     try:
         with path.open(encoding="utf-8") as f:
             has_rows = _seek_first_row(f)
@@ -278,7 +315,7 @@ def _load_csv(path: Path) -> TimeSeries:
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise ScenarioParseError(f"bad CSV row in {path}: {exc}") from exc
+        raise ScenarioParseError(_bad_row(path) or f"bad CSV row in {path}: {exc}") from exc
     if not has_rows:
         raise ScenarioParseError(f"no data rows in {path}")
     bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values)))
@@ -294,6 +331,7 @@ def _load_csv(path: Path) -> TimeSeries:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
     series = _load_csv(Path(args.csv))
     # both reports are formed before any output, so a failure prints nothing
     report = analysis.find_revivals(series, after=args.after)

@@ -27,13 +27,12 @@ matrix and the full density matrix as the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EigendecompositionError, TruncationError, ValidationError
-from .series import TimeSeries, check_integer, check_phase
-from .states import Couplings, FockDistribution, SystemConfig
+from .series import TimeSeries, check_phase
+from .states import FockDistribution, OracleConfig, SystemConfig, required_n_max
 
 __all__ = [
     "OracleConfig",
@@ -53,23 +52,6 @@ _HERMITICITY_TOL = 1e-12
 # point, in the default path of ``oracle_entropy_series``: 2**16 entries, 1 MB
 # (held there as 2**17 real and imaginary parts).
 _CHUNK_ENTRIES = 2**16
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Truncation, common resonant frequency, and couplings for the
-    brute-force pipeline.  ``omega = 0`` selects the interaction picture."""
-
-    n_max: int
-    couplings: Couplings
-    omega: float = 0.0
-
-    def __post_init__(self):
-        n_max = check_integer(self.n_max, 0, "n_max must be a non-negative integer, got {!r}")
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "omega", float(self.omega))
-        if not math.isfinite(self.omega):
-            raise ValidationError(f"omega = {self.omega!r} must be finite")
 
 
 # The conserved block of total excitation k, one row per slot: qubit1,
@@ -161,12 +143,6 @@ def excitation_block(cfg: OracleConfig, n: int) -> np.ndarray:
         raise TruncationError(f"block n = {n} needs n_max >= {n + 2}, have {cfg.n_max}")
     interaction = OracleConfig(cfg.n_max, cfg.couplings, omega=0.0)
     return build_hamiltonian(interaction, [n + 2])[0]
-
-
-def required_n_max(support_cutoff: int) -> int:
-    """Smallest exact truncation for an oscillator support ending at
-    ``support_cutoff``: two extra levels hold the fully de-excited states."""
-    return support_cutoff + 2
 
 
 def _embed(q2: int, dist: FockDistribution, n_max: int) -> np.ndarray:

@@ -30,22 +30,22 @@ silently change a run.
 
 from __future__ import annotations
 
-import configparser
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ScenarioParseError
-from .oracle import OracleConfig, required_n_max
 from .states import (
     Couplings,
     EnvironmentMixture,
     FockDistribution,
+    OracleConfig,
     SystemConfig,
     TimeGrid,
     binomial_state,
     number_state,
+    required_n_max,
 )
 
 __all__ = ["Scenario", "PRESET_IDS", "preset", "parse_scenario", "scenario_from_header"]
@@ -222,6 +222,7 @@ def _build_scenario(sections: dict[str, dict[str, str]], label: str) -> Scenario
 def parse_scenario(text: str, label: str = "") -> Scenario:
     """Parse a scenario document; raises ScenarioParseError on a malformed
     document and ValidationError on a value out of range."""
+    import configparser  # here, not at the top: only scenario files need it
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N, M, q, f, ...)
     try:

@@ -1,6 +1,8 @@
 """Initial-state descriptions: oscillator amplitude distributions over Fock
-states, the two-level environment mixture, coupling constants, and the full
-system configuration consumed by the closed-form and oracle pipelines.
+states, the two-level environment mixture, coupling constants, the full
+system configuration consumed by the closed-form and oracle pipelines, and
+the oracle's truncation settings (``OracleConfig``, ``required_n_max``), kept
+here so that checking them does not import the oracle.
 
 Oscillator amplitudes are real by convention; all constructors normalize and
 freeze them. Times are measured in units of 1/lambda1 throughout.
@@ -172,6 +174,29 @@ class SystemConfig:
         object.__setattr__(self, "oscillator", check_components(osc))
         if self.couplings.lambda1 <= 0:
             raise ValidationError("lambda1 must be positive for a nontrivial scenario")
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    """Truncation, common resonant frequency, and couplings for the
+    brute-force pipeline.  ``omega = 0`` selects the interaction picture."""
+
+    n_max: int
+    couplings: Couplings
+    omega: float = 0.0
+
+    def __post_init__(self):
+        n_max = check_integer(self.n_max, 0, "n_max must be a non-negative integer, got {!r}")
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "omega", float(self.omega))
+        if not math.isfinite(self.omega):
+            raise ValidationError(f"omega = {self.omega!r} must be finite")
+
+
+def required_n_max(support_cutoff: int) -> int:
+    """Smallest exact truncation for an oscillator support ending at
+    ``support_cutoff``: two extra levels hold the fully de-excited states."""
+    return support_cutoff + 2
 
 
 def _levels(make, count: int) -> np.ndarray:

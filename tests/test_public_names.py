@@ -1,5 +1,5 @@
 """Every public name, and every name the benchmark reaches by attribute,
-resolves.  ``perfbench/spans.py`` wraps the functions in its ``TARGETS`` by
+resolves; the package root resolves its names on first access.  ``perfbench/spans.py`` wraps the functions in its ``TARGETS`` by
 attribute and ``perfbench/harness.py`` calls a few ``cli`` and ``Scenario``
 names directly, so removing or renaming one of them breaks the benchmark
 without breaking any other test."""
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tcsim
-from tcsim import analysis, cli, oracle, scenario, tc
+from tcsim import analysis, cli, oracle, scenario, states, tc
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,3 +39,25 @@ def test_names_the_benchmark_harness_calls_resolve():
     assert all(hasattr(cli, name) for name in HARNESS_CLI_NAMES)
     assert callable(scenario.Scenario.effective_n_max)
     assert callable(scenario.Scenario.oscillator_components)
+
+
+def test_oracle_config_is_one_class_under_three_names():
+    assert tcsim.OracleConfig is oracle.OracleConfig is states.OracleConfig
+    assert oracle.required_n_max is states.required_n_max
+    assert {"OracleConfig", "required_n_max"} <= set(oracle.__all__)
+
+
+def test_dir_of_the_package_lists_every_exported_name():
+    assert set(tcsim.__all__) <= set(dir(tcsim))
+
+
+def test_an_unknown_package_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'tcsim' has no attribute 'no_such_name'"):
+        tcsim.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from tcsim import *", namespace)
+    assert set(tcsim.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(tcsim, name) for name in tcsim.__all__)
