@@ -14,8 +14,7 @@ _SUBMODULE_NAMES = {
     "states": ("FockDistribution", "EnvironmentMixture", "Couplings", "TimeGrid", "SystemConfig",
                "OracleConfig", "number_state", "binomial_state", "fano_factor", "validate"),
     "jc": ("JcAmplitudes", "jc_amplitudes", "jc_number_entropy", "jc_mixture_entropy"),
-    "tc": ("SpectralParams", "CoefficientQuad", "spectral_params", "tc_coefficients",
-           "tc_coefficients_primed", "entropy_series"),
+    "tc": ("SpectralParams", "spectral_params", "entropy_series"),
     "oracle": ("Propagator", "build_hamiltonian", "initial_density", "reduce_qubit1", "purity",
                "oracle_entropy_series"),
     "analysis": ("RevivalReport", "SpectrumReport", "find_revivals", "time_average",

@@ -34,10 +34,7 @@ from .states import Couplings, FockDistribution, SystemConfig
 
 __all__ = [
     "SpectralParams",
-    "CoefficientQuad",
     "spectral_params",
-    "tc_coefficients",
-    "tc_coefficients_primed",
     "entropy_term_arrays",
     "entropy_series",
     "mixture_entropy_arrays",
@@ -70,34 +67,6 @@ class SpectralParams:
     a_minus: float
     b_plus: float
     b_minus: float
-
-
-@dataclass(frozen=True)
-class CoefficientQuad:
-    """The four amplitudes of one evolution branch at given time(s).
-
-    Unprimed (``primed=False``): amplitudes of |e1 e2 n>, |e1 g2 n+1>,
-    |g1 e2 n+1>, |g1 g2 n+2> starting from |e1 e2 n>.
-    Primed (``primed=True``): amplitudes of |e1 e2 n-1>, |e1 g2 n>,
-    |g1 e2 n>, |g1 g2 n+1> starting from |e1 g2 n>.
-
-    Fields are complex scalars or complex arrays, matching the ``t``
-    argument of the constructor operation.
-    """
-
-    c1: complex | np.ndarray
-    c2: complex | np.ndarray
-    c3: complex | np.ndarray
-    c4: complex | np.ndarray
-    primed: bool
-
-    def norm_sq(self):
-        return (
-            np.abs(self.c1) ** 2
-            + np.abs(self.c2) ** 2
-            + np.abs(self.c3) ** 2
-            + np.abs(self.c4) ** 2
-        )
 
 
 def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
@@ -192,11 +161,10 @@ def _block_columns(sp: SpectralParams, couplings: Couplings, t: np.ndarray):
     value.  At m = -1 the |e1 e2 -1> level does not exist: c'1 vanishes
     identically because the x = sqrt(m + 1) prefactor is zero, with
     d_minus = 0 enforcing the same degeneracy spectrally.  The caller has
-    checked the phase with ``_checked_params``.
+    checked the phase with ``_checked_params``, and ``sp.D > 0``:
+    ``SystemConfig`` rejects lambda1 <= 0 and ``spectral_params`` raises
+    before D^2 underflows.
     """
-    if sp.D == 0.0:  # both couplings zero: nothing moves
-        one, zero = np.ones_like(t), np.zeros_like(t)
-        return (one, zero, zero, zero), (zero, one, zero, zero)
     m = sp.n
     l1, l2 = couplings.lambda1, couplings.lambda2
     x = math.sqrt(m + 1.0)
@@ -232,34 +200,6 @@ def _block_columns(sp: SpectralParams, couplings: Couplings, t: np.ndarray):
         ),
     )
     return unprimed, primed
-
-
-def _quad(n: int, couplings: Couplings, t, primed: bool) -> CoefficientQuad:
-    n = check_integer(n, 0, "oscillator index must be a non-negative integer, got {!r}")
-    t_arr = _check_times(t)
-    # block n holds the unprimed quad at n, block n - 1 the primed one
-    sp = _checked_params(n - primed, couplings, t_arr)
-    r1, r2, r3, r4 = _block_columns(sp, couplings, np.atleast_1d(t_arr))[primed]
-    if primed:
-        quad = (-1j * r1, r2 + 0j, r3 + 0j, -1j * r4)
-    else:
-        quad = (r1 + 0j, -1j * r2, -1j * r3, r4 + 0j)
-    if t_arr.ndim == 0:
-        quad = tuple(complex(c[0]) for c in quad)
-    return CoefficientQuad(*quad, primed=primed)
-
-
-def tc_coefficients(n: int, couplings: Couplings, t) -> CoefficientQuad:
-    """Unprimed coefficient quad at oscillator index ``n`` (environment
-    qubit initially excited).  ``t`` may be a scalar or an array; the quad
-    has unit norm at every time."""
-    return _quad(n, couplings, t, primed=False)
-
-
-def tc_coefficients_primed(n: int, couplings: Couplings, t) -> CoefficientQuad:
-    """Primed coefficient quad at oscillator index ``n`` (environment qubit
-    initially in its ground state).  ``c1`` is identically zero at n = 0."""
-    return _quad(n, couplings, t, primed=True)
 
 
 def _density_bands(oscillator) -> tuple[np.ndarray, np.ndarray]:

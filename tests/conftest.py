@@ -1,10 +1,11 @@
 """Shared test helpers.
 
-``branch_amplitudes_bruteforce`` evolves a basis vector on the full
-truncated space by eigendecomposition and reads the four amplitudes of one
-evolution branch straight out of the state vector.  It shares no formula
-with the closed-form coefficient code and is the reference every quad test
-compares against.
+``coefficient_quad`` reads one coefficient quad out of the block columns
+the closed-form pipeline evaluates.  ``branch_amplitudes_bruteforce``
+evolves a basis vector on the full truncated space by eigendecomposition
+and reads the four amplitudes of one evolution branch straight out of the
+state vector.  It shares no formula with the closed-form coefficient code
+and is the reference every quad test compares against.
 """
 
 from __future__ import annotations
@@ -12,8 +13,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import tcsim.tc as tc
 from tcsim.oracle import OracleConfig, Propagator, build_hamiltonian
 from tcsim.states import Couplings
+
+# The phases ``tc._block_columns`` leaves off each entry of its real columns.
+_QUAD_PHASES = {False: np.array([1, -1j, -1j, 1]), True: np.array([-1j, 1, 1, -1j])}
+
+
+def coefficient_quad(n: int, couplings: Couplings, t, primed: bool) -> np.ndarray:
+    """The (4, len(t)) complex coefficient quad at oscillator index ``n``:
+    unprimed from block n, primed from block n - 1 (see RESOLVED_EQUATIONS.md).
+    A scalar ``t`` gives one column."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    columns = tc._block_columns(tc.spectral_params(n - primed, couplings), couplings, t)[primed]
+    return _QUAD_PHASES[primed][:, None] * np.array(columns)
 
 
 def full_index(q1: int, q2: int, m: int, n_max: int) -> int:

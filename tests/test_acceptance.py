@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tcsim.tc as tc
+from conftest import coefficient_quad
 from tcsim.analysis import dominant_frequencies, find_revivals, time_average
 from tcsim.cli import closed_series, main, oracle_series
 from tcsim.jc import jc_mixture_entropy
@@ -30,8 +31,6 @@ from tcsim.tc import (
     frequency_content,
     mixture_entropy_arrays,
     spectral_params,
-    tc_coefficients,
-    tc_coefficients_primed,
 )
 
 GRID = TimeGrid(0.0, 30.0, 3001)
@@ -198,8 +197,9 @@ def test_criterion_05_unitarity_and_probability():
         n = int(rng.integers(0, 21))
         lam1 = float(rng.uniform(0.2, 2.0))
         couplings = Couplings(lam1, lam1 * float(rng.uniform(0.0, 1.0)))
-        for quad in (tc_coefficients(n, couplings, times), tc_coefficients_primed(n, couplings, times)):
-            worst_norm = max(worst_norm, float(np.max(np.abs(quad.norm_sq() - 1.0))))
+        for primed in (False, True):
+            norm_sq = np.sum(np.abs(coefficient_quad(n, couplings, times, primed)) ** 2, axis=0)
+            worst_norm = max(worst_norm, float(np.max(np.abs(norm_sq - 1.0))))
     assert worst_norm <= 1e-10
     worst_prob = 0.0
     for config in _random_scenarios(count=8, seed=13):

@@ -1,5 +1,6 @@
 """The scenario documents and the library example shown in README.md and in
-the `tcsim.scenario` docstring still parse and run as documented."""
+the `tcsim.scenario` docstring still parse and run as documented, and every
+test the documents cite still exists."""
 
 import contextlib
 import io
@@ -10,7 +11,8 @@ from pathlib import Path
 import tcsim.scenario
 from tcsim.scenario import parse_scenario
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _fenced(language):
@@ -41,3 +43,15 @@ def test_readme_library_example_runs_to_its_printed_errors():
     errors = [float(line) for line in out.getvalue().split()]
     assert len(errors) == 2
     assert all(err <= 1e-12 for err in errors)
+
+
+def test_every_test_the_documents_cite_is_defined():
+    defined = {
+        name
+        for path in (ROOT / "tests").glob("*.py")
+        for name in re.findall(r"^def (test_\w+)", path.read_text(encoding="utf-8"), flags=re.MULTILINE)
+    }
+    for document in ("README.md", "RESOLVED_EQUATIONS.md"):
+        text = (ROOT / document).read_text(encoding="utf-8")
+        cited = set(re.findall(r"\b(test_\w+)\b(?!\.py)", text))
+        assert cited - defined == set(), document

@@ -202,7 +202,6 @@ _COUPLINGS = Couplings(1.0, 0.1)
 _INTEGER_SITES = {
     "OracleConfig": (lambda x: OracleConfig(x, _COUPLINGS), ValidationError),
     "spectral_params": (lambda x: tc.spectral_params(x, _COUPLINGS), ValidationError),
-    "tc_coefficients": (lambda x: tc.tc_coefficients(x, _COUPLINGS, 1.0), ValidationError),
     "TimeGrid": (lambda x: TimeGrid(0.0, 1.0, x), EmptyTimeGridError),
     "number_state": (number_state, ValidationError),
     "binomial_state": (lambda x: binomial_state(x, 0.5), ValidationError),

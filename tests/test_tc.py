@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcsim.tc as tc
-from conftest import branch_amplitudes_bruteforce
+from conftest import branch_amplitudes_bruteforce, coefficient_quad
 from tcsim.errors import ValidationError
 from tcsim.jc import jc_amplitudes, jc_number_entropy
 from tcsim.oracle import (
@@ -29,6 +29,7 @@ from tcsim.states import (
     TimeGrid,
     binomial_state,
     number_state,
+    required_n_max,
 )
 from tcsim.tc import (
     branch_frequencies,
@@ -37,8 +38,6 @@ from tcsim.tc import (
     frequency_content,
     mixture_entropy_arrays,
     spectral_params,
-    tc_coefficients,
-    tc_coefficients_primed,
 )
 
 # ---------------------------------------------------------------- spectral
@@ -136,12 +135,12 @@ def test_symmetric_coupling_frequency_matches_block_spectrum():
 
 
 def test_quads_identity_at_t0():
-    quad = tc_coefficients(3, Couplings(1.0, 0.4), 0.0)
-    assert abs(quad.c1 - 1.0) <= 5e-16  # one ulp of rounding in a+ + a- vs 2D
-    assert quad.c2 == 0.0 and quad.c3 == 0.0 and quad.c4 == 0.0
-    quad_p = tc_coefficients_primed(3, Couplings(1.0, 0.4), 0.0)
-    assert abs(quad_p.c2 - 1.0) <= 5e-16
-    assert quad_p.c1 == 0.0 and quad_p.c3 == 0.0 and quad_p.c4 == 0.0
+    quad = coefficient_quad(3, Couplings(1.0, 0.4), 0.0, primed=False)[:, 0]
+    assert abs(quad[0] - 1.0) <= 5e-16  # one ulp of rounding in a+ + a- vs 2D
+    assert quad[1] == 0.0 and quad[2] == 0.0 and quad[3] == 0.0
+    quad_p = coefficient_quad(3, Couplings(1.0, 0.4), 0.0, primed=True)[:, 0]
+    assert abs(quad_p[1] - 1.0) <= 5e-16
+    assert quad_p[0] == 0.0 and quad_p[2] == 0.0 and quad_p[3] == 0.0
 
 
 def test_quads_reduce_to_single_branch_when_decoupled():
@@ -150,24 +149,24 @@ def test_quads_reduce_to_single_branch_when_decoupled():
         for lam in (0.5, 1.0):
             expected = np.array([jc_amplitudes(n, lam, tk).c_excited for tk in t])
             expected_g = np.array([jc_amplitudes(n, lam, tk).c_ground for tk in t])
-            quad = tc_coefficients(n, Couplings(lam, 0.0), t)
-            assert np.max(np.abs(quad.c1 - expected)) <= 1e-12
-            assert np.max(np.abs(quad.c3 - expected_g)) <= 1e-12
-            assert np.max(np.abs(quad.c2)) == 0.0
-            assert np.max(np.abs(quad.c4)) == 0.0
-            quad_p = tc_coefficients_primed(n, Couplings(lam, 0.0), t)
-            assert np.max(np.abs(quad_p.c2 - expected)) <= 1e-12
-            assert np.max(np.abs(quad_p.c4 - expected_g)) <= 1e-12
-            assert np.max(np.abs(quad_p.c1)) == 0.0
-            assert np.max(np.abs(quad_p.c3)) == 0.0
+            quad = coefficient_quad(n, Couplings(lam, 0.0), t, primed=False)
+            assert np.max(np.abs(quad[0] - expected)) <= 1e-12
+            assert np.max(np.abs(quad[2] - expected_g)) <= 1e-12
+            assert np.max(np.abs(quad[1])) == 0.0
+            assert np.max(np.abs(quad[3])) == 0.0
+            quad_p = coefficient_quad(n, Couplings(lam, 0.0), t, primed=True)
+            assert np.max(np.abs(quad_p[1] - expected)) <= 1e-12
+            assert np.max(np.abs(quad_p[3] - expected_g)) <= 1e-12
+            assert np.max(np.abs(quad_p[0])) == 0.0
+            assert np.max(np.abs(quad_p[2])) == 0.0
 
 
 def test_primed_quad_vanishing_top_level_at_n0():
     t = np.linspace(0.0, 50.0, 1001)
     for couplings in (Couplings(1.0, 0.1), Couplings(0.8, 1.7), Couplings(1.0, 1.0)):
-        quad = tc_coefficients_primed(0, couplings, t)
-        assert np.max(np.abs(quad.c1)) == 0.0
-        assert np.max(np.abs(quad.norm_sq() - 1.0)) <= 1e-12
+        quad = coefficient_quad(0, couplings, t, primed=True)
+        assert np.max(np.abs(quad[0])) == 0.0
+        assert np.max(np.abs(np.sum(np.abs(quad) ** 2, axis=0) - 1.0)) <= 1e-12
 
 
 def test_quads_match_bruteforce_amplitudes(rng):
@@ -184,13 +183,11 @@ def test_quads_match_bruteforce_amplitudes(rng):
         )
     for n, l1, l2, t in cases:
         couplings = Couplings(l1, l2)
-        quad = tc_coefficients(n, couplings, t)
+        got = coefficient_quad(n, couplings, t, primed=False)[:, 0]
         ref = branch_amplitudes_bruteforce(n, couplings, t, primed=False)
-        got = np.array([quad.c1, quad.c2, quad.c3, quad.c4])
         assert np.max(np.abs(got - ref)) <= 1e-8, (n, l1, l2, t)
-        quad_p = tc_coefficients_primed(n, couplings, t)
+        got_p = coefficient_quad(n, couplings, t, primed=True)[:, 0]
         ref_p = branch_amplitudes_bruteforce(n, couplings, t, primed=True)
-        got_p = np.array([quad_p.c1, quad_p.c2, quad_p.c3, quad_p.c4])
         assert np.max(np.abs(got_p - ref_p)) <= 1e-8, (n, l1, l2, t)
 
 
@@ -200,22 +197,19 @@ def test_quads_unit_norm_over_random_draws(rng):
         n = int(rng.integers(0, 21))
         lam1 = float(rng.uniform(0.2, 2.0))
         couplings = Couplings(lam1, lam1 * float(rng.uniform(0.0, 1.0)))
-        for quad in (tc_coefficients(n, couplings, t), tc_coefficients_primed(n, couplings, t)):
-            assert np.max(np.abs(quad.norm_sq() - 1.0)) <= 1e-10
+        for primed in (False, True):
+            quad = coefficient_quad(n, couplings, t, primed)
+            assert np.max(np.abs(np.sum(np.abs(quad) ** 2, axis=0) - 1.0)) <= 1e-10
 
 
 def test_quads_input_validation():
-    with pytest.raises(ValidationError):
-        tc_coefficients(-1, Couplings(1.0, 0.1), 1.0)
-    with pytest.raises(ValidationError):
-        tc_coefficients(0, Couplings(1.0, 0.1), -1.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValidationError):
-            tc_coefficients(1, Couplings(1.0, 0.1), bad)
-        with pytest.raises(ValidationError):
-            tc_coefficients_primed(1, Couplings(1.0, 0.1), [0.0, bad])
-        with pytest.raises(ValidationError):
-            mixture_entropy_arrays(_config(number_state(1), 0.5), bad)
+    # the times reach the quads only through the two entropy entry points
+    config = _config(number_state(1), 0.5)
+    for evaluate in (mixture_entropy_arrays, entropy_term_arrays):
+        for bad in (math.nan, math.inf, -math.inf, -1.0):
+            for times in (bad, [0.0, bad]):
+                with pytest.raises(ValidationError, match="times must be"):
+                    evaluate(config, times)
 
 
 def _radical_quad_unprimed(n, couplings, t):
@@ -257,13 +251,11 @@ def test_radical_forms_match_on_weak_coupling_branch():
     for n in range(5):
         for ratio in (0.0, 0.3, 0.9, 1.0):
             couplings = Couplings(1.1, 1.1 * ratio)
-            quad = tc_coefficients(n, couplings, t)
+            got = coefficient_quad(n, couplings, t, primed=False)
             radical = _radical_quad_unprimed(n, couplings, t)
-            got = np.stack([quad.c1, quad.c2, quad.c3, quad.c4])
             assert np.max(np.abs(got - radical)) <= 1e-12, (n, ratio)
-            quad_p = tc_coefficients_primed(n, couplings, t)
+            got_p = coefficient_quad(n, couplings, t, primed=True)
             radical_p = _radical_quad_primed(n, couplings, t)
-            got_p = np.stack([quad_p.c1, quad_p.c2, quad_p.c3, quad_p.c4])
             assert np.max(np.abs(got_p - radical_p)) <= 1e-12, (n, ratio)
 
 
@@ -455,6 +447,46 @@ def test_mixed_binomial_and_number_state_closed_form_matches_oracle():
         for _, dist in config.oscillator:
             pure = mixture_entropy_arrays(_config(dist, 0.3, l2=0.1), config.grid.times())
             assert np.max(np.abs(closed - pure)) > 1e-3
+
+
+# ------------------------------------------------------------ error model
+
+# |closed - oracle| <= C eps d_max t_max (+ a floor of a few ulp of zeta near
+# t = 0); see "Closed-vs-oracle error model" in RESOLVED_EQUATIONS.md
+_ERROR_MODEL_C = 4.0
+_ERROR_MODEL_FLOOR = 2e-14
+
+
+def _closed_vs_oracle(config):
+    """Largest |closed - oracle| over the grid, and eps d_max t_max."""
+    t = config.grid.times()
+    cutoff = config.oscillator[0][1].cutoff
+    cfg = OracleConfig(n_max=required_n_max(cutoff), couplings=config.couplings)
+    err = np.max(np.abs(mixture_entropy_arrays(config, t) - oracle_entropy_series(config, cfg).values))
+    d_max = max(spectral_params(m, config.couplings).d_plus for m in range(-1, cutoff + 2))
+    return float(err), np.finfo(float).eps * d_max * float(t[-1])
+
+
+def test_closed_vs_oracle_error_grows_as_eps_d_max_t_max():
+    for dist in (number_state(1), binomial_state(11, 0.95)):
+        for t0 in (0.0, 1e2, 1e4, 1e6, 1e8):
+            err, model = _closed_vs_oracle(_config(dist, 0.5, grid=TimeGrid(t0, t0 + 30.0, 3001)))
+            assert err <= _ERROR_MODEL_C * model, (dist.cutoff, t0, err / model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    number=st.integers(min_value=0, max_value=6),
+    binomial=st.none() | st.floats(min_value=0.05, max_value=0.95),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    ratio=st.floats(min_value=0.0, max_value=1.5),
+    t0=st.floats(min_value=0.0, max_value=1e8),
+    span=st.floats(min_value=1e-3, max_value=100.0),
+)
+def test_closed_vs_oracle_error_stays_within_the_model(number, binomial, p, ratio, t0, span):
+    dist = number_state(number) if binomial is None else binomial_state(number + 1, binomial)
+    err, model = _closed_vs_oracle(_config(dist, p, l2=ratio, grid=TimeGrid(t0, t0 + span, 301)))
+    assert err <= _ERROR_MODEL_C * model + _ERROR_MODEL_FLOOR, (err, model)
 
 
 # ------------------------------------------------------- frequency content
