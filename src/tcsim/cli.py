@@ -4,8 +4,8 @@ Subcommands: ``run`` a scenario file, materialize a figure preset with
 ``figure``, cross-check closed form against brute force with
 ``oracle-check``, and inspect an emitted CSV with ``analyze``.
 
-Exit codes: 0 ok, 2 parse/usage error, 3 validation error, 4 truncation
-too small, 5 tolerance failure.
+Exit codes: 0 ok, 2 parse/usage error, 3 validation error, 5 tolerance
+failure.
 
 The oracle, the analysis and the jc closed form are imported by the functions
 that use them, so a process loads only the layers its subcommand runs.
@@ -23,14 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import tc
-from .errors import ScenarioParseError, TruncationError, ValidationError
+from .errors import ScenarioParseError, ValidationError
 from .scenario import PRESET_IDS, Scenario, _fmt, load_scenario, preset
 from .series import TimeSeries
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-EXIT_TRUNCATION = 4
 EXIT_TOLERANCE = 5
 
 
@@ -217,10 +216,14 @@ def cmd_oracle_check(args) -> int:
     worst = int(np.argmax(errors))
     max_err = float(errors[worst])
     ok = max_err <= args.tol
+    c, floor, d_max = tc._error_model(scenario.system_config())  # information, not a second gate
+    expected = c * np.finfo(float).eps * d_max * closed.times[-1] + floor
     print(f"max |zeta_closed - zeta_oracle| = {max_err:.3e} over {len(closed)} points "
           f"(tol {args.tol:g}): {'PASS' if ok else 'FAIL'}")
     print(f"worst point: t = {_fmt(closed.times[worst])}  zeta_closed = {_fmt(closed.values[worst])}  "
           f"zeta_oracle = {_fmt(checked.values[worst])}")
+    print(f"expected <~ {c:g}*eps*d_max*t_max + {floor:g} = {expected:.3e}  "
+          f"(d_max = {d_max:.6g}, t_max = {_fmt(closed.times[-1])})")
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -303,7 +306,8 @@ def _load_csv(path: Path) -> TimeSeries:
     """The first two columns of the rows after the leading blank, ``#`` and ``t,`` lines,
     parsed by numpy from the open file in one call, which skips empty and ``#`` lines and
     drops the text after a ``#``.  A row numpy cannot parse, or that is not finite, exits 2
-    and names the file and the data row; a zeta outside [0, 0.5] exits 3."""
+    and names the file and the data row; a zeta outside [0, 0.5], or a t not above the one
+    before it, exits 3 and names them too."""
     try:
         with path.open(encoding="utf-8") as f:
             has_rows = _seek_first_row(f)
@@ -327,6 +331,11 @@ def _load_csv(path: Path) -> TimeSeries:
     if bad.size:
         i = bad[0]
         raise ValidationError(f"data row {i + 1} of {path} has zeta = {values[i]:g} outside [0, 0.5]")
+    bad = np.flatnonzero(times[1:] <= times[:-1])
+    if bad.size:
+        i = bad[0] + 1
+        raise ValidationError(f"data row {i + 1} of {path} has t = {float(times[i])!r}, not above the "
+                              f"t = {float(times[i - 1])!r} before it; times must be strictly increasing")
     return TimeSeries(times, values)
 
 
@@ -391,9 +400,6 @@ def main(argv=None) -> int:
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: parse errors exit 2,
-validation errors 3, truncation errors 4 (tolerance failures exit 5 but
-are reported, not raised).  EigendecompositionError has no exit code: the
-oracle's own Hamiltonians are symmetric and checked finite before ``eigh``.
+The CLI maps these onto process exit codes: parse errors exit 2 and
+validation errors 3 (tolerance failures exit 5 but are reported, not
+raised).  TruncationError and EigendecompositionError have none: the CLI
+runs the oracle at the exact truncation, and the oracle's Hamiltonians are
+symmetric and checked finite before ``eigh``.
 """
 
 

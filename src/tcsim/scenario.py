@@ -17,7 +17,6 @@ A scenario file looks like::
     points = 3001
     [oracle]                 ; optional, in whole or in part
     enabled = true           ; true/false, yes/no or 1/0; defaults to false
-    n_max = 3                ; defaults to support + 2
     omega = 0.0              ; defaults to 0
 
 The format lives in two tables: ``_KINDS`` holds each oscillator kind's keys
@@ -104,8 +103,7 @@ _SECTIONS: dict[str, dict[str, tuple[_Value, str]]] = {
     "environment": {"p": (_FLOAT, "p")},
     "couplings": {"lambda1": (_FLOAT, "lambda1"), "lambda2": (_FLOAT, "lambda2")},
     "grid": {"t_start": (_FLOAT, "t_start"), "t_end": (_FLOAT, "t_end"), "points": (_INT, "n_points")},
-    "oracle": {"enabled": (_BOOL, "oracle_enabled"), "n_max": (_INT, "oracle_n_max"),
-               "omega": (_FLOAT, "oracle_omega")},
+    "oracle": {"enabled": (_BOOL, "oracle_enabled"), "omega": (_FLOAT, "oracle_omega")},
 }
 _OPTIONAL = "oracle"
 
@@ -129,14 +127,13 @@ class Scenario:
     lambda2: float
     grid: TimeGrid
     oracle_enabled: bool = False
-    oracle_n_max: int | None = None
     oracle_omega: float = 0.0
     label: str = ""
 
     def __post_init__(self):
         _kind(self.kind)
         # checked with the oracle off too, so that no invalid value reaches a CSV header
-        OracleConfig(self.oracle_n_max or 0, Couplings(self.lambda1, self.lambda2), self.oracle_omega)
+        OracleConfig(0, Couplings(self.lambda1, self.lambda2), self.oracle_omega)
 
     def oscillator_components(self) -> list[tuple[float, FockDistribution]]:
         """The oscillator preparation as (weight, pure distribution) pairs."""
@@ -152,8 +149,7 @@ class Scenario:
         )
 
     def effective_n_max(self) -> int:
-        if self.oracle_n_max is not None:
-            return self.oracle_n_max
+        """The oracle's truncation, oscillator support + 2, which is exact."""
         return required_n_max(max(dist.cutoff for _, dist in self.oscillator_components()))
 
     def to_lines(self) -> list[str]:
@@ -164,9 +160,8 @@ class Scenario:
         lines += [f"[oscillator] {key} = {keys[key].write(value)}" for key, value in self.params]
         for name, section in _SECTIONS.items():
             holder = self.grid if name == "grid" else self
-            for key, (value, field) in section.items():
-                if getattr(holder, field) is not None:  # an unset n_max is left out
-                    lines.append(f"[{name}] {key} = {value.write(getattr(holder, field))}")
+            lines += [f"[{name}] {key} = {value.write(getattr(holder, field))}"
+                      for key, (value, field) in section.items()]
         return lines
 
 

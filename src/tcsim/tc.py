@@ -35,7 +35,6 @@ from .states import Couplings, FockDistribution, SystemConfig
 __all__ = [
     "SpectralParams",
     "spectral_params",
-    "entropy_term_arrays",
     "entropy_series",
     "mixture_entropy_arrays",
     "frequency_content",
@@ -227,9 +226,10 @@ def _block_params(bands, couplings: Couplings, t: np.ndarray) -> dict[int, Spect
 
 def _terms(config: SystemConfig, bands, params: dict[int, SpectralParams],
            t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """alpha, beta, gamma over ``t`` from the density bands and the params of
-    ``_block_params``; each block's columns are formed once and dropped once
-    no later index reads them."""
+    """alpha, beta and Im gamma over ``t`` from the density bands and the
+    params of ``_block_params``: every product is real or -i times real, so
+    gamma is i times a real array.  Each block's columns are formed once and
+    dropped once no later index reads them."""
     p, couplings = config.env.p, config.couplings
     P, C = bands
     alpha = np.zeros_like(t)
@@ -252,26 +252,7 @@ def _terms(config: SystemConfig, bands, params: dict[int, SpectralParams],
             (d1, d2, _, _), _ = blocks[n + 1]
             _, (e1, e2, _, _) = blocks[n]
             gamma_im += C[n] * (p * (c4 * d2 - c3 * d1) + (1.0 - p) * (k3 * e1 - k4 * e2))
-    return alpha, beta, 1j * gamma_im
-
-
-def entropy_term_arrays(config: SystemConfig, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """alpha(t), beta(t), gamma(t) over an array of times, for the
-    oscillator prepared as the mixture ``config.oscillator``: the system
-    qubit's ground and excited populations (alpha + beta = 1) and its
-    coherence, |gamma| <= 1/2.
-
-    alpha and beta read the oscillator only through its density diagonal
-    P_n and gamma through its first off-diagonal C_n, over the populated n.
-    Index n reads blocks n (unprimed quad) and n - 1 (primed quad), and its
-    coherence also block n + 1; each block is evaluated once and dropped
-    once no later index reads it.  Every product is real or -i times real,
-    so the sums are real and gamma is i times a real array.
-    """
-    t = np.atleast_1d(_check_times(t))
-    bands = _density_bands(config.oscillator)
-    params = _block_params(bands, config.couplings, t)
-    return _terms(config, bands, params, t)
+    return alpha, beta, gamma_im
 
 
 def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
@@ -290,9 +271,9 @@ def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
     zeta = np.empty_like(t)
     for start in range(0, len(t), _CHUNK_POINTS):
         part = slice(start, start + _CHUNK_POINTS)
-        alpha, beta, gamma = _terms(config, bands, params, t[part])
+        alpha, beta, gamma_im = _terms(config, bands, params, t[part])
         # rounding can land an ulp outside the mathematical range [0, 1/2]
-        np.clip(1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2, 0.0, 0.5, out=zeta[part])
+        np.clip(1.0 - alpha**2 - beta**2 - 2.0 * gamma_im**2, 0.0, 0.5, out=zeta[part])
     return zeta
 
 
@@ -300,6 +281,15 @@ def entropy_series(config: SystemConfig) -> TimeSeries:
     """Linear entropy evaluated over the configuration's time grid."""
     times = config.grid.times()
     return TimeSeries(times, mixture_entropy_arrays(config, times))
+
+
+def _error_model(config: SystemConfig) -> tuple[float, float, float]:
+    """(C, floor, d_max) of the closed-vs-oracle error model
+    |zeta_closed - zeta_oracle| <= C eps d_max t_max + floor (see
+    RESOLVED_EQUATIONS.md); d_plus grows with the block index, so d_max is
+    that of block cutoff + 1, the last one the oracle's truncation holds."""
+    cutoff = max(dist.cutoff for _, dist in config.oscillator)
+    return 4.0, 2e-14, spectral_params(cutoff + 1, config.couplings).d_plus
 
 
 def branch_frequencies(dist: FockDistribution, couplings: Couplings) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared test helpers.
 
 ``coefficient_quad`` reads one coefficient quad out of the block columns
-the closed-form pipeline evaluates.  ``branch_amplitudes_bruteforce``
+the closed-form pipeline evaluates, and ``entropy_terms`` the reduced-qubit
+terms it sums from them.  ``branch_amplitudes_bruteforce``
 evolves a basis vector on the full truncated space by eigendecomposition
 and reads the four amplitudes of one evolution branch straight out of the
 state vector.  It shares no formula with the closed-form coefficient code
@@ -28,6 +29,15 @@ def coefficient_quad(n: int, couplings: Couplings, t, primed: bool) -> np.ndarra
     t = np.atleast_1d(np.asarray(t, dtype=float))
     columns = tc._block_columns(tc.spectral_params(n - primed, couplings), couplings, t)[primed]
     return _QUAD_PHASES[primed][:, None] * np.array(columns)
+
+
+def entropy_terms(config, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha, beta and the complex gamma over the times ``t`` (a scalar gives
+    one point), as ``tc.mixture_entropy_arrays`` forms them for one chunk."""
+    t = np.atleast_1d(tc._check_times(t))
+    bands = tc._density_bands(config.oscillator)
+    alpha, beta, gamma_im = tc._terms(config, bands, tc._block_params(bands, config.couplings, t), t)
+    return alpha, beta, 1j * gamma_im
 
 
 def full_index(q1: int, q2: int, m: int, n_max: int) -> int:

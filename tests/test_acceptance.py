@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tcsim.tc as tc
-from conftest import coefficient_quad
+from conftest import coefficient_quad, entropy_terms
 from tcsim.analysis import dominant_frequencies, find_revivals, time_average
 from tcsim.cli import closed_series, main, oracle_series
 from tcsim.jc import jc_mixture_entropy
@@ -27,7 +27,6 @@ from tcsim.states import (
     number_state,
 )
 from tcsim.tc import (
-    entropy_term_arrays,
     frequency_content,
     mixture_entropy_arrays,
     spectral_params,
@@ -204,7 +203,7 @@ def test_criterion_05_unitarity_and_probability():
     worst_prob = 0.0
     for config in _random_scenarios(count=8, seed=13):
         t = config.grid.times()
-        alpha, beta, gamma = entropy_term_arrays(config, t)
+        alpha, beta, gamma = entropy_terms(config, t)
         worst_prob = max(worst_prob, float(np.max(np.abs(alpha + beta - 1.0))))
         zeta = 1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2
         assert np.all(zeta >= -1e-12) and np.all(zeta <= 0.5 + 1e-12)
@@ -250,7 +249,7 @@ def test_criterion_07_binomial_statistics():
     for m in (1, 7, 200):
         assert np.array_equal(binomial_state(m, 1.0).amplitudes, number_state(m).amplitudes)
     t = np.linspace(0.0, 30.0, 301)
-    _, _, gamma = entropy_term_arrays(_config(number_state(3), 0.5), t)
+    _, _, gamma = entropy_terms(_config(number_state(3), 0.5), t)
     assert np.max(np.abs(gamma)) == 0.0
     print(
         f"\n[PASS] criterion 7: binomial norm within {worst_norm:.3e} of 1 (tol 1e-12), "

@@ -457,6 +457,15 @@ def test_series_block_path_memory_does_not_grow_with_n_max():
     assert abs(huge - smallest) <= 4096
 
 
+def test_block_path_passes_where_only_the_dense_diagonal_would_overflow():
+    # omega (n_max + 1) overflows, but the blocks that |1> populates hold at
+    # most 3 omega, so a huge n_max neither overflows nor tightens omega
+    config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 1e-300, 11))
+    cfg = OracleConfig(n_max=10**18, couplings=config.couplings, omega=1e291)
+    series = oracle_entropy_series(config, cfg)
+    assert np.max(np.abs(series.values - entropy_series(config).values)) <= 1e-8
+
+
 def test_series_stable_under_truncation_growth():
     config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 30.0, 601))
     base = oracle_entropy_series(config, OracleConfig(n_max=3, couplings=config.couplings))

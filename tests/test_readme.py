@@ -1,5 +1,6 @@
 """The scenario documents and the library example shown in README.md and in
-the `tcsim.scenario` docstring still parse and run as documented, and every
+the `tcsim.scenario` docstring still parse and run as documented, the exit
+codes README.md and the `tcsim.cli` docstring list are the CLI's, and every
 test the documents cite still exists."""
 
 import contextlib
@@ -8,6 +9,7 @@ import re
 import textwrap
 from pathlib import Path
 
+import tcsim.cli
 import tcsim.scenario
 from tcsim.scenario import parse_scenario
 
@@ -23,7 +25,7 @@ def test_readme_scenario_document_parses():
     [document] = _fenced("ini")
     sc = parse_scenario(document)
     assert (sc.kind, sc.params, sc.p) == ("binomial", (("M", 11), ("q", 0.95)), 0.5)
-    assert (sc.oracle_enabled, sc.oracle_n_max, sc.oracle_omega) == (True, 13, 0.0)
+    assert (sc.oracle_enabled, sc.oracle_omega, sc.effective_n_max()) == (True, 0.0, 13)
 
 
 def test_module_docstring_scenario_document_parses():
@@ -32,7 +34,7 @@ def test_module_docstring_scenario_document_parses():
     document = textwrap.dedent(example[: re.search(r"\n\S", example).start()])
     sc = parse_scenario(document)
     assert (sc.kind, sc.params, sc.p, sc.grid.n_points) == ("number", (("N", 1),), 0.5, 3001)
-    assert (sc.oracle_enabled, sc.oracle_n_max, sc.oracle_omega) == (True, 3, 0.0)
+    assert (sc.oracle_enabled, sc.oracle_omega, sc.effective_n_max()) == (True, 0.0, 3)
 
 
 def test_readme_library_example_runs_to_its_printed_errors():
@@ -43,6 +45,17 @@ def test_readme_library_example_runs_to_its_printed_errors():
     errors = [float(line) for line in out.getvalue().split()]
     assert len(errors) == 2
     assert all(err <= 1e-12 for err in errors)
+
+
+def _listed_exit_codes(text):
+    [sentence] = re.findall(r"Exit codes:(.*?)\.", text, flags=re.DOTALL)
+    return sorted(int(code) for code in re.findall(r"\b\d+\b", sentence))
+
+
+def test_documented_exit_codes_are_the_cli_exit_codes():
+    codes = sorted(value for name, value in vars(tcsim.cli).items() if name.startswith("EXIT_"))
+    assert _listed_exit_codes(README) == codes
+    assert _listed_exit_codes(tcsim.cli.__doc__) == codes
 
 
 def test_every_test_the_documents_cite_is_defined():

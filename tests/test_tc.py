@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcsim.tc as tc
-from conftest import branch_amplitudes_bruteforce, coefficient_quad
+from conftest import branch_amplitudes_bruteforce, coefficient_quad, entropy_terms
 from tcsim.errors import ValidationError
 from tcsim.jc import jc_amplitudes, jc_number_entropy
 from tcsim.oracle import (
@@ -34,7 +34,6 @@ from tcsim.states import (
 from tcsim.tc import (
     branch_frequencies,
     entropy_series,
-    entropy_term_arrays,
     frequency_content,
     mixture_entropy_arrays,
     spectral_params,
@@ -203,13 +202,12 @@ def test_quads_unit_norm_over_random_draws(rng):
 
 
 def test_quads_input_validation():
-    # the times reach the quads only through the two entropy entry points
+    # the times reach the quads only through the entropy entry point
     config = _config(number_state(1), 0.5)
-    for evaluate in (mixture_entropy_arrays, entropy_term_arrays):
-        for bad in (math.nan, math.inf, -math.inf, -1.0):
-            for times in (bad, [0.0, bad]):
-                with pytest.raises(ValidationError, match="times must be"):
-                    evaluate(config, times)
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        for times in (bad, [0.0, bad]):
+            with pytest.raises(ValidationError, match="times must be"):
+                mixture_entropy_arrays(config, times)
 
 
 def _radical_quad_unprimed(n, couplings, t):
@@ -280,13 +278,13 @@ def _config(dist, p, l2=0.1, grid=None):
 
 
 def test_terms_identity_at_t0():
-    alpha, beta, gamma = entropy_term_arrays(_config(binomial_state(5, 0.4), 0.3), 0.0)
+    alpha, beta, gamma = entropy_terms(_config(binomial_state(5, 0.4), 0.3), 0.0)
     assert alpha.tolist() == [0.0] and beta.tolist() == [1.0] and gamma.tolist() == [0.0]
 
 
 def test_terms_number_state_has_no_coherence():
     t = np.linspace(0.0, 30.0, 401)
-    _, _, gamma = entropy_term_arrays(_config(number_state(2), 0.5), t)
+    _, _, gamma = entropy_terms(_config(number_state(2), 0.5), t)
     assert np.max(np.abs(gamma)) == 0.0
 
 
@@ -296,7 +294,7 @@ def test_terms_match_reduced_density_matrix():
     prop = Propagator(build_hamiltonian(cfg))
     rho0 = initial_density(config, 13)
     times = [3.0, 7.5, 21.0]
-    for t, alpha, beta, gamma in zip(times, *entropy_term_arrays(config, times)):
+    for t, alpha, beta, gamma in zip(times, *entropy_terms(config, times)):
         reduced = reduce_qubit1(prop.evolve_density(rho0, t))
         assert abs(alpha - reduced[0, 0].real) <= 1e-8
         assert abs(beta - reduced[1, 1].real) <= 1e-8
@@ -306,7 +304,7 @@ def test_terms_match_reduced_density_matrix():
 def test_terms_probability_conservation_and_coherence_bound():
     t = np.linspace(0.0, 60.0, 1201)
     for dist, p in ((binomial_state(7, 0.85), 0.2), (binomial_state(3, 0.5), 0.9)):
-        alpha, beta, gamma = entropy_term_arrays(_config(dist, p, l2=0.6), t)
+        alpha, beta, gamma = entropy_terms(_config(dist, p, l2=0.6), t)
         assert np.max(np.abs(alpha + beta - 1.0)) <= 1e-10
         assert np.max(np.abs(gamma)) <= 0.5
 
@@ -354,7 +352,7 @@ def test_entropy_grid_partition_is_bitwise_stable():
     split = np.concatenate([mixture_entropy_arrays(config, t[a:b]) for a, b in zip(cuts, cuts[1:])])
     assert np.array_equal(full, split)
     # and the chunks give the values of the whole grid taken at once
-    alpha, beta, gamma = entropy_term_arrays(config, t)
+    alpha, beta, gamma = entropy_terms(config, t)
     assert np.array_equal(full, np.clip(1.0 - alpha**2 - beta**2 - 2.0 * np.abs(gamma) ** 2, 0.0, 0.5))
 
 
@@ -453,25 +451,31 @@ def test_mixed_binomial_and_number_state_closed_form_matches_oracle():
 
 # |closed - oracle| <= C eps d_max t_max (+ a floor of a few ulp of zeta near
 # t = 0); see "Closed-vs-oracle error model" in RESOLVED_EQUATIONS.md
-_ERROR_MODEL_C = 4.0
-_ERROR_MODEL_FLOOR = 2e-14
 
 
 def _closed_vs_oracle(config):
-    """Largest |closed - oracle| over the grid, and eps d_max t_max."""
+    """Largest |closed - oracle| over the grid, eps d_max t_max, and the
+    model's C and floor."""
     t = config.grid.times()
     cutoff = config.oscillator[0][1].cutoff
     cfg = OracleConfig(n_max=required_n_max(cutoff), couplings=config.couplings)
     err = np.max(np.abs(mixture_entropy_arrays(config, t) - oracle_entropy_series(config, cfg).values))
-    d_max = max(spectral_params(m, config.couplings).d_plus for m in range(-1, cutoff + 2))
-    return float(err), np.finfo(float).eps * d_max * float(t[-1])
+    c, floor, d_max = tc._error_model(config)
+    return float(err), np.finfo(float).eps * d_max * float(t[-1]), c, floor
+
+
+def test_error_model_d_max_is_the_largest_d_plus_the_truncation_holds():
+    for dist in (number_state(1), binomial_state(11, 0.95), number_state(0)):
+        config = _config(dist, 0.5, l2=0.7)
+        d_max = max(spectral_params(m, config.couplings).d_plus for m in range(-1, dist.cutoff + 2))
+        assert tc._error_model(config) == (4.0, 2e-14, d_max)
 
 
 def test_closed_vs_oracle_error_grows_as_eps_d_max_t_max():
     for dist in (number_state(1), binomial_state(11, 0.95)):
         for t0 in (0.0, 1e2, 1e4, 1e6, 1e8):
-            err, model = _closed_vs_oracle(_config(dist, 0.5, grid=TimeGrid(t0, t0 + 30.0, 3001)))
-            assert err <= _ERROR_MODEL_C * model, (dist.cutoff, t0, err / model)
+            err, model, c, _ = _closed_vs_oracle(_config(dist, 0.5, grid=TimeGrid(t0, t0 + 30.0, 3001)))
+            assert err <= c * model, (dist.cutoff, t0, err / model)
 
 
 @settings(max_examples=100, deadline=None)
@@ -485,8 +489,8 @@ def test_closed_vs_oracle_error_grows_as_eps_d_max_t_max():
 )
 def test_closed_vs_oracle_error_stays_within_the_model(number, binomial, p, ratio, t0, span):
     dist = number_state(number) if binomial is None else binomial_state(number + 1, binomial)
-    err, model = _closed_vs_oracle(_config(dist, p, l2=ratio, grid=TimeGrid(t0, t0 + span, 301)))
-    assert err <= _ERROR_MODEL_C * model + _ERROR_MODEL_FLOOR, (err, model)
+    err, model, c, floor = _closed_vs_oracle(_config(dist, p, l2=ratio, grid=TimeGrid(t0, t0 + span, 301)))
+    assert err <= c * model + floor, (err, model)
 
 
 # ------------------------------------------------------- frequency content
