@@ -15,13 +15,16 @@ blocks.  It addresses each state by its total excitation k and its slot in
 the 4x4 block of k (``_SLOTS``), builds the Hamiltonian on the blocks the
 initial state populates, diagonalizes them with one batched ``eigh`` and
 never forms a state on the full basis, so n_max sizes none of its arrays and
-omega need only keep the blocks' entries finite.  It walks the (uniform)
-time grid in fixed chunks: it evolves the first chunk once and holds it as
-the real and imaginary parts of its eigen-coefficients (the blocks are real
-symmetric, so their eigenvectors are real), reaches every chunk from those
-with one real 8x8 block rotation, and takes the partial trace from each
-chunk's block states.  ``dense=True`` keeps the dense 4(n_max + 1)-dimensional
-matrix and the full density matrix as the reference.
+omega need only keep the blocks' entries finite.  Each mixture component
+keeps its own rows, the blocks from its lowest to its highest populated
+one, with a zero row between components.  The path walks the (uniform)
+time grid in fixed chunks: it forms the first chunk's eigen-coefficients
+exp(-iEt) V^T psi as real and imaginary parts (the blocks are real
+symmetric, so their eigenvectors V are real), reaches every chunk from
+those with one real 8x8 block rotation per block, which the components that
+share the block share, and takes the partial trace from each chunk's rows.
+``dense=True`` keeps the dense 4(n_max + 1)-dimensional matrix and the full
+density matrix as the reference.
 """
 
 from __future__ import annotations
@@ -48,10 +51,16 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
-# Complex entries of one chunk's block states, (K, 4) per component and
-# point, in the default path of ``oracle_entropy_series``: 2**16 entries, 1 MB
-# (held there as 2**17 real and imaginary parts).
+# Complex entries of one chunk's block states, 4 per row and point, in the
+# default path of ``oracle_entropy_series``: 2**16 entries, 1 MB (held there
+# as 2**17 real and imaginary parts).
 _CHUNK_ENTRIES = 2**16
+# Times per chunk at most.  Each row moves on by one (8, 8) x (8, n) product.
+# OpenBLAS hands a product of 2**20 multiply-adds or more (n >= 16384) to its
+# threads, which for one this thin costs far more than it saves: as much as
+# 8 ms a product against 0.08 ms on one thread of a 2-core host.  Only a
+# single row reaches that length within the entry budget.
+_CHUNK_POINTS = 8192
 
 
 # The conserved block of total excitation k, one row per slot: qubit1,
@@ -234,8 +243,15 @@ class Propagator:
         check_phase(np.max(np.abs(self.eigenvalues), initial=0.0), times, "oracle eigenvalue")
         v = self.eigenvectors
         c0 = (_adjoint(v) @ np.asarray(psi0, dtype=complex)[..., None])[..., 0]
-        phases = np.exp(-1j * (self.eigenvalues[..., None] * times))
-        return (v * c0[..., None, :]) @ phases
+        # the coefficients at each time, real and imaginary parts side by side
+        # along the last axis, so that V acts on them as real matrices: OpenBLAS
+        # threads a complex product from 4096 times on, which made a (2, 4, 4)
+        # stack nine times slower on a 2-core host
+        parts = (c0[..., None] * np.exp(-1j * (self.eigenvalues[..., None] * times))).view(float)
+        evolved = (v.real @ parts).view(complex)
+        if np.iscomplexobj(v):
+            evolved += 1j * (v.imag @ parts).view(complex)
+        return evolved
 
     def evolve_density(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """Density matrix ``rho0`` evolved to the single time ``t``."""
@@ -258,47 +274,51 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def _initial_blocks(config: SystemConfig, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Excitations (K,) of the blocks the evolution reads, ascending, and the
-    (components, K, 4) initial stack with sqrt(weight) folded into each
-    component, so that rho = sum_c |psi_c><psi_c|.
+def _initial_blocks(config: SystemConfig, n_max: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The blocks the evolution reads and the rows it moves.
+
+    Returns the excitations (K,) of the blocks, ascending; the (rows, 4)
+    initial stack; and, for each mixture component, the slice of its rows
+    and the slice of the excitations they hold.  A component's rows are its
+    blocks from the lowest to the highest it populates, ascending, with
+    sqrt(weight) folded in, so that rho = sum_c |psi_c><psi_c|; one zero row
+    separates consecutive components.  So every pair of neighbouring rows
+    either holds consecutive blocks of one component or has a zero row.
 
     |e1 e2 m> is slot 0 of block m + 2 and |e1 g2 m> slot 1 of block m + 1.
-    Below each populated block k the stack also holds block k - 1, which
-    stays zero if the state does not populate it, so every pair of
-    neighbours in the stack either differs by one excitation or has a zero
-    upper block.
     """
     preps = _preparations(config, n_max)
-    populated = [np.flatnonzero(dist.amplitudes) for _, _, dist in preps]
-    ks = np.concatenate([m + 1 + q2 for m, (_, q2, _) in zip(populated, preps)])
-    ks = np.flatnonzero(np.bincount(np.concatenate([ks, ks - 1])))
-    psi0 = np.zeros((len(preps), ks.size, 4))
-    for c, (m, (weight, q2, dist)) in enumerate(zip(populated, preps)):
-        psi0[c, np.searchsorted(ks, m + 1 + q2), 1 - q2] = math.sqrt(weight) * dist.amplitudes[m]
-    return ks, psi0
+    populated = [np.flatnonzero(dist.amplitudes) + 1 + q2 for _, q2, dist in preps]
+    ks = np.flatnonzero(np.bincount(np.concatenate([np.arange(k[0], k[-1] + 1) for k in populated])))
+    psi0 = np.zeros((sum(k[-1] - k[0] + 2 for k in populated) - 1, 4))
+    spans, row = [], 0
+    for k, (weight, q2, dist) in zip(populated, preps):
+        count = k[-1] - k[0] + 1
+        psi0[row + k - k[0], 1 - q2] = math.sqrt(weight) * dist.amplitudes[k - 1 - q2]
+        block = np.searchsorted(ks, k[0])
+        spans.append((slice(row, row + count), slice(block, block + count)))
+        row += count + 1
+    return ks, psi0, spans
 
 
-def _block_entropy(parts: np.ndarray, components: int) -> np.ndarray:
-    """Linear entropy of qubit1 from block states of consecutive excitations
-    (see ``_initial_blocks``) held as real and imaginary parts: a
-    (K, 8, components * n) array whose rows 0-3 are the real parts of the
-    four slots and rows 4-7 their imaginary parts, and whose last axis runs
-    over the components and, fastest, the n times.
+def _block_entropy(parts: np.ndarray) -> np.ndarray:
+    """Linear entropy of qubit1 from the rows of ``_initial_blocks`` held as
+    real and imaginary parts: a (rows, 8, n) array over n times whose second
+    axis runs over the halves with qubit1 excited (slots 0, 1) and ground
+    (slots 2, 3), and within each half over the real parts of its two slots,
+    then their imaginary parts.
 
-    Slots 0, 1 of each block have qubit1 excited and slots 2, 3 ground.  The
-    coherence pairs slots 0 and 1 of block k with slots 2 and 3 of block
-    k - 1, which hold the same qubit2 and oscillator state.
+    The coherence pairs the excited half of each row with the ground half of
+    the row before, which hold the same qubit2 and oscillator state when both
+    rows are blocks of one component; between components one of the two is
+    the zero row.
     """
-    squares = np.einsum("ksx,ksx->sx", parts, parts).reshape(2, 4, components, -1)
-    slots = squares.sum(axis=(0, 2))
-    rho_ee, rho_gg = slots[0] + slots[1], slots[2] + slots[3]
-    halves = parts.reshape(parts.shape[0], 2, 4, -1)  # (block, real/imaginary, slot, x)
-    x, y = halves[1:, :, :2], halves[:-1, :, 2:]
+    squares = np.einsum("ksx,ksx->sx", parts, parts)
+    rho_ee, rho_gg = squares.reshape(2, 4, -1).sum(axis=1)
+    x, y = parts[1:, :4], parts[:-1, 4:]
     # rho_eg = sum x conj(y), whose real part is xr yr + xi yi and imaginary part xi yr - xr yi
-    eg_re = np.einsum("kpsx,kpsx->x", x, y)
-    eg_im = np.einsum("ksx,ksx->x", x[:, 1], y[:, 0]) - np.einsum("ksx,ksx->x", x[:, 0], y[:, 1])
-    eg_re, eg_im = (part.reshape(components, -1).sum(axis=0) for part in (eg_re, eg_im))
+    eg_re = np.einsum("ksx,ksx->x", x, y)
+    eg_im = np.einsum("ksx,ksx->x", x[:, 2:], y[:, :2]) - np.einsum("ksx,ksx->x", x[:, :2], y[:, 2:])
     return 1.0 - (rho_ee**2 + rho_gg**2 + 2.0 * (eg_re**2 + eg_im**2))
 
 
@@ -307,18 +327,21 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
     via build -> evolve -> reduce -> purity only.
 
     The default path builds and diagonalizes only the excitation blocks that
-    the initial state populates and holds the mixture as one stack of block
-    states.  It walks the grid in chunks of at most ``_CHUNK_ENTRIES`` state
-    entries.  The first chunk is evolved from the initial stack and kept as
-    the real and imaginary parts of its coefficients V^T psi in the blocks'
-    real eigenvectors V.  The chunk starting at times[s] is the first one
+    the initial state populates, and gives each mixture component its own
+    rows of those blocks (see ``_initial_blocks``).  It walks the grid in
+    chunks of at most ``_CHUNK_ENTRIES`` state entries.  The first chunk is
+    held as the real and imaginary parts of its coefficients
+    exp(-iEt) V^T psi in the blocks' real eigenvectors V, formed straight
+    from the initial rows.  The chunk starting at times[s] is the first one
     moved on by U(s') = V exp(-iEs') V^T with s' = times[s] - times[0],
     applied to those parts as the real block rotation [[A, B], [-B, A]],
     A = V cos(Es') and B = V sin(Es'); the first chunk is the case s' = 0.
-    That relies on the grid being uniform, which ``TimeGrid`` guarantees.
-    Each chunk is reduced straight from its block states, which is
-    algebraically identical to evolving the full density matrix and tracing
-    it.  With ``dense=True`` the full-matrix reference path is used instead.
+    Each chunk's rotation is built once per block, and each component is
+    moved by its slice of it.  That relies on the grid being uniform, which
+    ``TimeGrid`` guarantees.  Each chunk is reduced straight from its rows,
+    which is algebraically identical to evolving the full density matrix and
+    tracing it.  With ``dense=True`` the full-matrix reference path is used
+    instead.
     """
     times = config.grid.times()
     if dense:
@@ -329,7 +352,7 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
             rho_t = prop.evolve_density(rho0, t)
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
-    ks, psi0 = _initial_blocks(config, cfg.n_max)
+    ks, psi0, spans = _initial_blocks(config, cfg.n_max)
     prop = Propagator(build_hamiltonian(cfg, ks))
     # the rotations below do not check the phase, so the whole grid is checked here
     check_phase(np.max(np.abs(prop.eigenvalues), initial=0.0), times, "oracle eigenvalue")
@@ -338,25 +361,34 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
     # eigenvectors keeps it out of every chunk
     v = prop.eigenvectors
     v[ks[:, None] < _SLOTS[:, 2]] = 0.0
-    components = psi0.shape[0]
-    size = max(1, _CHUNK_ENTRIES // psi0.size)
-    first = prop.evolve_state(psi0, times[:size])
-    # eigen-coefficients V^T psi of the first chunk, real and imaginary parts
-    # as rows (K, 8) and components x times along the last axis
-    coef = (np.swapaxes(v, -1, -2) @ first.view(float)).reshape(components, ks.size, 4, -1, 2)
-    coef = np.ascontiguousarray(coef.transpose(1, 4, 2, 0, 3)).reshape(ks.size, 8, components, -1)
-    del first
-    rotation = np.empty((ks.size, 2, 4, 2, 4))
+    first = times[: min(max(1, _CHUNK_ENTRIES // psi0.size), _CHUNK_POINTS)]
+    # eigen-coefficients exp(-iEt) V^T psi of the first chunk, rows (rows, 8)
+    # of real and imaginary parts and times along the last axis; the zero rows
+    # between components stay zero in every chunk
+    coef = np.zeros((psi0.shape[0], 8, first.size))
+    for rows, blocks in spans:
+        c0 = np.swapaxes(v[blocks], -1, -2) @ psi0[rows, :, None]
+        phase = prop.eigenvalues[blocks, :, None] * first
+        coef[rows, :4] = c0 * np.cos(phase)
+        coef[rows, 4:] = -c0 * np.sin(phase)
+    del phase
+    # U(s) = V exp(-iEs) V^T on (real, imaginary) parts is the block rotation
+    # [[A, B], [-B, A]] of the coefficients, A = V cos(Es) and B = V sin(Es).
+    # With its rows in the order of _block_entropy, each entry is one entry of
+    # V, negated in -B, times the cosine or sine that ``pick`` names.
+    _, p, _, q, j = np.indices((2, 2, 2, 2, 4))  # rows (half, part, slot), columns (part, eigenvector)
+    spread = ((1 - 2 * (p > q)) * v.reshape(-1, 2, 1, 2, 1, 4)).reshape(ks.size, 64)
+    pick = (j + 4 * (p != q)).reshape(64)
+    rotation = np.empty((ks.size, 8, 8))
+    moved = np.zeros_like(coef)
     zeta = np.empty(times.size)
-    for start in range(0, times.size, size):
-        n = min(size, times.size - start)
-        # U(s) = V exp(-iEs) V^T on (real, imaginary) parts is the block
-        # rotation [[A, B], [-B, A]] of the coefficients, A = V cos(Es) and B = V sin(Es)
-        phase = prop.eigenvalues[:, None, :] * (times[start] - times[0])
-        rotation[:, 0, :, 0] = rotation[:, 1, :, 1] = v * np.cos(phase)
-        rotation[:, 0, :, 1] = v * np.sin(phase)
-        rotation[:, 1, :, 0] = -rotation[:, 0, :, 1]
-        moved = rotation.reshape(ks.size, 8, 8) @ coef[..., :n].reshape(ks.size, 8, -1)
-        zeta[start : start + n] = _block_entropy(moved, components)
+    for start in range(0, times.size, first.size):
+        n = min(first.size, times.size - start)
+        phase = prop.eigenvalues * (times[start] - times[0])
+        trig = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+        np.multiply(spread, trig[:, pick], out=rotation.reshape(ks.size, 64))
+        for rows, blocks in spans:
+            np.matmul(rotation[blocks], coef[rows, :, :n], out=moved[rows, :, :n])
+        zeta[start : start + n] = _block_entropy(moved[..., :n])
     # rounding can land an ulp outside the mathematical range [0, 1/2]
     return TimeSeries(times, np.clip(zeta, 0.0, 0.5, out=zeta))

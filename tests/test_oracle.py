@@ -250,6 +250,20 @@ def test_propagator_evolves_a_stack_like_each_matrix(rng):
         assert np.max(np.abs(evolved[c, k] - single)) <= 1e-13
 
 
+def test_propagator_evolves_complex_hermitian_matrices_like_the_unitary(rng):
+    # complex eigenvectors act on the real and imaginary parts of the
+    # coefficients as two real products
+    stack = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    stack = stack + stack.conj().swapaxes(-1, -2)
+    psi0 = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    times = np.linspace(0.0, 5.0, 6)
+    prop = Propagator(stack)
+    evolved = prop.evolve_state(psi0, times)
+    for i, t in enumerate(times):
+        expected = (prop.unitary(t) @ psi0[..., None])[..., 0]
+        assert np.max(np.abs(evolved[..., i] - expected)) <= 1e-13
+
+
 @pytest.mark.parametrize("omega", [0.0, 0.7])
 def test_propagator_of_the_block_stack_has_real_eigenvectors(omega):
     # the default path of oracle_entropy_series moves its chunks on by a real
@@ -327,6 +341,9 @@ _PREPARATIONS = {
     "vacuum-one-photon": [(0.3, number_state(0)), (0.7, number_state(1))],
     "vacuum": number_state(0),
     "gapped-custom": FockDistribution(np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8])),
+    # the components' blocks do not touch, so only the zero row between
+    # them keeps their rows from pairing
+    "gapped-mixture": [(0.5, number_state(0)), (0.5, number_state(4))],
 }
 
 
@@ -352,9 +369,9 @@ def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
     reductions = []
     block_entropy = oracle._block_entropy
 
-    def recording_block_entropy(parts, components):
+    def recording_block_entropy(parts):
         reductions.append(parts.shape)
-        return block_entropy(parts, components)
+        return block_entropy(parts)
 
     monkeypatch.setattr(oracle, "_block_entropy", recording_block_entropy)
     for p, omega in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7)):
@@ -374,20 +391,47 @@ def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
             assert np.max(np.abs(chunked - dense)) <= 1e-12, (p, omega, points)
 
 
+@pytest.mark.parametrize(
+    "dist, p, rows",
+    [
+        # |e1 e2 1> in block 3 and |e1 g2 1> in block 2, one zero row between
+        (number_state(1), 0.5, 2 + 1),
+        (number_state(1), 0.0, 1),
+        (number_state(1), 1.0, 1),
+        # blocks 2..402 and 1..401, one zero row between
+        (binomial_state(400, 0.4), 0.37, 802 + 1),
+    ],
+)
+def test_series_moves_only_the_rows_each_component_populates(dist, p, rows):
+    config = _config(dist, p)
+    support = max(d.cutoff for _, d in config.oscillator)
+    ks, psi0, spans = oracle._initial_blocks(config, required_n_max(support))
+    assert psi0.shape == (rows, 4)
+    # every block the rows hold is built once, whichever components share it
+    assert ks.size == len(np.unique(ks)) == max(b.stop for _, b in spans)
+    # the rows that separate the components stay zero
+    held = np.zeros(rows, dtype=bool)
+    for r, _ in spans:
+        held[r] = True
+    assert not np.any(psi0[~held])
+
+
 def test_series_memory_stays_bounded_on_a_long_grid():
+    # p = 0 and p = 1 leave one component, so one row per point
     points = 100_001
-    config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 1000.0, points))
-    cfg = OracleConfig(n_max=3, couplings=config.couplings)
-    tracemalloc.start()
-    try:
-        oracle_entropy_series(config, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a few grid arrays (times, zeta and the checks of TimeSeries) and a
-    # fixed number of chunk-sized arrays; the block states of every time at
-    # once would take 32 grid arrays more
-    assert peak <= 6 * 8 * points + 8 * 2**20
+    for p in (0.0, 0.5, 1.0):
+        config = _config(number_state(1), p, grid=TimeGrid(0.0, 1000.0, points))
+        cfg = OracleConfig(n_max=3, couplings=config.couplings)
+        tracemalloc.start()
+        try:
+            oracle_entropy_series(config, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few grid arrays (times, zeta and the checks of TimeSeries) and a
+        # fixed number of chunk-sized arrays; the block states of every time at
+        # once would take 32 grid arrays more
+        assert peak <= 6 * 8 * points + 8 * 2**20, p
 
 
 def test_series_block_path_memory_stays_bounded_on_a_wide_support():
