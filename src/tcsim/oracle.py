@@ -18,7 +18,8 @@ never forms a state on the full basis, so n_max sizes none of its arrays and
 omega need only keep the blocks' entries finite.  Each mixture component
 keeps its own rows, the blocks from its lowest to its highest populated
 one, with a zero row between components.  The path walks the (uniform)
-time grid in fixed chunks: it forms the first chunk's eigen-coefficients
+time grid in fixed chunks: it evolves each component's rows over the first
+chunk by the blocks they hold, keeps that chunk's eigen-coefficients
 exp(-iEt) V^T psi as real and imaginary parts (the blocks are real
 symmetric, so their eigenvectors V are real), reaches every chunk from
 those with one real 8x8 block rotation per block, which the components that
@@ -229,6 +230,13 @@ class Propagator:
         except np.linalg.LinAlgError as exc:
             raise EigendecompositionError(str(exc)) from exc
 
+    def __getitem__(self, index) -> "Propagator":
+        """The propagator of the matrices ``index`` selects from the stack,
+        sharing this one's eigendecomposition."""
+        sub = object.__new__(Propagator)
+        sub.eigenvalues, sub.eigenvectors = self.eigenvalues[index], self.eigenvectors[index]
+        return sub
+
     def unitary(self, t: float) -> np.ndarray:
         v = self.eigenvectors
         return (v * np.exp(-1j * self.eigenvalues * t)[..., None, :]) @ _adjoint(v)
@@ -330,12 +338,13 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
     the initial state populates, and gives each mixture component its own
     rows of those blocks (see ``_initial_blocks``).  It walks the grid in
     chunks of at most ``_CHUNK_ENTRIES`` state entries.  The first chunk is
-    held as the real and imaginary parts of its coefficients
-    exp(-iEt) V^T psi in the blocks' real eigenvectors V, formed straight
-    from the initial rows.  The chunk starting at times[s] is the first one
-    moved on by U(s') = V exp(-iEs') V^T with s' = times[s] - times[0],
-    applied to those parts as the real block rotation [[A, B], [-B, A]],
-    A = V cos(Es') and B = V sin(Es'); the first chunk is the case s' = 0.
+    evolved from each component's initial rows by the blocks they hold
+    (``Propagator.evolve_state``) and kept as the real and imaginary parts
+    of its coefficients exp(-iEt) V^T psi in the blocks' real eigenvectors
+    V.  The chunk starting at times[s] is the first one moved on by
+    U(s') = V exp(-iEs') V^T with s' = times[s] - times[0], applied to those
+    parts as the real block rotation [[A, B], [-B, A]], A = V cos(Es') and
+    B = V sin(Es'); the first chunk is the case s' = 0.
     Each chunk's rotation is built once per block, and each component is
     moved by its slice of it.  That relies on the grid being uniform, which
     ``TimeGrid`` guarantees.  Each chunk is reduced straight from its rows,
@@ -363,15 +372,15 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
     v[ks[:, None] < _SLOTS[:, 2]] = 0.0
     first = times[: min(max(1, _CHUNK_ENTRIES // psi0.size), _CHUNK_POINTS)]
     # eigen-coefficients exp(-iEt) V^T psi of the first chunk, rows (rows, 8)
-    # of real and imaginary parts and times along the last axis; the zero rows
+    # of real and imaginary parts and times along the last axis; each
+    # component's rows are evolved by the blocks they hold, and the zero rows
     # between components stay zero in every chunk
     coef = np.zeros((psi0.shape[0], 8, first.size))
     for rows, blocks in spans:
-        c0 = np.swapaxes(v[blocks], -1, -2) @ psi0[rows, :, None]
-        phase = prop.eigenvalues[blocks, :, None] * first
-        coef[rows, :4] = c0 * np.cos(phase)
-        coef[rows, 4:] = -c0 * np.sin(phase)
-    del phase
+        state = prop[blocks].evolve_state(psi0[rows], first)
+        parts = (np.swapaxes(v[blocks], -1, -2) @ state.view(float)).reshape(-1, 4, first.size, 2)
+        coef[rows].reshape(-1, 2, 4, first.size)[:] = np.moveaxis(parts, -1, 1)
+    del state, parts
     # U(s) = V exp(-iEs) V^T on (real, imaginary) parts is the block rotation
     # [[A, B], [-B, A]] of the coefficients, A = V cos(Es) and B = V sin(Es).
     # With its rows in the order of _block_entropy, each entry is one entry of

@@ -250,6 +250,18 @@ def test_propagator_evolves_a_stack_like_each_matrix(rng):
         assert np.max(np.abs(evolved[c, k] - single)) <= 1e-13
 
 
+def test_propagator_of_part_of_the_stack_evolves_like_the_stack(rng):
+    stack = rng.normal(size=(4, 4, 4))
+    stack = stack + stack.swapaxes(-1, -2)
+    psi0 = rng.normal(size=(4, 4))
+    times = np.linspace(0.0, 5.0, 7)
+    prop = Propagator(stack)
+    part = prop[1:3]
+    assert np.shares_memory(part.eigenvectors, prop.eigenvectors)
+    whole = prop.evolve_state(psi0, times)
+    assert np.max(np.abs(part.evolve_state(psi0[1:3], times) - whole[1:3])) <= 1e-13
+
+
 def test_propagator_evolves_complex_hermitian_matrices_like_the_unitary(rng):
     # complex eigenvectors act on the real and imaginary parts of the
     # coefficients as two real products
@@ -414,6 +426,22 @@ def test_series_moves_only_the_rows_each_component_populates(dist, p, rows):
     for r, _ in spans:
         held[r] = True
     assert not np.any(psi0[~held])
+
+
+def test_series_evolves_each_components_first_chunk_with_the_propagator(monkeypatch):
+    # |1> at 0 < p < 1: one row in block 3 and one in block 2, each evolved
+    # over the whole first chunk by its own block
+    calls = []
+    evolve_state = Propagator.evolve_state
+
+    def recording_evolve_state(self, psi0, times):
+        calls.append((self.eigenvectors.shape, psi0.shape, len(times)))
+        return evolve_state(self, psi0, times)
+
+    monkeypatch.setattr(Propagator, "evolve_state", recording_evolve_state)
+    config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 30.0, 151))
+    oracle_entropy_series(config, OracleConfig(n_max=3, couplings=config.couplings))
+    assert calls == [((1, 4, 4), (1, 4), 151)] * 2
 
 
 def test_series_memory_stays_bounded_on_a_long_grid():
