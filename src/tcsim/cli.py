@@ -90,9 +90,7 @@ def closed_series(scenario: Scenario) -> TimeSeries:
 def oracle_series(scenario: Scenario) -> TimeSeries:
     """Brute-force entropy series for any scenario kind."""
     from . import oracle
-    config = scenario.system_config()
-    cfg = oracle.OracleConfig(scenario.effective_n_max(), config.couplings, scenario.oracle_omega)
-    return oracle.oracle_entropy_series(config, cfg)
+    return oracle.oracle_entropy_series(scenario.system_config(), omega=scenario.oracle_omega)
 
 
 _CSV_BLOCK_ROWS = 4096  # rows per % operation, so the temporary table and tuple stay small

@@ -2,9 +2,9 @@
 
 The CLI maps these onto process exit codes: parse errors exit 2 and
 validation errors 3 (tolerance failures exit 5 but are reported, not
-raised).  TruncationError and EigendecompositionError have none: the CLI
-runs the oracle at the exact truncation, and the oracle's Hamiltonians are
-symmetric and checked finite before ``eigh``.
+raised).  TruncationError and EigendecompositionError have none: only
+``initial_density`` and ``excitation_block`` take an n_max to check, and the
+oracle's Hamiltonians are symmetric and checked finite before ``eigh``.
 """
 
 

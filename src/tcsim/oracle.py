@@ -9,21 +9,21 @@ The dense basis ordering is fixed and load-bearing: the full index is
 
 Because the coupling conserves the total excitation number, truncating at
 n_max >= (oscillator support) + 2 is exact, not approximate: the populated
-blocks close on themselves and nothing leaks past the cutoff.  The same fact
-lets the default path of ``oracle_entropy_series`` evolve only those
-blocks.  It addresses each state by its total excitation k and its slot in
-the 4x4 block of k (``_SLOTS``), builds the Hamiltonian on the blocks the
-initial state populates, diagonalizes them with one batched ``eigh`` and
-never forms a state on the full basis, so n_max sizes none of its arrays and
-omega need only keep the blocks' entries finite.  Each mixture component
-keeps its own rows, the blocks from its lowest to its highest populated
-one, with a zero row between components.  The path walks the (uniform)
-time grid in fixed chunks: it evolves each component's rows over the first
-chunk by the blocks they hold, keeps that chunk's eigen-coefficients
-exp(-iEt) V^T psi as real and imaginary parts (the blocks are real
-symmetric, so their eigenvectors V are real), reaches every chunk from
-those with one real 8x8 block rotation per block, which the components that
-share the block share, and takes the partial trace from each chunk's rows.
+blocks close on themselves and nothing leaks past the cutoff.  So
+``oracle_entropy_series`` truncates there itself, and its default path
+evolves only those blocks.  It addresses each state by its total excitation
+k and its slot in the 4x4 block of k (``_SLOTS``), builds the Hamiltonian on
+the blocks the initial state populates, diagonalizes them with one batched
+``eigh`` and never forms a state on the full basis, so omega need only keep
+the blocks' entries finite.  Each mixture component keeps its own rows, the
+blocks from its lowest to its highest populated one, with a zero row
+between components.  The path walks the (uniform) time grid in fixed
+chunks: it evolves each component's rows over the first chunk by the blocks
+they hold, keeps that chunk's eigen-coefficients exp(-iEt) V^T psi as real
+and imaginary parts (the blocks are real symmetric, so their eigenvectors V
+are real), reaches every chunk from those with one real 8x8 block rotation
+per block, which the components that share the block share, and takes the
+partial trace from each chunk's rows.
 ``dense=True`` keeps the dense 4(n_max + 1)-dimensional matrix and the full
 density matrix as the reference.
 """
@@ -164,16 +164,10 @@ def _embed(q2: int, dist: FockDistribution, n_max: int) -> np.ndarray:
     return np.kron(excited, np.kron(qubit2, osc))
 
 
-def _preparations(config: SystemConfig, n_max: int) -> list[tuple[float, int, FockDistribution]]:
+def _preparations(config: SystemConfig) -> list[tuple[float, int, FockDistribution]]:
     """(weight, q2, oscillator) of each pure component of the initial state:
     qubit1 excited, qubit2 in ``q2`` (1 = excited), the oscillator in the
     given FockDistribution."""
-    support = max(dist.cutoff for _, dist in config.oscillator)
-    if n_max < required_n_max(support):
-        raise TruncationError(
-            f"n_max = {n_max} too small; oscillator support {support} needs "
-            f"n_max >= {required_n_max(support)}"
-        )
     p = config.env.p
     preps = []
     for w_osc, dist in config.oscillator:
@@ -192,11 +186,16 @@ def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
 
     The system qubit starts excited; the environment qubit is excited with
     probability p and ground otherwise.  The oscillator is prepared as the
-    mixture ``config.oscillator`` of (weight, FockDistribution) pairs.
+    mixture ``config.oscillator`` of (weight, FockDistribution) pairs.  An
+    ``n_max`` below ``required_n_max`` of its support raises TruncationError.
     """
+    support = max(dist.cutoff for _, dist in config.oscillator)
+    if n_max < required_n_max(support):
+        raise TruncationError(f"n_max = {n_max} too small; oscillator support {support} needs "
+                              f"n_max >= {required_n_max(support)}")
     dim = 4 * (n_max + 1)
     rho = np.zeros((dim, dim), dtype=complex)
-    for weight, q2, dist in _preparations(config, n_max):
+    for weight, q2, dist in _preparations(config):
         vec = _embed(q2, dist, n_max)
         rho += weight * np.outer(vec, vec.conj())
     return rho
@@ -282,7 +281,7 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def _initial_blocks(config: SystemConfig, n_max: int) -> tuple[np.ndarray, np.ndarray, list]:
+def _initial_blocks(config: SystemConfig) -> tuple[np.ndarray, np.ndarray, list]:
     """The blocks the evolution reads and the rows it moves.
 
     Returns the excitations (K,) of the blocks, ascending; the (rows, 4)
@@ -295,7 +294,7 @@ def _initial_blocks(config: SystemConfig, n_max: int) -> tuple[np.ndarray, np.nd
 
     |e1 e2 m> is slot 0 of block m + 2 and |e1 g2 m> slot 1 of block m + 1.
     """
-    preps = _preparations(config, n_max)
+    preps = _preparations(config)
     populated = [np.flatnonzero(dist.amplitudes) + 1 + q2 for _, q2, dist in preps]
     ks = np.flatnonzero(np.bincount(np.concatenate([np.arange(k[0], k[-1] + 1) for k in populated])))
     psi0 = np.zeros((sum(k[-1] - k[0] + 2 for k in populated) - 1, 4))
@@ -330,9 +329,10 @@ def _block_entropy(parts: np.ndarray) -> np.ndarray:
     return 1.0 - (rho_ee**2 + rho_gg**2 + 2.0 * (eg_re**2 + eg_im**2))
 
 
-def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool = False) -> TimeSeries:
-    """Linear entropy of the system qubit over the configuration's grid,
-    via build -> evolve -> reduce -> purity only.
+def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bool = False) -> TimeSeries:
+    """Linear entropy of the system qubit over ``config``'s grid, via build
+    -> evolve -> reduce -> purity only, at its couplings, the exact truncation
+    and the common resonant frequency ``omega`` (0: interaction picture).
 
     The default path builds and diagonalizes only the excitation blocks that
     the initial state populates, and gives each mixture component its own
@@ -344,14 +344,15 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
     V.  The chunk starting at times[s] is the first one moved on by
     U(s') = V exp(-iEs') V^T with s' = times[s] - times[0], applied to those
     parts as the real block rotation [[A, B], [-B, A]], A = V cos(Es') and
-    B = V sin(Es'); the first chunk is the case s' = 0.
-    Each chunk's rotation is built once per block, and each component is
-    moved by its slice of it.  That relies on the grid being uniform, which
-    ``TimeGrid`` guarantees.  Each chunk is reduced straight from its rows,
-    which is algebraically identical to evolving the full density matrix and
-    tracing it.  With ``dense=True`` the full-matrix reference path is used
-    instead.
+    B = V sin(Es'); the first chunk is the case s' = 0.  Each chunk's
+    rotation is built once per block, and each component is moved by its
+    slice of it.  That relies on the grid being uniform, which ``TimeGrid``
+    guarantees.  Each chunk is reduced straight from its rows, which is
+    algebraically identical to evolving the full density matrix and tracing
+    it.  With ``dense=True`` the full-matrix reference path is used instead.
     """
+    support = max(dist.cutoff for _, dist in config.oscillator)
+    cfg = OracleConfig(required_n_max(support), config.couplings, omega)
     times = config.grid.times()
     if dense:
         prop = Propagator(build_hamiltonian(cfg))
@@ -361,7 +362,7 @@ def oracle_entropy_series(config: SystemConfig, cfg: OracleConfig, dense: bool =
             rho_t = prop.evolve_density(rho0, t)
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
-    ks, psi0, spans = _initial_blocks(config, cfg.n_max)
+    ks, psi0, spans = _initial_blocks(config)
     prop = Propagator(build_hamiltonian(cfg, ks))
     # the rotations below do not check the phase, so the whole grid is checked here
     check_phase(np.max(np.abs(prop.eigenvalues), initial=0.0), times, "oracle eigenvalue")

@@ -149,7 +149,8 @@ class Scenario:
         )
 
     def effective_n_max(self) -> int:
-        """The oracle's truncation, oscillator support + 2, which is exact."""
+        """Oscillator support + 2, the oracle's exact truncation; the benchmark reports
+        the dense dimension it gives as ``oracle.dim``."""
         return required_n_max(max(dist.cutoff for _, dist in self.oscillator_components()))
 
     def to_lines(self) -> list[str]:

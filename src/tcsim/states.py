@@ -178,8 +178,8 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Truncation, common resonant frequency, and couplings for the
-    brute-force pipeline.  ``omega = 0`` selects the interaction picture."""
+    """Truncation, common resonant frequency, and couplings for the oracle's
+    Hamiltonian builders.  ``omega = 0`` selects the interaction picture."""
 
     n_max: int
     couplings: Couplings

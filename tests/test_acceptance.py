@@ -69,9 +69,7 @@ def test_criterion_01_oracle_equivalence_master_check():
         worst = max(worst, float(np.max(np.abs(closed.values - checked.values))))
     for config in _random_scenarios():
         closed = tc.entropy_series(config)
-        [(_, dist)] = config.oscillator
-        cfg = OracleConfig(n_max=dist.cutoff + 2, couplings=config.couplings)
-        checked = oracle_entropy_series(config, cfg)
+        checked = oracle_entropy_series(config)
         worst = max(worst, float(np.max(np.abs(closed.values - checked.values))))
     elapsed = time.perf_counter() - started
     assert worst <= 1e-8
@@ -92,8 +90,7 @@ def test_criterion_01_holds_across_coupling_scales():
         for lam in (1e-30, 1e-6, 1e6, 1e30):
             config = _config(dist, p, l1=lam, l2=0.1 * lam, grid=TimeGrid(0.0, 30.0 / lam, 3001))
             closed = tc.entropy_series(config).values
-            cfg = OracleConfig(n_max=dist.cutoff + 2, couplings=config.couplings)
-            checked = oracle_entropy_series(config, cfg).values
+            checked = oracle_entropy_series(config).values
             worst_oracle = max(worst_oracle, float(np.max(np.abs(closed - checked))))
             worst_scale = max(worst_scale, float(np.max(np.abs(closed - reference))))
     assert worst_oracle <= 1e-12
@@ -138,17 +135,16 @@ def test_criterion_02_single_branch_periodicity():
 def test_criterion_03_mixed_oscillator_cross_check():
     grid = TimeGrid(0.0, 40.0, 8001)
     times = grid.times()
-    cfg = OracleConfig(n_max=3, couplings=Couplings(1.0, 0.0))
     worst = 0.0
     for f in (0.0, 0.3, 0.5, 1.0):
         closed = jc_mixture_entropy(f, 1.0, times)
         mixed = _config([(f, number_state(0)), (1 - f, number_state(1))], 0.0, l2=0.0, grid=grid)
-        checked = oracle_entropy_series(mixed, cfg).values
+        checked = oracle_entropy_series(mixed).values
         worst = max(worst, float(np.max(np.abs(closed - checked))))
     assert worst <= 1e-10
     closed = jc_mixture_entropy(0.5, 1.0, times)
     mixed = _config([(0.5, number_state(0)), (0.5, number_state(1))], 0.0, l2=0.0, grid=grid)
-    checked = oracle_entropy_series(mixed, cfg).values
+    checked = oracle_entropy_series(mixed).values
     interior = (closed[1:-1] < closed[:-2]) & (closed[1:-1] < closed[2:])
     idx = np.nonzero(interior)[0] + 1
     idx = idx[times[idx] > 5.0]
@@ -281,8 +277,7 @@ def test_criterion_09_frame_invariance():
     reference = None
     worst = 0.0
     for omega in (0.0, 1.0, 5.0):
-        cfg = OracleConfig(n_max=3, couplings=config.couplings, omega=omega)
-        series = oracle_entropy_series(config, cfg)
+        series = oracle_entropy_series(config, omega=omega)
         if reference is None:
             reference = series.values
         else:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import branch_amplitudes_bruteforce
 from tcsim.errors import InvalidProbabilityError, ValidationError
 from tcsim.jc import jc_amplitudes, jc_mixture_entropy, jc_number_entropy
-from tcsim.oracle import OracleConfig, oracle_entropy_series
+from tcsim.oracle import oracle_entropy_series
 from tcsim.states import (
     Couplings,
     EnvironmentMixture,
@@ -108,8 +108,7 @@ def _mixture_oracle(f: float, grid: TimeGrid) -> np.ndarray:
         couplings=Couplings(1.0, 0.0),
         grid=grid,
     )
-    cfg = OracleConfig(n_max=3, couplings=config.couplings)
-    return oracle_entropy_series(config, cfg).values
+    return oracle_entropy_series(config).values
 
 
 @pytest.mark.parametrize("f", [0.0, 0.3, 0.5, 1.0])

@@ -143,9 +143,8 @@ def test_hamiltonian_entries_beyond_double_precision_are_a_validation_error(dens
     # lambda1 sqrt(m + 1) overflows from m = 3, which |3> reaches; no numpy
     # RuntimeWarning may escape on the way (pyproject's filterwarnings makes it an error)
     config = _config(number_state(3), 0.5, l1=1e308, grid=TimeGrid(0.0, 1.0, 11))
-    cfg = OracleConfig(n_max=required_n_max(3), couplings=config.couplings)
     with pytest.raises(ValidationError, match=re.escape("omega = 0.0, lambda1 = 1e+308, lambda2 = 0.1")):
-        oracle_entropy_series(config, cfg, dense=dense)
+        oracle_entropy_series(config, dense=dense)
 
 
 def test_excitation_block_spectrum_is_symmetric():
@@ -196,9 +195,6 @@ def test_truncation_guard():
     assert required_n_max(1) == 3
     with pytest.raises(TruncationError):
         initial_density(_config(number_state(1), 0.5), n_max=2)
-    config = _config(number_state(1), 0.5)
-    with pytest.raises(TruncationError):
-        oracle_entropy_series(config, OracleConfig(n_max=2, couplings=config.couplings))
 
 
 # ------------------------------------------------------------------ evolve
@@ -314,7 +310,7 @@ def test_reduce_qubit1_shape_check():
 
 def test_series_single_branch_limit():
     config = _config(number_state(0), 0.0, l2=0.0, grid=TimeGrid(0.0, 20.0, 2001))
-    series = oracle_entropy_series(config, OracleConfig(n_max=2, couplings=config.couplings))
+    series = oracle_entropy_series(config)
     expected = jc_number_entropy(0, 1.0, series.times)
     assert np.max(np.abs(series.values - expected)) <= 1e-10
 
@@ -323,8 +319,7 @@ def test_series_invariant_under_common_resonant_frequency():
     config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 30.0, 1501))
     reference = None
     for omega in (0.0, 1.0, 5.0):
-        cfg = OracleConfig(n_max=3, couplings=config.couplings, omega=omega)
-        series = oracle_entropy_series(config, cfg)
+        series = oracle_entropy_series(config, omega=omega)
         if reference is None:
             reference = series.values
         else:
@@ -334,17 +329,15 @@ def test_series_invariant_under_common_resonant_frequency():
 def test_series_two_term_vacuum_one_photon_mixture_matches_closed_form():
     mixed = [(0.5, number_state(0)), (0.5, number_state(1))]
     config = _config(mixed, 0.0, l1=1.0, l2=0.0, grid=TimeGrid(0.0, 30.0, 1501))
-    cfg = OracleConfig(n_max=3, couplings=config.couplings)
-    series = oracle_entropy_series(config, cfg)
+    series = oracle_entropy_series(config)
     expected = jc_mixture_entropy(0.5, 1.0, series.times)
     assert np.max(np.abs(series.values - expected)) <= 1e-10
 
 
 def test_series_dense_path_matches_component_path():
     config = _config(binomial_state(3, 0.4), 0.3, l2=0.4, grid=TimeGrid(0.0, 10.0, 101))
-    cfg = OracleConfig(n_max=5, couplings=config.couplings)
-    fast = oracle_entropy_series(config, cfg)
-    dense = oracle_entropy_series(config, cfg, dense=True)
+    fast = oracle_entropy_series(config)
+    dense = oracle_entropy_series(config, dense=True)
     assert np.max(np.abs(fast.values - dense.values)) <= 1e-12
 
 
@@ -363,13 +356,37 @@ _PREPARATIONS = {
 def test_series_block_path_matches_dense_path(name):
     # |0> with p = 0 populates only the edge block k = 1; the gapped custom
     # state populates blocks that are not contiguous
-    for p, omega, extra, l2 in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7), (0, 3), (0.0, 0.3)):
+    for p, omega, l2 in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7), (0.0, 0.3)):
         config = _config(_PREPARATIONS[name], p, l2=l2, grid=TimeGrid(0.0, 30.0, 151))
+        fast = oracle_entropy_series(config, omega=omega)
+        dense = oracle_entropy_series(config, omega=omega, dense=True)
+        assert np.max(np.abs(fast.values - dense.values)) <= 1e-12, (p, omega, l2)
+
+
+@pytest.mark.parametrize("name", sorted(_PREPARATIONS))
+def test_series_matches_dense_evolution_at_and_past_the_exact_truncation(name):
+    # support + 2 levels are exact: evolving the full density matrix by hand
+    # on them, and on three levels more, gives the series
+    grid = TimeGrid(0.0, 30.0, 151)
+    for p in (0.0, 0.37, 1.0):
+        config = _config(_PREPARATIONS[name], p, l2=0.3, grid=grid)
         support = max(dist.cutoff for _, dist in config.oscillator)
-        cfg = OracleConfig(n_max=required_n_max(support) + extra, couplings=config.couplings, omega=omega)
-        fast = oracle_entropy_series(config, cfg)
-        dense = oracle_entropy_series(config, cfg, dense=True)
-        assert np.max(np.abs(fast.values - dense.values)) <= 1e-12, (p, omega, extra, l2)
+        series = oracle_entropy_series(config).values
+        for n_max in (required_n_max(support), required_n_max(support) + 3):
+            prop = Propagator(build_hamiltonian(OracleConfig(n_max, config.couplings)))
+            rho0 = initial_density(config, n_max)
+            by_hand = [1.0 - purity(reduce_qubit1(prop.evolve_density(rho0, t))) for t in grid.times()]
+            assert np.max(np.abs(series - by_hand)) <= 1e-12, (p, n_max)
+
+
+def test_series_takes_omega_by_keyword_only():
+    # the couplings and the truncation come from the SystemConfig, so
+    # neither an OracleConfig nor omega can be passed by position
+    config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 30.0, 11))
+    with pytest.raises(TypeError):
+        oracle_entropy_series(config, OracleConfig(3, config.couplings))
+    with pytest.raises(TypeError):
+        oracle_entropy_series(config, 0.7)
 
 
 @pytest.mark.parametrize("name", sorted(_PREPARATIONS))
@@ -388,16 +405,14 @@ def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
     monkeypatch.setattr(oracle, "_block_entropy", recording_block_entropy)
     for p, omega in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7)):
         config = _config(_PREPARATIONS[name], p, l2=0.3, grid=grid)
-        support = max(dist.cutoff for _, dist in config.oscillator)
-        cfg = OracleConfig(n_max=required_n_max(support), couplings=config.couplings, omega=omega)
-        per_point = oracle._initial_blocks(config, cfg.n_max)[1].size
+        per_point = oracle._initial_blocks(config)[1].size
         monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", grid.n_points * per_point)
-        whole = oracle_entropy_series(config, cfg).values
-        dense = oracle_entropy_series(config, cfg, dense=True).values
+        whole = oracle_entropy_series(config, omega=omega).values
+        dense = oracle_entropy_series(config, omega=omega, dense=True).values
         for points in (1, 7, grid.n_points + 50):
             monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", points * per_point)
             reductions.clear()
-            chunked = oracle_entropy_series(config, cfg).values
+            chunked = oracle_entropy_series(config, omega=omega).values
             assert len(reductions) == -(-grid.n_points // points)
             assert np.max(np.abs(chunked - whole)) <= 1e-13, (p, omega, points)
             assert np.max(np.abs(chunked - dense)) <= 1e-12, (p, omega, points)
@@ -415,9 +430,7 @@ def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
     ],
 )
 def test_series_moves_only_the_rows_each_component_populates(dist, p, rows):
-    config = _config(dist, p)
-    support = max(d.cutoff for _, d in config.oscillator)
-    ks, psi0, spans = oracle._initial_blocks(config, required_n_max(support))
+    ks, psi0, spans = oracle._initial_blocks(_config(dist, p))
     assert psi0.shape == (rows, 4)
     # every block the rows hold is built once, whichever components share it
     assert ks.size == len(np.unique(ks)) == max(b.stop for _, b in spans)
@@ -440,7 +453,7 @@ def test_series_evolves_each_components_first_chunk_with_the_propagator(monkeypa
 
     monkeypatch.setattr(Propagator, "evolve_state", recording_evolve_state)
     config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 30.0, 151))
-    oracle_entropy_series(config, OracleConfig(n_max=3, couplings=config.couplings))
+    oracle_entropy_series(config)
     assert calls == [((1, 4, 4), (1, 4), 151)] * 2
 
 
@@ -449,10 +462,9 @@ def test_series_memory_stays_bounded_on_a_long_grid():
     points = 100_001
     for p in (0.0, 0.5, 1.0):
         config = _config(number_state(1), p, grid=TimeGrid(0.0, 1000.0, points))
-        cfg = OracleConfig(n_max=3, couplings=config.couplings)
         tracemalloc.start()
         try:
-            oracle_entropy_series(config, cfg)
+            oracle_entropy_series(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,10 +479,9 @@ def test_series_block_path_memory_stays_bounded_on_a_wide_support():
     # per 1 MB chunk; the first chunk, its coefficients and one moved chunk
     # are alive at once, next to a few grid arrays
     config = _config(binomial_state(400, 0.5), 0.37)
-    cfg = OracleConfig(n_max=required_n_max(400), couplings=config.couplings)
     tracemalloc.start()
     try:
-        oracle_entropy_series(config, cfg)
+        oracle_entropy_series(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -489,7 +500,7 @@ def test_series_block_path_scales_to_a_binomial_support_of_2000(monkeypatch):
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    series = oracle_entropy_series(config, cfg)
+    series = oracle_entropy_series(config)
     closed = entropy_series(config)
     assert np.max(np.abs(series.values - closed.values)) <= 1e-10
     assert sizes and max(sizes) <= 4
@@ -504,45 +515,13 @@ def test_series_block_path_scales_to_a_binomial_support_of_2000(monkeypatch):
     assert peak < 8 * (cfg.n_max + 1) ** 2
 
 
-def _block_path_peak(config, n_max):
-    """tracemalloc peak of the default path of ``oracle_entropy_series``."""
-    cfg = OracleConfig(n_max=n_max, couplings=config.couplings, omega=0.7)
-    tracemalloc.start()
-    try:
-        oracle_entropy_series(config, cfg)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_series_block_path_memory_does_not_grow_with_n_max():
-    # n_max only gates the truncation check: every array of the block path
-    # is sized by the populated blocks and the time chunk
-    config = _config(binomial_state(40, 0.5), 0.37, l2=0.3, grid=TimeGrid(0.0, 30.0, 201))
-    support = max(dist.cutoff for _, dist in config.oscillator)
-    _block_path_peak(config, required_n_max(support))  # warm caches outside the comparison
-    smallest = _block_path_peak(config, required_n_max(support))
-    huge = _block_path_peak(config, 10**12)
-    # the peaks differ by the few hundred bytes of interpreter bookkeeping
-    # that also differ between two identical calls; one (n_max + 1)-sized
-    # float array would add 8 TB
-    assert abs(huge - smallest) <= 4096
-
-
 def test_block_path_passes_where_only_the_dense_diagonal_would_overflow():
-    # omega (n_max + 1) overflows, but the blocks that |1> populates hold at
-    # most 3 omega, so a huge n_max neither overflows nor tightens omega
+    # a dense diagonal of omega (n_max + 1) would overflow on 10**18 levels,
+    # but the blocks that |1> populates hold at most 3 omega, so an omega
+    # this large keeps every entry finite
     config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 1e-300, 11))
-    cfg = OracleConfig(n_max=10**18, couplings=config.couplings, omega=1e291)
-    series = oracle_entropy_series(config, cfg)
+    series = oracle_entropy_series(config, omega=1e291)
     assert np.max(np.abs(series.values - entropy_series(config).values)) <= 1e-8
-
-
-def test_series_stable_under_truncation_growth():
-    config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 30.0, 601))
-    base = oracle_entropy_series(config, OracleConfig(n_max=3, couplings=config.couplings))
-    bigger = oracle_entropy_series(config, OracleConfig(n_max=6, couplings=config.couplings))
-    assert np.max(np.abs(base.values - bigger.values)) <= 1e-12
 
 
 _PACKAGE = Path(tcsim.__file__).parent

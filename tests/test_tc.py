@@ -29,7 +29,6 @@ from tcsim.states import (
     TimeGrid,
     binomial_state,
     number_state,
-    required_n_max,
 )
 from tcsim.tc import (
     branch_frequencies,
@@ -333,10 +332,7 @@ def test_entropy_reduces_to_single_branch_and_ignores_p_when_decoupled():
 def test_entropy_series_matches_bruteforce_reference_scenario():
     config = _config(number_state(1), 0.5)
     series = entropy_series(config)
-    cfg = OracleConfig(n_max=3, couplings=config.couplings)
-    from tcsim.oracle import oracle_entropy_series
-
-    reference = oracle_entropy_series(config, cfg)
+    reference = oracle_entropy_series(config)
     assert len(series) == config.grid.n_points
     assert np.all(np.diff(series.times) > 0)
     assert np.max(np.abs(series.values - reference.values)) <= 1e-8
@@ -438,8 +434,7 @@ def test_mixed_binomial_and_number_state_closed_form_matches_oracle():
     for components in ([(0.3, binomial_state(5, 0.4)), (0.7, number_state(2))], _PHASE_AVERAGED):
         config = _config(components, 0.3, l2=0.1, grid=TimeGrid(0.0, 30.0, 1501))
         closed = mixture_entropy_arrays(config, config.grid.times())
-        cfg = OracleConfig(n_max=7, couplings=config.couplings)
-        checked = oracle_entropy_series(config, cfg)
+        checked = oracle_entropy_series(config)
         assert np.max(np.abs(closed - checked.values)) <= 1e-10
         # a genuine mixture: neither component alone gives the same curve
         for _, dist in config.oscillator:
@@ -457,9 +452,7 @@ def _closed_vs_oracle(config):
     """Largest |closed - oracle| over the grid, eps d_max t_max, and the
     model's C and floor."""
     t = config.grid.times()
-    cutoff = config.oscillator[0][1].cutoff
-    cfg = OracleConfig(n_max=required_n_max(cutoff), couplings=config.couplings)
-    err = np.max(np.abs(mixture_entropy_arrays(config, t) - oracle_entropy_series(config, cfg).values))
+    err = np.max(np.abs(mixture_entropy_arrays(config, t) - oracle_entropy_series(config).values))
     c, floor, d_max = tc._error_model(config)
     return float(err), np.finfo(float).eps * d_max * float(t[-1]), c, floor
 
