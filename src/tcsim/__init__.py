@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "series": ("TimeSeries",),
     "states": ("FockDistribution", "EnvironmentMixture", "Couplings", "TimeGrid", "SystemConfig",
-               "OracleConfig", "number_state", "binomial_state", "fano_factor", "validate"),
+               "number_state", "binomial_state", "fano_factor", "validate"),
     "jc": ("JcAmplitudes", "jc_amplitudes", "jc_number_entropy", "jc_mixture_entropy"),
     "tc": ("SpectralParams", "spectral_params", "entropy_series"),
     "oracle": ("Propagator", "build_hamiltonian", "initial_density", "reduce_qubit1", "purity",

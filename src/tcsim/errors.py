@@ -3,8 +3,8 @@
 The CLI maps these onto process exit codes: parse errors exit 2 and
 validation errors 3 (tolerance failures exit 5 but are reported, not
 raised).  TruncationError and EigendecompositionError have none: only
-``initial_density`` and ``excitation_block`` take an n_max to check, and the
-oracle's Hamiltonians are symmetric and checked finite before ``eigh``.
+``initial_density`` checks an n_max against the support, and the oracle's
+Hamiltonians are symmetric and checked finite before ``eigh``.
 """
 
 

@@ -41,13 +41,15 @@ def jc_amplitudes(n: int, coupling: float, t: float) -> JcAmplitudes:
     """Evolve |e, n> for time ``t`` at the given coupling.
 
     Returns cos(theta) on |e, n> and -i sin(theta) on |g, n+1> with
-    theta = coupling * t * sqrt(n + 1).
+    theta = coupling * t * sqrt(n + 1); a theta past ``series.PHASE_LIMIT``
+    raises ValidationError.
     """
     n = check_integer(n, 0, "n must be a non-negative integer, got {!r}")
     if not coupling > 0:
         raise ValidationError(f"coupling must be positive, got {coupling!r}")
     if t < 0:
         raise ValidationError(f"t must be non-negative, got {t!r}")
+    check_phase(coupling * math.sqrt(n + 1.0), t, "number-state amplitudes")
     theta = coupling * t * math.sqrt(n + 1.0)
     return JcAmplitudes(
         c_excited=complex(math.cos(theta)),
@@ -62,13 +64,16 @@ def jc_number_entropy(n, coupling, t):
 
     zeta(t) = sin^2(2 * coupling * sqrt(n+1) * t) / 2, periodic with period
     pi / (2 * coupling * sqrt(n+1)) and bounded by [0, 0.5].  ``t`` may be a
-    scalar or an array.
+    scalar or an array; a phase past ``series.PHASE_LIMIT`` raises
+    ValidationError.
     """
     n = check_integer(n, 0, "n must be a non-negative integer, got {!r}")
     if not coupling > 0:
         raise ValidationError(f"coupling must be positive, got {coupling!r}")
     t = np.asarray(t, dtype=float)
-    zeta = 0.5 * np.sin(2.0 * coupling * math.sqrt(n + 1.0) * t) ** 2
+    freq = 2.0 * coupling * math.sqrt(n + 1.0)
+    check_phase(freq, t, "number-state entropy")
+    zeta = 0.5 * np.sin(freq * t) ** 2
     return zeta if zeta.ndim else float(zeta)
 
 

@@ -9,8 +9,8 @@ The dense basis ordering is fixed and load-bearing: the full index is
 
 Because the coupling conserves the total excitation number, truncating at
 n_max >= (oscillator support) + 2 is exact, not approximate: the populated
-blocks close on themselves and nothing leaks past the cutoff.  So
-``oracle_entropy_series`` truncates there itself, and its default path
+blocks close on themselves and nothing leaks past the cutoff.  So the dense
+reference of ``oracle_entropy_series`` truncates there, and its default path
 evolves only those blocks.  It addresses each state by its total excitation
 k and its slot in the 4x4 block of k (``_SLOTS``), builds the Hamiltonian on
 the blocks the initial state populates, diagonalizes them with one batched
@@ -35,11 +35,10 @@ import math
 import numpy as np
 
 from .errors import EigendecompositionError, TruncationError, ValidationError
-from .series import TimeSeries, check_phase
-from .states import FockDistribution, OracleConfig, SystemConfig, required_n_max
+from .series import TimeSeries, check_integer, check_phase
+from .states import Couplings, FockDistribution, SystemConfig, required_n_max
 
 __all__ = [
-    "OracleConfig",
     "build_hamiltonian",
     "total_excitation",
     "excitation_block",
@@ -48,7 +47,6 @@ __all__ = [
     "reduce_qubit1",
     "purity",
     "oracle_entropy_series",
-    "required_n_max",
 ]
 
 _HERMITICITY_TOL = 1e-12
@@ -62,6 +60,7 @@ _CHUNK_ENTRIES = 2**16
 # 8 ms a product against 0.08 ms on one thread of a 2-core host.  Only a
 # single row reaches that length within the entry budget.
 _CHUNK_POINTS = 8192
+_N_MAX = "n_max must be a non-negative integer, got {!r}"
 
 
 # The conserved block of total excitation k, one row per slot: qubit1,
@@ -70,7 +69,7 @@ _CHUNK_POINTS = 8192
 _SLOTS = np.array([[1, 1, 2], [1, 0, 1], [0, 1, 1], [0, 0, 0]])
 
 
-def _terms(cfg: OracleConfig) -> list:
+def _terms(couplings: Couplings, omega: float) -> list:
     """H as a list of (coef, q1 op, q2 op, oscillator op) kron factors.
 
     Each oscillator operator has one nonzero diagonal and is kept as
@@ -88,21 +87,22 @@ def _terms(cfg: OracleConfig) -> list:
     sz = np.diag([-1.0, 1.0])
     sp = np.array([[0.0, 0.0], [1.0, 0.0]])
     i2 = np.eye(2)
-    lam1, lam2 = cfg.couplings.lambda1, cfg.couplings.lambda2
-    half = 0.5 * cfg.omega
+    half = 0.5 * omega
     return [
-        (cfg.omega, i2, i2, number),
+        (omega, i2, i2, number),
         (half, sz, i2, one),
         (half, i2, sz, one),
-        (lam1, sp, i2, a),
-        (lam1, sp.T, i2, a_dag),
-        (lam2, i2, sp, a),
-        (lam2, i2, sp.T, a_dag),
+        (couplings.lambda1, sp, i2, a),
+        (couplings.lambda1, sp.T, i2, a_dag),
+        (couplings.lambda2, i2, sp, a),
+        (couplings.lambda2, i2, sp.T, a_dag),
     ]
 
 
-def build_hamiltonian(cfg: OracleConfig, excitations=None) -> np.ndarray:
-    """Hamiltonian on the truncated space (units hbar = 1):
+def build_hamiltonian(couplings: Couplings, omega: float = 0.0, *, n_max=None,
+                      excitations=None) -> np.ndarray:
+    """Hamiltonian at the common resonant frequency ``omega`` (0: interaction
+    picture), in units hbar = 1:
 
         H = omega a+a + (omega/2)(sz1 + sz2)
             + lambda1 (a s1+ + a+ s1-) + lambda2 (a s2+ + a+ s2-)
@@ -110,17 +110,22 @@ def build_hamiltonian(cfg: OracleConfig, excitations=None) -> np.ndarray:
     The matrix is real symmetric and commutes with the total excitation
     operator, which is what makes the truncation exact.
 
-    With ``excitations=None`` the result is the dense dim x dim matrix.
-    Given K total excitations it is the (K, 4, 4) stack of the conserved
-    blocks, in the slot order of ``_SLOTS``, evaluated from the same terms
-    without the dense matrix; a slot whose photon number would be negative
-    has a zero row and column.  An entry that overflows double precision
-    raises ValidationError naming omega and the couplings.
+    Takes exactly one of ``n_max`` and ``excitations``.  Given ``n_max`` the
+    result is the dense matrix on n_max + 1 oscillator levels.  Given K total
+    excitations it is the (K, 4, 4) stack of the conserved blocks, in the
+    slot order of ``_SLOTS``, evaluated from the same terms without the
+    dense matrix; a slot whose photon number would be negative has a zero
+    row and column.  A non-finite entry, from a non-finite omega or an
+    overflow, raises ValidationError naming omega and the couplings.
     """
-    terms = _terms(cfg)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+    if (n_max is None) == (excitations is None):
+        raise TypeError(f"build_hamiltonian takes exactly one of n_max and excitations, "
+                        f"got n_max = {n_max!r}")
+    omega = float(omega)
+    terms = _terms(couplings, omega)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are reported below
         if excitations is None:
-            no = cfg.n_max + 1
+            no = check_integer(n_max, 0, _N_MAX) + 1
             h = sum(
                 coef * np.kron(q1, np.kron(q2, np.diag(entry(np.arange(no - abs(offset))), offset)))
                 for coef, q1, q2, (offset, entry) in terms
@@ -137,22 +142,16 @@ def build_hamiltonian(cfg: OracleConfig, excitations=None) -> np.ndarray:
             valid = m >= 0
             h = np.where(valid[:, :, None] & valid[:, None, :], h, 0.0)
     if not np.all(np.isfinite(h)):
-        c = cfg.couplings
-        raise ValidationError(f"omega = {cfg.omega!r}, lambda1 = {c.lambda1!r}, lambda2 = "
-                              f"{c.lambda2!r} overflow double precision in the oracle Hamiltonian")
+        raise ValidationError(f"omega = {omega!r}, lambda1 = {couplings.lambda1!r}, lambda2 = "
+                              f"{couplings.lambda2!r} overflow or are not finite in the oracle Hamiltonian")
     return h
 
 
-def excitation_block(cfg: OracleConfig, n: int) -> np.ndarray:
+def excitation_block(couplings: Couplings, n: int) -> np.ndarray:
     """4x4 restriction of the interaction to the conserved block
-    {|e1 e2 n>, |e1 g2 n+1>, |g1 e2 n+1>, |g1 g2 n+2>}.
-
-    Requires n + 2 <= n_max so the block fits inside the truncation.
-    """
-    if n < 0 or n + 2 > cfg.n_max:
-        raise TruncationError(f"block n = {n} needs n_max >= {n + 2}, have {cfg.n_max}")
-    interaction = OracleConfig(cfg.n_max, cfg.couplings, omega=0.0)
-    return build_hamiltonian(interaction, [n + 2])[0]
+    {|e1 e2 n>, |e1 g2 n+1>, |g1 e2 n+1>, |g1 g2 n+2>}, for any n >= 0."""
+    n = check_integer(n, 0, "block n must be a non-negative integer, got {!r}")
+    return build_hamiltonian(couplings, excitations=[n + 2])[0]
 
 
 def _embed(q2: int, dist: FockDistribution, n_max: int) -> np.ndarray:
@@ -189,6 +188,7 @@ def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
     mixture ``config.oscillator`` of (weight, FockDistribution) pairs.  An
     ``n_max`` below ``required_n_max`` of its support raises TruncationError.
     """
+    n_max = check_integer(n_max, 0, _N_MAX)
     support = max(dist.cutoff for _, dist in config.oscillator)
     if n_max < required_n_max(support):
         raise TruncationError(f"n_max = {n_max} too small; oscillator support {support} needs "
@@ -201,9 +201,11 @@ def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
     return rho
 
 
-def total_excitation(cfg: OracleConfig) -> np.ndarray:
-    """Operator counting quanta on the dense basis: a+a + (sz1 + 1)/2 + (sz2 + 1)/2."""
-    q, m = np.divmod(np.arange(4 * (cfg.n_max + 1)), cfg.n_max + 1)
+def total_excitation(n_max: int) -> np.ndarray:
+    """Operator counting quanta on the dense basis of n_max + 1 oscillator
+    levels: a+a + (sz1 + 1)/2 + (sz2 + 1)/2."""
+    levels = check_integer(n_max, 0, _N_MAX) + 1
+    q, m = np.divmod(np.arange(4 * levels), levels)
     return np.diag((q // 2 + q % 2 + m).astype(float))
 
 
@@ -331,8 +333,8 @@ def _block_entropy(parts: np.ndarray) -> np.ndarray:
 
 def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bool = False) -> TimeSeries:
     """Linear entropy of the system qubit over ``config``'s grid, via build
-    -> evolve -> reduce -> purity only, at its couplings, the exact truncation
-    and the common resonant frequency ``omega`` (0: interaction picture).
+    -> evolve -> reduce -> purity only, at its couplings and the common
+    resonant frequency ``omega`` (0: interaction picture).
 
     The default path builds and diagonalizes only the excitation blocks that
     the initial state populates, and gives each mixture component its own
@@ -349,21 +351,21 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
     slice of it.  That relies on the grid being uniform, which ``TimeGrid``
     guarantees.  Each chunk is reduced straight from its rows, which is
     algebraically identical to evolving the full density matrix and tracing
-    it.  With ``dense=True`` the full-matrix reference path is used instead.
+    it.  With ``dense=True`` the full-matrix reference path is used instead,
+    at the exact truncation ``required_n_max`` of the oscillator support.
     """
-    support = max(dist.cutoff for _, dist in config.oscillator)
-    cfg = OracleConfig(required_n_max(support), config.couplings, omega)
     times = config.grid.times()
     if dense:
-        prop = Propagator(build_hamiltonian(cfg))
-        rho0 = initial_density(config, cfg.n_max)
+        n_max = required_n_max(max(dist.cutoff for _, dist in config.oscillator))
+        prop = Propagator(build_hamiltonian(config.couplings, omega, n_max=n_max))
+        rho0 = initial_density(config, n_max)
         zeta = np.empty(times.size)
         for i, t in enumerate(times):
             rho_t = prop.evolve_density(rho0, t)
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
     ks, psi0, spans = _initial_blocks(config)
-    prop = Propagator(build_hamiltonian(cfg, ks))
+    prop = Propagator(build_hamiltonian(config.couplings, omega, excitations=ks))
     # the rotations below do not check the phase, so the whole grid is checked here
     check_phase(np.max(np.abs(prop.eigenvalues), initial=0.0), times, "oracle eigenvalue")
     # an empty slot's row and column of H are zero, but eigh may mix it into a

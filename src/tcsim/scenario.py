@@ -34,12 +34,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ScenarioParseError
+from .errors import ScenarioParseError, ValidationError
 from .states import (
     Couplings,
     EnvironmentMixture,
     FockDistribution,
-    OracleConfig,
     SystemConfig,
     TimeGrid,
     binomial_state,
@@ -133,7 +132,9 @@ class Scenario:
     def __post_init__(self):
         _kind(self.kind)
         # checked with the oracle off too, so that no invalid value reaches a CSV header
-        OracleConfig(0, Couplings(self.lambda1, self.lambda2), self.oracle_omega)
+        Couplings(self.lambda1, self.lambda2)
+        if not np.isfinite(self.oracle_omega):
+            raise ValidationError(f"omega = {self.oracle_omega!r} must be finite")
 
     def oscillator_components(self) -> list[tuple[float, FockDistribution]]:
         """The oscillator preparation as (weight, pure distribution) pairs."""

@@ -1,8 +1,8 @@
 """Initial-state descriptions: oscillator amplitude distributions over Fock
 states, the two-level environment mixture, coupling constants, the full
 system configuration consumed by the closed-form and oracle pipelines, and
-the oracle's truncation settings (``OracleConfig``, ``required_n_max``), kept
-here so that checking them does not import the oracle.
+the oracle's exact truncation (``required_n_max``), kept here so that a
+scenario reports it without importing the oracle.
 
 Oscillator amplitudes are real by convention; all constructors normalize and
 freeze them. Times are measured in units of 1/lambda1 throughout.
@@ -174,23 +174,6 @@ class SystemConfig:
         object.__setattr__(self, "oscillator", check_components(osc))
         if self.couplings.lambda1 <= 0:
             raise ValidationError("lambda1 must be positive for a nontrivial scenario")
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Truncation, common resonant frequency, and couplings for the oracle's
-    Hamiltonian builders.  ``omega = 0`` selects the interaction picture."""
-
-    n_max: int
-    couplings: Couplings
-    omega: float = 0.0
-
-    def __post_init__(self):
-        n_max = check_integer(self.n_max, 0, "n_max must be a non-negative integer, got {!r}")
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "omega", float(self.omega))
-        if not math.isfinite(self.omega):
-            raise ValidationError(f"omega = {self.omega!r} must be finite")
 
 
 def required_n_max(support_cutoff: int) -> int:

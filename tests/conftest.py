@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tcsim.tc as tc
-from tcsim.oracle import OracleConfig, Propagator, build_hamiltonian
+from tcsim.oracle import Propagator, build_hamiltonian
 from tcsim.states import Couplings
 
 # The phases ``tc._block_columns`` leaves off each entry of its real columns.
@@ -57,7 +57,7 @@ def branch_amplitudes_bruteforce(
     """Four branch amplitudes at time t from dense evolution of the full
     Hamiltonian (interaction picture)."""
     n_max = n + 3
-    prop = Propagator(build_hamiltonian(OracleConfig(n_max=n_max, couplings=couplings)))
+    prop = Propagator(build_hamiltonian(couplings, n_max=n_max))
     if primed:
         psi0 = basis_vector(1, 0, n, n_max)
         targets = [None if n == 0 else (1, 1, n - 1), (1, 0, n), (0, 1, n), (0, 0, n + 1)]

@@ -15,7 +15,7 @@ from conftest import coefficient_quad, entropy_terms
 from tcsim.analysis import dominant_frequencies, find_revivals, time_average
 from tcsim.cli import closed_series, main, oracle_series
 from tcsim.jc import jc_mixture_entropy
-from tcsim.oracle import OracleConfig, excitation_block, oracle_entropy_series
+from tcsim.oracle import excitation_block, oracle_entropy_series
 from tcsim.scenario import preset
 from tcsim.states import (
     Couplings,
@@ -171,8 +171,7 @@ def test_criterion_04_frequency_reading_regression():
     literal_margin = math.inf
     for n in (0, 1, 2, 5):
         sp = spectral_params(n, Couplings(lam, lam))
-        cfg = OracleConfig(n_max=n + 2, couplings=Couplings(lam, lam))
-        gap = float(np.linalg.eigvalsh(excitation_block(cfg, n)).max())
+        gap = float(np.linalg.eigvalsh(excitation_block(Couplings(lam, lam), n)).max())
         assert sp.d_plus == pytest.approx(lam * math.sqrt(2 * (2 * n + 3)), abs=1e-12)
         worst = max(worst, abs(sp.d_plus - gap))
         literal_margin = min(literal_margin, abs(_literal_reading_d_plus(n, lam) - gap))

@@ -9,6 +9,7 @@ from conftest import branch_amplitudes_bruteforce
 from tcsim.errors import InvalidProbabilityError, ValidationError
 from tcsim.jc import jc_amplitudes, jc_mixture_entropy, jc_number_entropy
 from tcsim.oracle import oracle_entropy_series
+from tcsim.series import PHASE_LIMIT
 from tcsim.states import (
     Couplings,
     EnvironmentMixture,
@@ -63,6 +64,17 @@ def test_amplitudes_input_validation():
         jc_amplitudes(0, 0.0, 0.0)
     with pytest.raises(ValidationError):
         jc_amplitudes(0, 1.0, -0.5)
+
+
+def test_number_state_closed_forms_check_the_phase():
+    # the phase frequency * t of |1> is sqrt(2) t in the amplitudes and
+    # 2 sqrt(2) t in the entropy; 1e17 is past the limit for both
+    for closed_form, freq in ((jc_amplitudes, math.sqrt(2.0)), (jc_number_entropy, 2.0 * math.sqrt(2.0))):
+        closed_form(1, 1.0, 0.5 * PHASE_LIMIT / freq)
+        with pytest.raises(ValidationError, match="beyond double precision"):
+            closed_form(1, 1.0, 1e17)
+    with pytest.raises(ValidationError, match="beyond double precision"):
+        jc_number_entropy(1, 1.0, np.array([0.0, 1.0, 1e17]))
 
 
 def test_number_entropy_examples():

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -13,7 +14,6 @@ from tcsim import oracle
 from tcsim.errors import EigendecompositionError, TruncationError, ValidationError
 from tcsim.jc import jc_mixture_entropy, jc_number_entropy
 from tcsim.oracle import (
-    OracleConfig,
     Propagator,
     build_hamiltonian,
     excitation_block,
@@ -21,7 +21,6 @@ from tcsim.oracle import (
     oracle_entropy_series,
     purity,
     reduce_qubit1,
-    required_n_max,
     total_excitation,
 )
 from tcsim.states import (
@@ -32,6 +31,7 @@ from tcsim.states import (
     TimeGrid,
     binomial_state,
     number_state,
+    required_n_max,
 )
 from tcsim.tc import entropy_series
 
@@ -48,25 +48,31 @@ def _config(dist, p, l1=1.0, l2=0.1, grid=None):
 # ------------------------------------------------------------- Hamiltonian
 
 
+def _random_couplings(rng):
+    return Couplings(float(rng.uniform(0.1, 2)), float(rng.uniform(0, 2)))
+
+
 def test_hamiltonian_vanishes_without_couplings():
-    cfg = OracleConfig(n_max=4, couplings=Couplings(0.0, 0.0), omega=0.0)
-    assert np.array_equal(build_hamiltonian(cfg), np.zeros((20, 20)))
+    assert np.array_equal(build_hamiltonian(Couplings(0.0, 0.0), n_max=4), np.zeros((20, 20)))
+
+
+def test_hamiltonian_takes_exactly_one_of_n_max_and_excitations():
+    with pytest.raises(TypeError, match="exactly one of n_max and excitations, got n_max = None"):
+        build_hamiltonian(Couplings(1.0, 0.1))
+    with pytest.raises(TypeError, match="exactly one of n_max and excitations, got n_max = 3"):
+        build_hamiltonian(Couplings(1.0, 0.1), n_max=3, excitations=[1, 2])
 
 
 def test_hamiltonian_is_hermitian(rng):
     for _ in range(5):
-        cfg = OracleConfig(
-            n_max=int(rng.integers(2, 8)),
-            couplings=Couplings(float(rng.uniform(0.1, 2)), float(rng.uniform(0, 2))),
-            omega=float(rng.uniform(0, 4)),
-        )
-        h = build_hamiltonian(cfg)
+        h = build_hamiltonian(_random_couplings(rng), float(rng.uniform(0, 4)),
+                              n_max=int(rng.integers(2, 8)))
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
-def _reference_hamiltonian(cfg):
+def _reference_hamiltonian(couplings, omega, n_max):
     # the definition written out with kron embeddings and matrix products
-    no = cfg.n_max + 1
+    no = n_max + 1
     a = np.diag(np.sqrt(np.arange(1.0, no)), 1)
     sz = np.diag([-1.0, 1.0])
     sp = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -76,22 +82,18 @@ def _reference_hamiltonian(cfg):
         factors[slot] = op
         return np.kron(factors[0], np.kron(factors[1], factors[2]))
 
-    h = cfg.omega * on(2, a.T @ a) + 0.5 * cfg.omega * (on(0, sz) + on(1, sz))
-    for lam, slot in ((cfg.couplings.lambda1, 0), (cfg.couplings.lambda2, 1)):
+    h = omega * on(2, a.T @ a) + 0.5 * omega * (on(0, sz) + on(1, sz))
+    for lam, slot in ((couplings.lambda1, 0), (couplings.lambda2, 1)):
         h = h + lam * (on(2, a) @ on(slot, sp) + on(2, a.T) @ on(slot, sp).T)
     return h
 
 
 def test_hamiltonian_matches_kron_product_definition(rng):
     for n_max in (0, 1, 4, 9):
-        cfg = OracleConfig(
-            n_max=n_max,
-            couplings=Couplings(float(rng.uniform(0.1, 2)), float(rng.uniform(0, 2))),
-            omega=float(rng.uniform(0, 4)),
-        )
-        h = build_hamiltonian(cfg)
+        couplings, omega = _random_couplings(rng), float(rng.uniform(0, 4))
+        h = build_hamiltonian(couplings, omega, n_max=n_max)
         assert h.shape == (4 * (n_max + 1), 4 * (n_max + 1))
-        assert np.max(np.abs(h - _reference_hamiltonian(cfg))) <= 1e-12
+        assert np.max(np.abs(h - _reference_hamiltonian(couplings, omega, n_max))) <= 1e-12
 
 
 def test_hamiltonian_blocks_are_gathers_of_the_dense_matrix(rng):
@@ -99,41 +101,32 @@ def test_hamiltonian_blocks_are_gathers_of_the_dense_matrix(rng):
     # total excitation k; a slot with a negative photon number is missing
     slots = ((1, 1, 2), (1, 0, 1), (0, 1, 1), (0, 0, 0))
     for _ in range(4):
-        cfg = OracleConfig(
-            n_max=int(rng.integers(2, 8)),
-            couplings=Couplings(float(rng.uniform(0.1, 2)), float(rng.uniform(0, 2))),
-            omega=float(rng.uniform(0, 4)),
-        )
-        dense = build_hamiltonian(cfg)
-        stack = build_hamiltonian(cfg, np.arange(cfg.n_max + 1))
-        assert stack.shape == (cfg.n_max + 1, 4, 4)
+        couplings, omega, n_max = _random_couplings(rng), float(rng.uniform(0, 4)), int(rng.integers(2, 8))
+        dense = build_hamiltonian(couplings, omega, n_max=n_max)
+        stack = build_hamiltonian(couplings, omega, excitations=np.arange(n_max + 1))
+        assert stack.shape == (n_max + 1, 4, 4)
         for k, block in enumerate(stack):
-            live, rows = zip(*[(slot, full_index(q1, q2, k - depth, cfg.n_max))
+            live, rows = zip(*[(slot, full_index(q1, q2, k - depth, n_max))
                                for slot, (q1, q2, depth) in enumerate(slots) if k >= depth])
             expected = np.zeros((4, 4))
             expected[np.ix_(live, live)] = dense[np.ix_(rows, rows)]
-            assert np.array_equal(block, expected), (cfg, k)
+            assert np.array_equal(block, expected), (couplings, omega, n_max, k)
 
 
 def test_hamiltonian_single_excitation_matrix_element():
     # <g1 e2 n+1| H |e1 e2 n> = lambda1 sqrt(n+1) when qubit2 is frozen
-    cfg = OracleConfig(n_max=6, couplings=Couplings(1.4, 0.0))
-    h = build_hamiltonian(cfg)
+    h = build_hamiltonian(Couplings(1.4, 0.0), n_max=6)
     for n in (0, 1, 3):
-        row = full_index(0, 1, n + 1, cfg.n_max)
-        col = full_index(1, 1, n, cfg.n_max)
+        row = full_index(0, 1, n + 1, 6)
+        col = full_index(1, 1, n, 6)
         assert h[row, col] == pytest.approx(1.4 * np.sqrt(n + 1), rel=1e-15)
 
 
 def test_hamiltonian_conserves_total_excitation(rng):
     for _ in range(5):
-        cfg = OracleConfig(
-            n_max=int(rng.integers(3, 9)),
-            couplings=Couplings(float(rng.uniform(0.1, 2)), float(rng.uniform(0, 2))),
-            omega=float(rng.uniform(0, 4)),
-        )
-        h = build_hamiltonian(cfg)
-        n_op = total_excitation(cfg)
+        n_max = int(rng.integers(3, 9))
+        h = build_hamiltonian(_random_couplings(rng), float(rng.uniform(0, 4)), n_max=n_max)
+        n_op = total_excitation(n_max)
         comm = h @ n_op - n_op @ h
         assert np.max(np.abs(comm)) <= 1e-12
 
@@ -147,13 +140,21 @@ def test_hamiltonian_entries_beyond_double_precision_are_a_validation_error(dens
         oracle_entropy_series(config, dense=dense)
 
 
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_non_finite_omega_is_a_validation_error_naming_it(omega, dense):
+    config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 1.0, 11))
+    with pytest.raises(ValidationError, match=rf"^omega = {omega!r}, .* are not finite"):
+        oracle_entropy_series(config, omega=omega, dense=dense)
+
+
 def test_excitation_block_spectrum_is_symmetric():
-    cfg = OracleConfig(n_max=6, couplings=Couplings(1.0, 0.3))
+    couplings = Couplings(1.0, 0.3)
     for n in (0, 2, 4):
-        eigenvalues = np.linalg.eigvalsh(excitation_block(cfg, n))
+        eigenvalues = np.linalg.eigvalsh(excitation_block(couplings, n))
         assert np.allclose(np.sort(eigenvalues), -np.sort(-eigenvalues)[::-1], atol=1e-12)
-    with pytest.raises(TruncationError):
-        excitation_block(cfg, 5)
+    with pytest.raises(ValidationError, match="block n must be a non-negative integer, got -1"):
+        excitation_block(couplings, -1)
 
 
 # ------------------------------------------------------------ initial state
@@ -203,7 +204,7 @@ def test_truncation_guard():
 def test_evolve_identity_cases():
     config = _config(number_state(1), 0.5)
     rho0 = initial_density(config, n_max=3)
-    h = build_hamiltonian(OracleConfig(n_max=3, couplings=config.couplings))
+    h = build_hamiltonian(config.couplings, n_max=3)
     assert np.max(np.abs(Propagator(h).evolve_density(rho0, 0.0) - rho0)) <= 1e-14
     assert np.max(np.abs(Propagator(np.zeros_like(h)).evolve_density(rho0, 7.3) - rho0)) <= 1e-14
 
@@ -211,7 +212,7 @@ def test_evolve_identity_cases():
 def test_evolve_preserves_density_matrix_structure():
     config = _config(binomial_state(3, 0.6), 0.25, l2=0.7)
     rho0 = initial_density(config, n_max=5)
-    h = build_hamiltonian(OracleConfig(n_max=5, couplings=config.couplings))
+    h = build_hamiltonian(config.couplings, n_max=5)
     prop = Propagator(h)
     spectrum0 = np.linalg.eigvalsh(rho0)
     for t in (0.7, 4.2, 19.0):
@@ -276,8 +277,7 @@ def test_propagator_evolves_complex_hermitian_matrices_like_the_unitary(rng):
 def test_propagator_of_the_block_stack_has_real_eigenvectors(omega):
     # the default path of oracle_entropy_series moves its chunks on by a real
     # rotation built from these eigenvectors
-    cfg = OracleConfig(n_max=12, couplings=Couplings(1.0, 0.3), omega=omega)
-    prop = Propagator(build_hamiltonian(cfg, np.arange(1, 12)))
+    prop = Propagator(build_hamiltonian(Couplings(1.0, 0.3), omega, excitations=np.arange(1, 12)))
     assert prop.eigenvectors.dtype == np.float64
     assert prop.eigenvalues.dtype == np.float64
 
@@ -373,18 +373,18 @@ def test_series_matches_dense_evolution_at_and_past_the_exact_truncation(name):
         support = max(dist.cutoff for _, dist in config.oscillator)
         series = oracle_entropy_series(config).values
         for n_max in (required_n_max(support), required_n_max(support) + 3):
-            prop = Propagator(build_hamiltonian(OracleConfig(n_max, config.couplings)))
+            prop = Propagator(build_hamiltonian(config.couplings, n_max=n_max))
             rho0 = initial_density(config, n_max)
             by_hand = [1.0 - purity(reduce_qubit1(prop.evolve_density(rho0, t))) for t in grid.times()]
             assert np.max(np.abs(series - by_hand)) <= 1e-12, (p, n_max)
 
 
 def test_series_takes_omega_by_keyword_only():
-    # the couplings and the truncation come from the SystemConfig, so
-    # neither an OracleConfig nor omega can be passed by position
+    # the couplings come from the SystemConfig, so neither a second copy of
+    # them nor omega can be passed by position
     config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 30.0, 11))
     with pytest.raises(TypeError):
-        oracle_entropy_series(config, OracleConfig(3, config.couplings))
+        oracle_entropy_series(config, config.couplings)
     with pytest.raises(TypeError):
         oracle_entropy_series(config, 0.7)
 
@@ -491,7 +491,7 @@ def test_series_block_path_memory_stays_bounded_on_a_wide_support():
 def test_series_block_path_scales_to_a_binomial_support_of_2000(monkeypatch):
     support = 2000
     config = _config(binomial_state(support, 0.5), 0.37, l2=0.3, grid=TimeGrid(0.0, 30.0, 201))
-    cfg = OracleConfig(n_max=required_n_max(support), couplings=config.couplings)
+    n_max = required_n_max(support)
     sizes = []
     eigh = np.linalg.eigh
 
@@ -508,11 +508,11 @@ def test_series_block_path_scales_to_a_binomial_support_of_2000(monkeypatch):
     # matrix, so no oscillator-sized product such as a+a is ever formed.
     tracemalloc.start()
     try:
-        build_hamiltonian(cfg, np.arange(2, support + 3))
+        build_hamiltonian(config.couplings, excitations=np.arange(2, support + 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (cfg.n_max + 1) ** 2
+    assert peak < 8 * (n_max + 1) ** 2
 
 
 def test_block_path_passes_where_only_the_dense_diagonal_would_overflow():

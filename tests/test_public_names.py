@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tcsim
-from tcsim import analysis, cli, oracle, scenario, states, tc
+from tcsim import analysis, cli, oracle, scenario, tc
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,12 +39,6 @@ def test_names_the_benchmark_harness_calls_resolve():
     assert all(hasattr(cli, name) for name in HARNESS_CLI_NAMES)
     assert callable(scenario.Scenario.effective_n_max)
     assert callable(scenario.Scenario.oscillator_components)
-
-
-def test_oracle_config_is_one_class_under_three_names():
-    assert tcsim.OracleConfig is oracle.OracleConfig is states.OracleConfig
-    assert oracle.required_n_max is states.required_n_max
-    assert {"OracleConfig", "required_n_max"} <= set(oracle.__all__)
 
 
 def test_dir_of_the_package_lists_every_exported_name():

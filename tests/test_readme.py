@@ -1,7 +1,8 @@
 """The scenario documents and the library example shown in README.md and in
 the `tcsim.scenario` docstring still parse and run as documented, the exit
-codes README.md and the `tcsim.cli` docstring list are the CLI's, and every
-test the documents cite still exists."""
+codes README.md and the `tcsim.cli` docstring list are the CLI's, every
+test the documents cite still exists, and every class name README.md quotes
+is exported."""
 
 import contextlib
 import io
@@ -9,7 +10,9 @@ import re
 import textwrap
 from pathlib import Path
 
+import tcsim
 import tcsim.cli
+import tcsim.errors
 import tcsim.scenario
 from tcsim.scenario import parse_scenario
 
@@ -68,3 +71,13 @@ def test_every_test_the_documents_cite_is_defined():
         text = (ROOT / document).read_text(encoding="utf-8")
         cited = set(re.findall(r"\b(test_\w+)\b(?!\.py)", text))
         assert cited - defined == set(), document
+
+
+def test_every_class_name_the_readme_quotes_is_exported():
+    # backticked CamelCase names, alone or ahead of an attribute; all-caps
+    # words such as PASS are not class names
+    prose = re.sub(r"^```.*?^```", "", README, flags=re.MULTILINE | re.DOTALL)
+    quoted = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:\.\w+)*`", prose))
+    assert quoted
+    missing = {name for name in quoted if not hasattr(tcsim, name) and not hasattr(tcsim.errors, name)}
+    assert missing == set()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcsim import jc, tc
+from tcsim import jc, oracle, tc
 from tcsim.errors import (
     EmptyTimeGridError,
     FanoUndefinedError,
@@ -13,7 +13,6 @@ from tcsim.errors import (
     UnnormalizedDistributionError,
     ValidationError,
 )
-from tcsim.oracle import OracleConfig
 from tcsim.states import (
     Couplings,
     EnvironmentMixture,
@@ -197,10 +196,16 @@ def test_system_config_stores_the_oscillator_as_weighted_components():
 
 
 _COUPLINGS = Couplings(1.0, 0.1)
+_CONFIG = SystemConfig(number_state(1), EnvironmentMixture(0.5), _COUPLINGS, TimeGrid(0.0, 1.0, 2))
 # Every integer argument the library checks, each as a call that takes the
 # value under test; the error each one raises when the value is no integer.
+# build_hamiltonian reads n_max = None as no n_max, a TypeError.
 _INTEGER_SITES = {
-    "OracleConfig": (lambda x: OracleConfig(x, _COUPLINGS), ValidationError),
+    "build_hamiltonian": (lambda x: oracle.build_hamiltonian(_COUPLINGS, n_max=x),
+                          (ValidationError, TypeError)),
+    "excitation_block": (lambda x: oracle.excitation_block(_COUPLINGS, x), ValidationError),
+    "initial_density": (lambda x: oracle.initial_density(_CONFIG, x), ValidationError),
+    "total_excitation": (oracle.total_excitation, ValidationError),
     "spectral_params": (lambda x: tc.spectral_params(x, _COUPLINGS), ValidationError),
     "TimeGrid": (lambda x: TimeGrid(0.0, 1.0, x), EmptyTimeGridError),
     "number_state": (number_state, ValidationError),

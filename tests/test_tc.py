@@ -12,7 +12,6 @@ from conftest import branch_amplitudes_bruteforce, coefficient_quad, entropy_ter
 from tcsim.errors import ValidationError
 from tcsim.jc import jc_amplitudes, jc_number_entropy
 from tcsim.oracle import (
-    OracleConfig,
     Propagator,
     build_hamiltonian,
     excitation_block,
@@ -122,8 +121,7 @@ def test_symmetric_coupling_frequency_matches_block_spectrum():
     for n in (0, 1, 2, 5):
         lam = 1.3
         sp = spectral_params(n, Couplings(lam, lam))
-        cfg = OracleConfig(n_max=n + 2, couplings=Couplings(lam, lam))
-        eigenvalues = np.linalg.eigvalsh(excitation_block(cfg, n))
+        eigenvalues = np.linalg.eigvalsh(excitation_block(Couplings(lam, lam), n))
         assert sp.d_minus == 0.0
         assert sp.d_plus == pytest.approx(lam * math.sqrt(2 * (2 * n + 3)), rel=1e-12)
         assert eigenvalues.max() == pytest.approx(sp.d_plus, abs=1e-10)
@@ -289,8 +287,7 @@ def test_terms_number_state_has_no_coherence():
 
 def test_terms_match_reduced_density_matrix():
     config = _config(binomial_state(11, 0.95), 0.5)
-    cfg = OracleConfig(n_max=13, couplings=config.couplings)
-    prop = Propagator(build_hamiltonian(cfg))
+    prop = Propagator(build_hamiltonian(config.couplings, n_max=13))
     rho0 = initial_density(config, 13)
     times = [3.0, 7.5, 21.0]
     for t, alpha, beta, gamma in zip(times, *entropy_terms(config, times)):
