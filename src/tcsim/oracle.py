@@ -17,13 +17,9 @@ the blocks the initial state populates, diagonalizes them with one batched
 ``eigh`` and never forms a state on the full basis, so omega need only keep
 the blocks' entries finite.  Each mixture component keeps its own rows, the
 blocks from its lowest to its highest populated one, with a zero row
-between components.  The path walks the (uniform) time grid in fixed
-chunks: it evolves each component's rows over the first chunk by the blocks
-they hold, keeps that chunk's eigen-coefficients exp(-iEt) V^T psi as real
-and imaginary parts (the blocks are real symmetric, so their eigenvectors V
-are real), reaches every chunk from those with one real 8x8 block rotation
-per block, which the components that share the block share, and takes the
-partial trace from each chunk's rows.
+between components.  The path traces before it moves: it reduces a first
+chunk of the grid to block densities and carries those, not the states, to
+every later chunk.
 ``dense=True`` keeps the dense 4(n_max + 1)-dimensional matrix and the full
 density matrix as the reference.
 """
@@ -50,16 +46,16 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
-# Complex entries of one chunk's block states, 4 per row and point, in the
-# default path of ``oracle_entropy_series``: 2**16 entries, 1 MB (held there
-# as 2**17 real and imaginary parts).
+# Complex entries of one panel of the default path of ``oracle_entropy_series``,
+# 1 MB: the first chunk's coefficients, 4 per row and point, or a tile's
+# densities and phases, sized at 64 per block and chunk start or half point,
+# about twice what they take, as the allocator keeps the freed arrays of one
+# tile for the next (at 44, binomial M = 400 peaked 0.6 MB higher in RSS).
+# Products stay below 16 * _CHUNK_ENTRIES = 2**20 multiply-adds, from which
+# OpenBLAS threads them at a loss (up to 8 ms against 0.08 ms on one thread
+# of a 2-core host); the chunk's 4 entries a point keep it within 16,384
+# points, below the 32,768 at which ``Propagator.evolve_state`` reaches that.
 _CHUNK_ENTRIES = 2**16
-# Times per chunk at most.  Each row moves on by one (8, 8) x (8, n) product.
-# OpenBLAS hands a product of 2**20 multiply-adds or more (n >= 16384) to its
-# threads, which for one this thin costs far more than it saves: as much as
-# 8 ms a product against 0.08 ms on one thread of a 2-core host.  Only a
-# single row reaches that length within the entry budget.
-_CHUNK_POINTS = 8192
 _N_MAX = "n_max must be a non-negative integer, got {!r}"
 
 
@@ -247,7 +243,10 @@ class Propagator:
         stack, and return the state at each time as the last axis of a
         (..., d, n_times) array.  exp(-iEt) is computed once per call, so
         states stacked on extra leading axes share it.  A phase E * t past
-        ``series.PHASE_LIMIT`` raises ValidationError."""
+        ``series.PHASE_LIMIT`` raises ValidationError.  The real product of
+        each matrix's eigenvectors with the coefficients, (d, d) x
+        (d, 2 n_times), reaches the 2**20 multiply-adds at which OpenBLAS
+        hands it to its threads from 32,768 times on 4x4 blocks."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         check_phase(np.max(np.abs(self.eigenvalues), initial=0.0), times, "oracle eigenvalue")
         v = self.eigenvectors
@@ -310,27 +309,6 @@ def _initial_blocks(config: SystemConfig) -> tuple[np.ndarray, np.ndarray, list]
     return ks, psi0, spans
 
 
-def _block_entropy(parts: np.ndarray) -> np.ndarray:
-    """Linear entropy of qubit1 from the rows of ``_initial_blocks`` held as
-    real and imaginary parts: a (rows, 8, n) array over n times whose second
-    axis runs over the halves with qubit1 excited (slots 0, 1) and ground
-    (slots 2, 3), and within each half over the real parts of its two slots,
-    then their imaginary parts.
-
-    The coherence pairs the excited half of each row with the ground half of
-    the row before, which hold the same qubit2 and oscillator state when both
-    rows are blocks of one component; between components one of the two is
-    the zero row.
-    """
-    squares = np.einsum("ksx,ksx->sx", parts, parts)
-    rho_ee, rho_gg = squares.reshape(2, 4, -1).sum(axis=1)
-    x, y = parts[1:, :4], parts[:-1, 4:]
-    # rho_eg = sum x conj(y), whose real part is xr yr + xi yi and imaginary part xi yr - xr yi
-    eg_re = np.einsum("ksx,ksx->x", x, y)
-    eg_im = np.einsum("ksx,ksx->x", x[:, 2:], y[:, :2]) - np.einsum("ksx,ksx->x", x[:, :2], y[:, 2:])
-    return 1.0 - (rho_ee**2 + rho_gg**2 + 2.0 * (eg_re**2 + eg_im**2))
-
-
 def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bool = False) -> TimeSeries:
     """Linear entropy of the system qubit over ``config``'s grid, via build
     -> evolve -> reduce -> purity only, at its couplings and the common
@@ -338,21 +316,16 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
 
     The default path builds and diagonalizes only the excitation blocks that
     the initial state populates, and gives each mixture component its own
-    rows of those blocks (see ``_initial_blocks``).  It walks the grid in
-    chunks of at most ``_CHUNK_ENTRIES`` state entries.  The first chunk is
-    evolved from each component's initial rows by the blocks they hold
-    (``Propagator.evolve_state``) and kept as the real and imaginary parts
-    of its coefficients exp(-iEt) V^T psi in the blocks' real eigenvectors
-    V.  The chunk starting at times[s] is the first one moved on by
-    U(s') = V exp(-iEs') V^T with s' = times[s] - times[0], applied to those
-    parts as the real block rotation [[A, B], [-B, A]], A = V cos(Es') and
-    B = V sin(Es'); the first chunk is the case s' = 0.  Each chunk's
-    rotation is built once per block, and each component is moved by its
-    slice of it.  That relies on the grid being uniform, which ``TimeGrid``
-    guarantees.  Each chunk is reduced straight from its rows, which is
-    algebraically identical to evolving the full density matrix and tracing
-    it.  With ``dense=True`` the full-matrix reference path is used instead,
-    at the exact truncation ``required_n_max`` of the oscillator support.
+    rows of those blocks (see ``_initial_blocks``).  It traces before it
+    moves: the rows are evolved over a first chunk of about sqrt(T) points
+    (``Propagator.evolve_state``) and reduced to block densities in the
+    blocks' real eigenvectors; each later chunk start s moves a density
+    entry by its phase exp(-i(E_j - E_j')s), and each block's traced
+    observables weight the entries in a few real matrix products.  The
+    formulas are in RESOLVED_EQUATIONS.md, "Partial trace from the blocks".
+    That relies on the grid being uniform, which ``TimeGrid`` guarantees.
+    With ``dense=True`` the full-matrix reference path is used instead, at
+    the exact truncation ``required_n_max`` of the oscillator support.
     """
     times = config.grid.times()
     if dense:
@@ -366,41 +339,95 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
     ks, psi0, spans = _initial_blocks(config)
     prop = Propagator(build_hamiltonian(config.couplings, omega, excitations=ks))
-    # the rotations below do not check the phase, so the whole grid is checked here
+    # the phases below are not checked one by one, so the grid is checked here
     check_phase(np.max(np.abs(prop.eigenvalues), initial=0.0), times, "oracle eigenvalue")
     # an empty slot's row and column of H are zero, but eigh may mix it into a
-    # degenerate eigenvalue of its block; zeroing its rows of the (real)
-    # eigenvectors keeps it out of every chunk
+    # degenerate eigenvalue of its block; zeroing its rows of V keeps it out
     v = prop.eigenvectors
     v[ks[:, None] < _SLOTS[:, 2]] = 0.0
-    first = times[: min(max(1, _CHUNK_ENTRIES // psi0.size), _CHUNK_POINTS)]
-    # eigen-coefficients exp(-iEt) V^T psi of the first chunk, rows (rows, 8)
-    # of real and imaginary parts and times along the last axis; each
-    # component's rows are evolved by the blocks they hold, and the zero rows
-    # between components stay zero in every chunk
-    coef = np.zeros((psi0.shape[0], 8, first.size))
+    vt = np.swapaxes(v, -1, -2)
+    # t = times[0] + s + tau, tau over the first chunk's n points and s over
+    # the chunk starts, padded to rows of ``width``: s_qw+r = s_qw + s_r
+    n = max(1, min(math.isqrt(times.size - 1) + 1, _CHUNK_ENTRIES // psi0.size))
+    starts = times[::n] - times[0]
+    width = math.isqrt(starts.size - 1) + 1
+    padded = width * -(-starts.size // width)
+    # eigen-coefficients V^T psi of every row over the first chunk, points first
+    coef = np.zeros((n, psi0.shape[0], 4), dtype=complex)
     for rows, blocks in spans:
-        state = prop[blocks].evolve_state(psi0[rows], first)
-        parts = (np.swapaxes(v[blocks], -1, -2) @ state.view(float)).reshape(-1, 4, first.size, 2)
-        coef[rows].reshape(-1, 2, 4, first.size)[:] = np.moveaxis(parts, -1, 1)
-    del state, parts
-    # U(s) = V exp(-iEs) V^T on (real, imaginary) parts is the block rotation
-    # [[A, B], [-B, A]] of the coefficients, A = V cos(Es) and B = V sin(Es).
-    # With its rows in the order of _block_entropy, each entry is one entry of
-    # V, negated in -B, times the cosine or sine that ``pick`` names.
-    _, p, _, q, j = np.indices((2, 2, 2, 2, 4))  # rows (half, part, slot), columns (part, eigenvector)
-    spread = ((1 - 2 * (p > q)) * v.reshape(-1, 2, 1, 2, 1, 4)).reshape(ks.size, 64)
-    pick = (j + 4 * (p != q)).reshape(64)
-    rotation = np.empty((ks.size, 8, 8))
-    moved = np.zeros_like(coef)
-    zeta = np.empty(times.size)
-    for start in range(0, times.size, first.size):
-        n = min(first.size, times.size - start)
-        phase = prop.eigenvalues * (times[start] - times[0])
-        trig = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
-        np.multiply(spread, trig[:, pick], out=rotation.reshape(ks.size, 64))
+        state = prop[blocks].evolve_state(psi0[rows], times[:n]).view(float)
+        coef[:, rows] = np.moveaxis(np.matmul(vt[blocks], state).view(complex), -1, 0)
+    # the traced observables weight the entries j < j' of rho_b by 2 A_b and
+    # those of rho_b,b-1 by X_b (X_0 = 0)
+    j, jp = np.triu_indices(4, 1)
+    a = vt[:, :, :2] @ v[:, :2]
+    w_ee = 2.0 * a[:, j, jp]
+    w_eg = np.zeros((ks.size, 4, 4))
+    w_eg[1:] = vt[1:, :, :2] @ v[:-1, 2:]
+    # rho_ee's share from the populations does not move, nor does the trace
+    populations, paired = 0.0, np.zeros(ks.size, dtype=bool)
+    for rows, blocks in spans:
+        c0 = (vt[blocks] @ psi0[rows, :, None])[..., 0]
+        populations += np.sum(np.diagonal(a[blocks], axis1=1, axis2=2) * c0**2)
+        paired[blocks.start + 1 : blocks.stop] = True
+    rho_ee = np.zeros((padded, n))
+    rho_eg = np.zeros((padded, 2, n)) if paired.any() else None  # real and imaginary parts
+    energies = np.concatenate([np.zeros((1, 4)), prop.eigenvalues])  # block -1 ahead of block 0
+    tile = max(1, min(ks.size, _CHUNK_ENTRIES // (64 * max(padded, 2 * n))))
+    # the larger product is rho_eg's, (group, 32 tile) x (32 tile, 2 n)
+    group = max(1, (16 * _CHUNK_ENTRIES - 1) // (64 * tile * n))
+    for b0 in range(0, ks.size, tile):
+        b1 = min(b0 + tile, ks.size)
+        # the tile's densities over the first chunk, summed over the rows that
+        # hold each block, each row paired with the row before it
+        pairs = paired[b0:b1].any()
+        ee = np.zeros((n, b1 - b0, 6), dtype=complex)
+        eg = np.zeros((2, n, b1 - b0, 4, 4), dtype=complex) if pairs else None
         for rows, blocks in spans:
-            np.matmul(rotation[blocks], coef[rows, :, :n], out=moved[rows, :, :n])
-        zeta[start : start + n] = _block_entropy(moved[..., :n])
+            lo, hi = max(b0, blocks.start), min(b1, blocks.stop)
+            if lo >= hi:
+                continue
+            r = rows.start - blocks.start  # the row of block b is r + b
+            c = coef[:, r + lo : r + hi]
+            ee[:, lo - b0 : hi - b0] += c[..., j] * c[..., jp].conj()
+            if pairs:
+                lo = max(lo, blocks.start + 1)
+                c, below = coef[:, r + lo : r + hi], coef[:, r + lo - 1 : r + hi - 1]
+                eg[0, :, lo - b0 : hi - b0] += c[..., :, None] * below[..., None, :].conj()
+        ee *= w_ee[b0:b1]
+        ee = ee.reshape(n, -1).view(float).T
+        if pairs:
+            # -i times the densities gives Im rho_eg from the same product
+            eg[0] *= w_eg[b0:b1]
+            np.multiply(eg[0], -1j, out=eg[1])
+            eg = eg.reshape(2 * n, -1).view(float).T
+        # the conjugate phases at every chunk start: their real view against
+        # the densities' is the real part of the sum over the entries
+        e = energies[b0 : b1 + 1]
+        zc = np.exp(1j * (starts[::width, None, None, None] * e)) * np.exp(1j * (starts[:width, None, None] * e))
+        zc = zc.reshape(padded, -1, 4)
+        z = zc.conj()
+        p_ee = np.empty((padded, b1 - b0, 6), dtype=complex)
+        np.multiply(zc[:, 1:, j], z[:, 1:, jp], out=p_ee)
+        p_ee = p_ee.reshape(padded, -1).view(float)
+        if pairs:
+            p_eg = np.empty((padded, b1 - b0, 4, 4), dtype=complex)
+            np.multiply(zc[:, 1:, :, None], z[:, :-1, None, :], out=p_eg)
+            p_eg = p_eg.reshape(padded, -1).view(float)
+        for o in range(0, padded, group):
+            rho_ee[o : o + group] += np.matmul(p_ee[o : o + group], ee)
+            if pairs:
+                rho_eg[o : o + group] += np.matmul(p_eg[o : o + group], eg).reshape(-1, 2, n)
+    # zeta = 1 - (Tr rho)^2 / 2 - 2 (rho_ee - Tr rho / 2)^2 - 2 |rho_eg|^2, in place
+    trace = np.sum(psi0**2)
+    rho_ee += populations - trace / 2
+    np.square(rho_ee, out=rho_ee)
+    if rho_eg is not None:
+        np.square(rho_eg, out=rho_eg)
+        rho_ee += rho_eg[:, 0]
+        rho_ee += rho_eg[:, 1]
+    rho_ee *= -2.0
+    rho_ee += 1.0 - trace**2 / 2
+    zeta = rho_ee.reshape(-1)[: times.size]
     # rounding can land an ulp outside the mathematical range [0, 1/2]
     return TimeSeries(times, np.clip(zeta, 0.0, 0.5, out=zeta))

@@ -19,9 +19,12 @@ STEP_RTOL = 1e-9
 
 def check_phase(freq: float, times, where: str) -> None:
     """Raise ValidationError, naming the frequency and the largest time,
-    unless the phase freq * t stays below ``PHASE_LIMIT`` at every time.
-    Callers check before any cos, sin or exp evaluates the phase."""
+    unless the phase freq * t stays below ``PHASE_LIMIT`` at every time.  A
+    time that is NaN or infinite is named as not finite.  Callers check
+    before any cos, sin or exp evaluates the phase."""
     t_max = float(np.max(np.abs(times), initial=0.0))
+    if not np.isfinite(t_max):
+        raise ValidationError(f"{where}: t = {t_max!r} is not finite")
     if not float(freq) * t_max < PHASE_LIMIT:
         raise ValidationError(
             f"{where}: the phase at frequency {float(freq)!r} and t = {t_max!r} is beyond "

@@ -47,6 +47,9 @@ _MAX_BASE = 40
 # a few blocks of eight arrays of this length, whatever the grid length.
 _CHUNK_POINTS = 8192
 
+# np.sinc's stand-in for a zero argument.
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class SpectralParams:
@@ -126,9 +129,20 @@ def spectral_params(n: int, couplings: Couplings) -> SpectralParams:
     return SpectralParams(n, big_d, d_plus, d_minus, a_plus, a_minus, b_plus, b_minus)
 
 
-def _sin_over_freq(freq: float, t: np.ndarray) -> np.ndarray:
-    # sin(freq * t) / freq, continued to t at freq == 0
-    return t * np.sinc(freq * t / np.pi)
+def _cos_and_sin_over_freq(freq: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(freq t) and sin(freq t) / freq, continued to t at freq == 0, from
+    one product u = freq t.  The second is t * np.sinc(freq * t / pi) with
+    np.sinc's operations written out in its order, y = (u / pi) pi with 0
+    replaced by eps and sin(y) / y, so its bits are np.sinc's without the
+    where, finfo and extra passes of its wrapper."""
+    u = freq * t
+    y = u / np.pi
+    y *= np.pi
+    y[y == 0.0] = _EPS
+    sin = np.sin(y)
+    sin /= y
+    sin *= t
+    return np.cos(u), sin
 
 
 def _check_times(t) -> np.ndarray:
@@ -169,10 +183,8 @@ def _block_columns(sp: SpectralParams, couplings: Couplings, t: np.ndarray):
     x = math.sqrt(m + 1.0)
     y = math.sqrt(m + 2.0)
     ssum = x * x + y * y  # 2m + 3
-    cos_p = np.cos(sp.d_plus * t)
-    cos_m = np.cos(sp.d_minus * t)
-    sin_p = _sin_over_freq(sp.d_plus, t)
-    sin_m = _sin_over_freq(sp.d_minus, t)
+    cos_p, sin_p = _cos_and_sin_over_freq(sp.d_plus, t)
+    cos_m, sin_m = _cos_and_sin_over_freq(sp.d_minus, t)
     inv2d = 0.5 / sp.D
     unprimed = (
         (sp.a_minus * cos_p + sp.a_plus * cos_m) * inv2d,

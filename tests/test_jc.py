@@ -77,6 +77,14 @@ def test_number_state_closed_forms_check_the_phase():
         jc_number_entropy(1, 1.0, np.array([0.0, 1.0, 1e17]))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_number_state_closed_forms_name_a_time_that_is_not_finite(t):
+    # a NaN or infinite time is not a phase beyond double precision
+    for closed_form in (jc_amplitudes, jc_number_entropy):
+        with pytest.raises(ValidationError, match=f"t = {t!r} is not finite"):
+            closed_form(1, 1.0, t)
+
+
 def test_number_entropy_examples():
     assert jc_number_entropy(0, 1.0, 0.0) == 0.0
     assert jc_number_entropy(0, 1.0, math.pi / 4) == pytest.approx(0.5, abs=1e-15)

@@ -273,10 +273,17 @@ def test_propagator_evolves_complex_hermitian_matrices_like_the_unitary(rng):
         assert np.max(np.abs(evolved[..., i] - expected)) <= 1e-13
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_propagator_names_a_time_that_is_not_finite(t):
+    prop = Propagator(excitation_block(Couplings(1.0, 0.3), 1))
+    with pytest.raises(ValidationError, match=f"t = {t!r} is not finite"):
+        prop.evolve_state(np.eye(4)[1], [0.0, t])
+
+
 @pytest.mark.parametrize("omega", [0.0, 0.7])
 def test_propagator_of_the_block_stack_has_real_eigenvectors(omega):
-    # the default path of oracle_entropy_series moves its chunks on by a real
-    # rotation built from these eigenvectors
+    # the default path of oracle_entropy_series takes its traced observables
+    # and its densities as real products of these eigenvectors
     prop = Propagator(build_hamiltonian(Couplings(1.0, 0.3), omega, excitations=np.arange(1, 12)))
     assert prop.eigenvectors.dtype == np.float64
     assert prop.eigenvalues.dtype == np.float64
@@ -391,29 +398,36 @@ def test_series_takes_omega_by_keyword_only():
 
 @pytest.mark.parametrize("name", sorted(_PREPARATIONS))
 def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
-    # every chunk, the first included, is the first one moved on by the
-    # block rotation of U(times[s] - times[0]) and reduced once; the grid
-    # starts away from t = 0
+    # every point is a point of the first chunk moved by a chunk start, and
+    # every panel of phases meets its tile's densities in one product; the
+    # grid starts away from t = 0
     grid = TimeGrid(2.5, 32.5, 151)
-    reductions = []
-    block_entropy = oracle._block_entropy
+    panels = []
+    matmul = np.matmul
 
-    def recording_block_entropy(parts):
-        reductions.append(parts.shape)
-        return block_entropy(parts)
+    def recording_matmul(x, y, **kwargs):
+        if x.ndim == 2 and y.shape[-1] == chunk:  # the products of rho_ee
+            panels.append((x.shape[0], x.shape[1] // 12))
+        return matmul(x, y, **kwargs)
 
-    monkeypatch.setattr(oracle, "_block_entropy", recording_block_entropy)
+    monkeypatch.setattr(np, "matmul", recording_matmul)
     for p, omega in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7)):
         config = _config(_PREPARATIONS[name], p, l2=0.3, grid=grid)
-        per_point = oracle._initial_blocks(config)[1].size
-        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", grid.n_points * per_point)
+        ks, psi0, _ = oracle._initial_blocks(config)
+        monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", grid.n_points * psi0.size)
+        chunk = 0
         whole = oracle_entropy_series(config, omega=omega).values
         dense = oracle_entropy_series(config, omega=omega, dense=True).values
         for points in (1, 7, grid.n_points + 50):
-            monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", points * per_point)
-            reductions.clear()
+            monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", points * psi0.size)
+            # about sqrt(151) points a chunk, at most the budget's
+            chunk = min(points, 13)
+            starts = -(-grid.n_points // chunk)
+            span = math.isqrt(starts - 1) + 1
+            panels.clear()
             chunked = oracle_entropy_series(config, omega=omega).values
-            assert len(reductions) == -(-grid.n_points // points)
+            # the panels hold every chunk start of every block once
+            assert sum(g * k for g, k in panels) == span * -(-starts // span) * ks.size
             assert np.max(np.abs(chunked - whole)) <= 1e-13, (p, omega, points)
             assert np.max(np.abs(chunked - dense)) <= 1e-12, (p, omega, points)
 
@@ -443,7 +457,7 @@ def test_series_moves_only_the_rows_each_component_populates(dist, p, rows):
 
 def test_series_evolves_each_components_first_chunk_with_the_propagator(monkeypatch):
     # |1> at 0 < p < 1: one row in block 3 and one in block 2, each evolved
-    # over the whole first chunk by its own block
+    # over the whole first chunk, about sqrt(151) points, by its own block
     calls = []
     evolve_state = Propagator.evolve_state
 
@@ -454,7 +468,35 @@ def test_series_evolves_each_components_first_chunk_with_the_propagator(monkeypa
     monkeypatch.setattr(Propagator, "evolve_state", recording_evolve_state)
     config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 30.0, 151))
     oracle_entropy_series(config)
-    assert calls == [((1, 4, 4), (1, 4), 151)] * 2
+    assert calls == [((1, 4, 4), (1, 4), 13)] * 2
+
+
+@pytest.mark.parametrize(
+    "dist, grid",
+    [(binomial_state(400, 0.4), TimeGrid(0.0, 30.0, 3001)), (number_state(1), TimeGrid(0.0, 2500.0, 250_001))],
+)
+def test_series_keeps_every_product_off_the_blas_threads(monkeypatch, dist, grid):
+    # OpenBLAS hands a product of 2**20 multiply-adds or more to its threads,
+    # which costs far more than it saves on products this thin; the default
+    # path's products are its np.matmul calls and the real product that
+    # Propagator.evolve_state makes of each block's eigenvectors
+    sizes = []
+    matmul, evolve_state = np.matmul, Propagator.evolve_state
+
+    def recording_matmul(x, y, **kwargs):
+        sizes.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
+        return matmul(x, y, **kwargs)
+
+    def recording_evolve_state(self, psi0, times):
+        d = self.eigenvectors.shape[-1]
+        sizes.append(d * d * 2 * len(times))  # (d, d) x (d, 2 times) real
+        return evolve_state(self, psi0, times)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    monkeypatch.setattr(Propagator, "evolve_state", recording_evolve_state)
+    oracle_entropy_series(_config(dist, 0.37, grid=grid))
+    assert len(sizes) > 4
+    assert max(sizes) < 2**20
 
 
 def test_series_memory_stays_bounded_on_a_long_grid():
@@ -475,9 +517,9 @@ def test_series_memory_stays_bounded_on_a_long_grid():
 
 
 def test_series_block_path_memory_stays_bounded_on_a_wide_support():
-    # binomial M=400 on 3001 points: K = 403 blocks, 2 components, 20 points
-    # per 1 MB chunk; the first chunk, its coefficients and one moved chunk
-    # are alive at once, next to a few grid arrays
+    # binomial M=400 on 3001 points: K = 402 blocks, 2 components, 20 points
+    # per 1 MB chunk; the first chunk, its coefficients and one tile's
+    # densities and phases are alive at once, next to a few grid arrays
     config = _config(binomial_state(400, 0.5), 0.37)
     tracemalloc.start()
     try:
