@@ -309,6 +309,50 @@ def _initial_blocks(config: SystemConfig) -> tuple[np.ndarray, np.ndarray, list]
     return ks, psi0, spans
 
 
+def _blocks_at_zero(config: SystemConfig, omega: float):
+    """``_initial_blocks``' excitations, rows and spans; the blocks' Propagator,
+    empty slots zeroed in its eigenvectors V; the traced observables A_b and
+    X_b; and the densities rho_b and rho_b,b-1 at t = 0, all real
+    (RESOLVED_EQUATIONS.md, "Partial trace from the blocks")."""
+    ks, psi0, spans = _initial_blocks(config)
+    prop = Propagator(build_hamiltonian(config.couplings, omega, excitations=ks))
+    # an empty slot's row and column of H are zero, but eigh may mix it into a
+    # degenerate eigenvalue of its block; zeroing its rows of V keeps it out
+    v = prop.eigenvectors
+    v[ks[:, None] < _SLOTS[:, 2]] = 0.0
+    vt = np.swapaxes(v, -1, -2)
+    a = vt[:, :, :2] @ v[:, :2]
+    x = np.concatenate([np.zeros((1, 4, 4)), vt[1:, :, :2] @ v[:-1, 2:]])
+    rho, pair = np.zeros((2, ks.size, 4, 4))
+    for rows, blocks in spans:
+        c = (vt[blocks] @ psi0[rows, :, None])[..., 0]
+        rho[blocks] += c[:, :, None] * c[:, None, :]
+        pair[blocks.start + 1 : blocks.stop] += c[1:, :, None] * c[:-1, None, :]
+    return ks, psi0, spans, prop, a, x, rho, pair
+
+
+def _grouped(freq: np.ndarray, amp: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero ``amp`` summed over runs of ascending ``freq`` spaced within
+    ``tol``, as (freq, amp); each run sits at its ``freq`` nearest 0."""
+    keep = amp != 0.0
+    order = np.argsort(freq[keep], kind="stable")
+    freq, amp = freq[keep][order], amp[keep][order]
+    starts = np.flatnonzero(np.diff(freq, prepend=-np.inf) > tol)
+    nearest = np.minimum(np.maximum(freq[starts], 0.0), np.maximum.reduceat(freq, starts))
+    return nearest, np.add.reduceat(amp, starts)
+
+
+def _lines(config: SystemConfig, *, omega: float = 0.0):
+    """The lines of rho_ee(t) = sum_w A_w exp(-iwt) and rho_eg(t) = sum_w B_w
+    exp(-iwt) at ``omega``, as ((w, A), (w, B)), real and grouped within
+    64 eps max|E| (RESOLVED_EQUATIONS.md, "Line spectrum")."""
+    _, _, _, prop, a, x, rho, pair = _blocks_at_zero(config, omega)
+    e = prop.eigenvalues
+    tol = 64.0 * np.finfo(float).eps * np.max(np.abs(e))
+    return (_grouped(e[:, :, None] - e[:, None, :], a * rho, tol),
+            _grouped(e[1:, :, None] - e[:-1, None, :], x[1:] * pair[1:], tol))
+
+
 def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bool = False) -> TimeSeries:
     """Linear entropy of the system qubit over ``config``'s grid, via build
     -> evolve -> reduce -> purity only, at its couplings and the common
@@ -337,15 +381,10 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
             rho_t = prop.evolve_density(rho0, t)
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
-    ks, psi0, spans = _initial_blocks(config)
-    prop = Propagator(build_hamiltonian(config.couplings, omega, excitations=ks))
+    ks, psi0, spans, prop, a, w_eg, rho, pair = _blocks_at_zero(config, omega)
     # the phases below are not checked one by one, so the grid is checked here
     check_phase(np.max(np.abs(prop.eigenvalues), initial=0.0), times, "oracle eigenvalue")
-    # an empty slot's row and column of H are zero, but eigh may mix it into a
-    # degenerate eigenvalue of its block; zeroing its rows of V keeps it out
-    v = prop.eigenvectors
-    v[ks[:, None] < _SLOTS[:, 2]] = 0.0
-    vt = np.swapaxes(v, -1, -2)
+    vt = np.swapaxes(prop.eigenvectors, -1, -2)
     # t = times[0] + s + tau, tau over the first chunk's n points and s over
     # the chunk starts, padded to rows of ``width``: s_qw+r = s_qw + s_r
     n = max(1, min(math.isqrt(times.size - 1) + 1, _CHUNK_ENTRIES // psi0.size))
@@ -360,16 +399,10 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
     # the traced observables weight the entries j < j' of rho_b by 2 A_b and
     # those of rho_b,b-1 by X_b (X_0 = 0)
     j, jp = np.triu_indices(4, 1)
-    a = vt[:, :, :2] @ v[:, :2]
     w_ee = 2.0 * a[:, j, jp]
-    w_eg = np.zeros((ks.size, 4, 4))
-    w_eg[1:] = vt[1:, :, :2] @ v[:-1, 2:]
     # rho_ee's share from the populations does not move, nor does the trace
-    populations, paired = 0.0, np.zeros(ks.size, dtype=bool)
-    for rows, blocks in spans:
-        c0 = (vt[blocks] @ psi0[rows, :, None])[..., 0]
-        populations += np.sum(np.diagonal(a[blocks], axis1=1, axis2=2) * c0**2)
-        paired[blocks.start + 1 : blocks.stop] = True
+    populations = np.sum(np.diagonal(a, axis1=1, axis2=2) * np.diagonal(rho, axis1=1, axis2=2))
+    paired = pair.any(axis=(1, 2))
     rho_ee = np.zeros((padded, n))
     rho_eg = np.zeros((padded, 2, n)) if paired.any() else None  # real and imaginary parts
     energies = np.concatenate([np.zeros((1, 4)), prop.eigenvalues])  # block -1 ahead of block 0

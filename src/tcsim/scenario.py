@@ -259,8 +259,10 @@ def scenario_from_header(lines) -> Scenario:
 _STANDARD_GRID = TimeGrid(0.0, 30.0, 3001)
 _LONG_GRID = TimeGrid(0.0, 100.0, 10001)
 
-# Grid choices are artifact defaults (>= 40 samples per shortest period),
-# overridable from the CLI.
+# Grid choices are artifact defaults, overridable from the CLI.  Samples per
+# period of zeta's fastest line (oracle lines, tests/test_oracle.py): >= 87 on
+# presets 1-3 and 5, 40.3 on 6 and 15.6 on 4, from its binomial's tail; over
+# the lines at >= 1% of the largest, 42.3 on 6 and 37.6 on 4.
 _PRESETS: dict[str, Scenario] = {
     "1": Scenario(kind="mixture01", params=(("f", 0.5),), p=0.0, lambda1=1.0, lambda2=0.0,
                   grid=_STANDARD_GRID, label="1"),

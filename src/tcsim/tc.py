@@ -30,18 +30,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .series import TimeSeries, check_integer, check_phase
-from .states import Couplings, FockDistribution, SystemConfig
+from .states import Couplings, SystemConfig
 
 __all__ = [
     "SpectralParams",
     "spectral_params",
     "entropy_series",
     "mixture_entropy_arrays",
-    "frequency_content",
 ]
-
-# Most branch frequencies ``frequency_content`` takes the closure of.
-_MAX_BASE = 40
 
 # Grid points per slice of ``mixture_entropy_arrays``: its working memory is
 # a few blocks of eight arrays of this length, whatever the grid length.
@@ -303,38 +299,3 @@ def _error_model(config: SystemConfig) -> tuple[float, float, float]:
     cutoff = max(dist.cutoff for _, dist in config.oscillator)
     return 4.0, 2e-14, spectral_params(cutoff + 1, config.couplings).d_plus
 
-
-def branch_frequencies(dist: FockDistribution, couplings: Couplings) -> np.ndarray:
-    """Sorted unique block frequencies {d_plus, d_minus} of both evolution
-    branches over the distribution's support: blocks n and n - 1 of every
-    populated n."""
-    populated = np.flatnonzero(dist.amplitudes).tolist()
-    blocks = sorted({m for n in populated for m in (n - 1, n)})
-    params = [spectral_params(m, couplings) for m in blocks]
-    return np.array(sorted({f for sp in params for f in (sp.d_plus, sp.d_minus)}))
-
-
-def frequency_content(dist: FockDistribution, couplings: Couplings) -> np.ndarray:
-    """Predicted discrete frequencies of the entropy signal.
-
-    The coefficient quads oscillate at the branch frequencies; their squared
-    magnitudes (the populations) therefore contain all pairwise sums and
-    differences of those, and the entropy, quadratic in the populations,
-    contains pairwise sums and differences taken once more.  The returned
-    array is that two-level closure, sorted and deduplicated.
-
-    ``_MAX_BASE`` caps the branch-frequency count; the closure grows with its
-    fourth power and is only meaningful for small supports.
-    """
-    base = branch_frequencies(dist, couplings)
-    if base.size > _MAX_BASE:
-        raise ValidationError(
-            f"support yields {base.size} branch frequencies; "
-            f"frequency_content is limited to {_MAX_BASE}"
-        )
-    level1 = np.concatenate([np.add.outer(base, base).ravel(),
-                             np.abs(np.subtract.outer(base, base)).ravel()])
-    level1 = np.unique(np.round(level1, 12))
-    level2 = np.concatenate([np.add.outer(level1, level1).ravel(),
-                             np.abs(np.subtract.outer(level1, level1)).ravel()])
-    return np.unique(np.round(level2, 12))

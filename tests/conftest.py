@@ -2,11 +2,14 @@
 
 ``coefficient_quad`` reads one coefficient quad out of the block columns
 the closed-form pipeline evaluates, and ``entropy_terms`` the reduced-qubit
-terms it sums from them.  ``branch_amplitudes_bruteforce``
-evolves a basis vector on the full truncated space by eigendecomposition
-and reads the four amplitudes of one evolution branch straight out of the
-state vector.  It shares no formula with the closed-form coefficient code
-and is the reference every quad test compares against.
+terms it sums from them.  ``zeta_lines`` forms the linear entropy's line
+spectrum from the oracle's exact lines of the reduced qubit, and
+``line_shares`` weighs each line against the largest oscillating one.
+``branch_amplitudes_bruteforce`` evolves a basis vector on the full
+truncated space by eigendecomposition and reads the four amplitudes of one
+evolution branch straight out of the state vector.  It shares no formula
+with the closed-form coefficient code and is the reference every quad test
+compares against.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import tcsim.tc as tc
+from tcsim import oracle
 from tcsim.oracle import Propagator, build_hamiltonian
 from tcsim.states import Couplings
 
@@ -38,6 +42,25 @@ def entropy_terms(config, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bands = tc._density_bands(config.oscillator)
     alpha, beta, gamma_im = tc._terms(config, bands, tc._block_params(bands, config.couplings, t), t)
     return alpha, beta, 1j * gamma_im
+
+
+def zeta_lines(config, omega=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The lines (w, Z) of zeta(t) = sum_w Z_w exp(-iwt), ascending, from
+    ``oracle._lines``: zeta = 2 rho_ee - 2 rho_ee^2 - 2 |rho_eg|^2 at unit
+    trace, the products' frequencies grouped within 64 eps of the largest,
+    as ``_lines`` groups its own.  The line at w = 0 is the long-time
+    average <zeta>."""
+    (fa, a), (fb, b) = oracle._lines(config, omega=omega)
+    freq = np.concatenate([fa, np.add.outer(fa, fa).ravel(), np.subtract.outer(fb, fb).ravel()])
+    amp = np.concatenate([2.0 * a, -2.0 * np.outer(a, a).ravel(), -2.0 * np.outer(b, b).ravel()])
+    return oracle._grouped(freq, amp, 64.0 * np.finfo(float).eps * np.max(np.abs(freq)))
+
+
+def line_shares(freq, amp) -> np.ndarray:
+    """|amp| of each line as a share of the largest line at w != 0, and 0 at
+    w = 0, the mean a spectrum of the mean-subtracted series leaves out."""
+    share = np.abs(amp) * (freq != 0.0)
+    return share / share.max()
 
 
 def full_index(q1: int, q2: int, m: int, n_max: int) -> int:

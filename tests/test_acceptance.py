@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tcsim.tc as tc
-from conftest import coefficient_quad, entropy_terms
+from conftest import coefficient_quad, entropy_terms, line_shares, zeta_lines
 from tcsim.analysis import dominant_frequencies, find_revivals, time_average
 from tcsim.cli import closed_series, main, oracle_series
 from tcsim.jc import jc_mixture_entropy
@@ -26,11 +26,7 @@ from tcsim.states import (
     fano_factor,
     number_state,
 )
-from tcsim.tc import (
-    frequency_content,
-    mixture_entropy_arrays,
-    spectral_params,
-)
+from tcsim.tc import mixture_entropy_arrays, spectral_params
 
 GRID = TimeGrid(0.0, 30.0, 3001)
 
@@ -253,21 +249,45 @@ def test_criterion_07_binomial_statistics():
     )
 
 
+def _peak_distances(report, lines):
+    """The largest distance, in bins, from a dominant peak to the nearest
+    line of zeta whose amplitude is at least 1% of its largest oscillating
+    line, and the weakest of the strongest lines within one bin of each
+    peak, as a share of that largest."""
+    freq, amp = lines
+    share = line_shares(freq, amp)
+    strong = np.abs(freq[share >= 0.01])
+    worst, weakest = 0.0, 1.0
+    for peak, _ in report.peaks:
+        worst = max(worst, float(np.min(np.abs(strong - peak))) / report.resolution)
+        near = np.abs(np.abs(freq) - peak) <= report.resolution
+        weakest = min(weakest, float(np.max(share[near], initial=0.0)))
+    return worst, weakest
+
+
 def test_criterion_08_spectral_content():
-    predicted = frequency_content(number_state(1), Couplings(1.0, 0.1))
-    worst_bins = 0.0
+    # the lines come from the oracle's block eigensystem; lines built for the
+    # wrong lambda2, photon number or environment must each miss a peak
+    wrong = {
+        "lambda2 = 0.2": lambda p: _config(number_state(1), p, l2=0.2),
+        "|2>": lambda p: _config(number_state(2), p),
+        "p -> 1 - p": lambda p: _config(number_state(1), 1.0 - p),
+    }
+    worst, weakest, controls = 0.0, 1.0, dict.fromkeys(wrong, 0.0)
     for p in (0.0, 0.1, 0.5):
-        series = tc.entropy_series(_config(number_state(1), p))
-        report = dominant_frequencies(series, count=5)
-        for freq, _ in report.peaks:
-            distance = float(np.min(np.abs(predicted - freq)))
-            worst_bins = max(worst_bins, distance / report.resolution)
-        assert all(
-            np.min(np.abs(predicted - freq)) <= report.resolution for freq, _ in report.peaks
-        )
+        config = _config(number_state(1), p)
+        report = dominant_frequencies(tc.entropy_series(config), count=5)
+        bins, share = _peak_distances(report, zeta_lines(config))
+        worst, weakest = max(worst, bins), min(weakest, share)
+        for name, build in wrong.items():
+            controls[name] = max(controls[name], _peak_distances(report, zeta_lines(build(p)))[0])
+    assert worst <= 1.0
+    assert all(bins > 1.0 for bins in controls.values()), controls
+    missed = ", ".join(f"{name} {bins:.2f}" for name, bins in controls.items())
     print(
-        f"\n[PASS] criterion 8: every dominant peak within one bin of the "
-        f"spectral-parameter prediction (worst {worst_bins:.2f} bins)"
+        f"\n[PASS] criterion 8: every dominant peak within one bin of a line of the "
+        f"oracle's spectrum at >= 1% of the largest (worst {worst:.2f} bins, weakest "
+        f"matched line {weakest:.1%}); wrong lines miss by {missed} bins"
     )
 
 

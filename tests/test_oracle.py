@@ -3,14 +3,16 @@ import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tcsim
-from conftest import basis_vector, full_index
+from conftest import basis_vector, full_index, line_shares, zeta_lines
 from tcsim import oracle
+from tcsim.analysis import time_average
 from tcsim.errors import EigendecompositionError, TruncationError, ValidationError
 from tcsim.jc import jc_mixture_entropy, jc_number_entropy
 from tcsim.oracle import (
@@ -33,7 +35,8 @@ from tcsim.states import (
     number_state,
     required_n_max,
 )
-from tcsim.tc import entropy_series
+from tcsim.scenario import PRESET_IDS, preset
+from tcsim.tc import entropy_series, spectral_params
 
 
 def _config(dist, p, l1=1.0, l2=0.1, grid=None):
@@ -564,6 +567,102 @@ def test_block_path_passes_where_only_the_dense_diagonal_would_overflow():
     config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 1e-300, 11))
     series = oracle_entropy_series(config, omega=1e291)
     assert np.max(np.abs(series.values - entropy_series(config).values)) <= 1e-8
+
+
+# ------------------------------------------------------------ line spectrum
+
+_LINE_PREPARATIONS = {
+    "one-photon": number_state(1),
+    "binomial-11": binomial_state(11, 0.95),
+    "binomial-8": binomial_state(8, 0.5),
+    "mixture": [(0.3, binomial_state(6, 0.3)), (0.7, number_state(2))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINE_PREPARATIONS))
+def test_lines_rebuild_the_series(name):
+    # zeta(t) = sum_w Z_w exp(-iwt), real because Z_-w = Z_w
+    grid = TimeGrid(0.0, 30.0, 301)
+    for p, l2 in itertools.product((0.0, 0.37, 1.0), (0.0, 0.1, 1.0, 1.7)):
+        config = _config(_LINE_PREPARATIONS[name], p, l2=l2, grid=grid)
+        freq, amp = zeta_lines(config)
+        rebuilt = np.array([amp @ np.cos(freq * t) for t in grid.times()])
+        assert np.max(np.abs(rebuilt - oracle_entropy_series(config).values)) <= 1e-12, (p, l2)
+
+
+def test_coherence_lines_turn_with_the_common_frequency():
+    # omega shifts block k by omega (k - 1): rho_ee's lines stay, and
+    # rho_eg = <e|rho|g> turns as exp(-i omega t) on top of its own lines
+    config = _config(binomial_state(8, 0.5), 0.37, l2=0.3)
+    (fa, a), (fb, b) = oracle._lines(config)
+    (fa7, a7), (fb7, b7) = oracle._lines(config, omega=0.7)
+    assert fa7.size == fa.size and fb7.size == fb.size > 0
+    assert np.max(np.abs(fa7 - fa)) <= 1e-12 and np.max(np.abs(fb7 - 0.7 - fb)) <= 1e-12
+    assert np.max(np.abs(a7 - a)) <= 1e-12 and np.max(np.abs(b7 - b)) <= 1e-12
+
+
+def test_rho_ee_lines_of_one_photon_are_differences_of_block_frequencies():
+    # |e1 e2 1> lives in block 1 and |e1 g2 1> in block 0 (n = k - 2), whose
+    # eigenvalues are +-d_plus and +-d_minus
+    couplings = Couplings(1.0, 0.1)
+    allowed = []
+    for n in (0, 1):
+        sp = spectral_params(n, couplings)
+        energies = np.array([-sp.d_plus, -sp.d_minus, sp.d_minus, sp.d_plus])
+        allowed.append(np.subtract.outer(energies, energies).ravel())
+    allowed = np.concatenate(allowed)
+    for p, count in ((0.0, 9), (0.1, 17), (0.5, 17), (1.0, 9)):
+        (freq, _), (eg, _) = oracle._lines(_config(number_state(1), p))
+        assert freq.size == count and eg.size == 0  # a number state has no coherence
+        assert np.max(np.min(np.abs(freq[:, None] - allowed), axis=1)) <= 1e-12
+
+
+@pytest.mark.parametrize("p, l2", [(0.0, 0.1), (0.1, 0.1), (0.5, 0.1), (1.0, 0.1), (0.5, 1.0)])
+def test_line_average_is_the_long_time_average(p, l2):
+    # <zeta> = 2 A_0 - 2 sum |A_w|^2 - 2 sum |B_w|^2 is zeta's line at w = 0;
+    # the closed form's averages over [0, T] approach it, within 3.8e-4 at
+    # T = 1e3 and 2.9e-5 at T = 1e4.  At l1 = l2 each block's d_minus pair is
+    # degenerate: grouping only equal frequencies reads 0.410, not 0.379.
+    config = _config(number_state(1), p, l2=l2)
+    (fa, a), (_, b) = oracle._lines(config)
+    freq, amp = zeta_lines(config)
+    average = amp[freq == 0.0][0]
+    assert abs(2.0 * a[fa == 0.0][0] - 2.0 * np.sum(a**2) - 2.0 * np.sum(b**2) - average) <= 1e-14
+    for t_end in (1e3, 1e4):
+        series = entropy_series(replace(config, grid=TimeGrid(0.0, t_end, int(20 * t_end) + 1)))
+        assert abs(time_average(series, (0.0, t_end)) - average) <= 0.5 / t_end
+
+
+def test_line_average_of_a_decoupled_environment_is_one_quarter():
+    # at lambda2 = 0, |n> gives zeta = sin^2(2 sqrt(n + 1) t) / 2 at every p:
+    # rho_ee has the lines 1/4, 1/2, 1/4 at -2 sqrt(n + 1), 0, 2 sqrt(n + 1)
+    for n, p in itertools.product((0, 1, 5), (0.0, 0.37, 1.0)):
+        config = _config(number_state(n), p, l2=0.0)
+        (fa, a), (fb, _) = oracle._lines(config)
+        w = 2.0 * math.sqrt(n + 1)
+        assert fb.size == 0 and np.max(np.abs(fa - [-w, 0.0, w])) <= 1e-14
+        assert np.max(np.abs(a - [0.25, 0.5, 0.25])) <= 1e-15
+        freq, amp = zeta_lines(config)
+        assert abs(amp[freq == 0.0][0] - 0.25) <= 4 * np.finfo(float).eps
+
+
+def test_preset_grids_sample_zetas_fastest_line():
+    # samples per period of zeta's fastest line, over every line and over the
+    # lines at >= 1% of the largest, as the comment on scenario._PRESETS
+    # states them; a report of the grids, not a bound on them
+    measured = {}
+    for preset_id in PRESET_IDS:
+        sc = preset(preset_id)
+        freq, amp = zeta_lines(sc.system_config(), sc.oracle_omega)
+        step = (sc.grid.t_end - sc.grid.t_start) / (sc.grid.n_points - 1)
+        strong = freq[line_shares(freq, amp) >= 0.01]
+        fastest = (float(np.max(np.abs(f))) for f in (freq, strong))
+        measured[preset_id] = tuple(round(2.0 * math.pi / (w * step), 1) for w in fastest)
+    print(measured)
+    assert measured == {
+        "1": (111.1, 111.1), "2a": (108.6, 108.6), "2b": (87.4, 96.8), "2c": (87.4, 87.4),
+        "3": (87.4, 87.4), "4": (15.6, 37.6), "5": (55.5, 55.5), "6": (40.3, 42.3),
+    }
 
 
 _PACKAGE = Path(tcsim.__file__).parent

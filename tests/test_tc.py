@@ -30,9 +30,7 @@ from tcsim.states import (
     number_state,
 )
 from tcsim.tc import (
-    branch_frequencies,
     entropy_series,
-    frequency_content,
     mixture_entropy_arrays,
     spectral_params,
 )
@@ -482,30 +480,3 @@ def test_closed_vs_oracle_error_stays_within_the_model(number, binomial, p, rati
     err, model, c, floor = _closed_vs_oracle(_config(dist, p, l2=ratio, grid=TimeGrid(t0, t0 + span, 301)))
     assert err <= c * model + floor, (err, model)
 
-
-# ------------------------------------------------------- frequency content
-
-
-def test_branch_frequencies_cover_both_branches():
-    freqs = branch_frequencies(number_state(1), Couplings(1.0, 0.1))
-    for idx in (0, 1):
-        sp = spectral_params(idx, Couplings(1.0, 0.1))
-        assert np.min(np.abs(freqs - sp.d_plus)) <= 1e-12
-        assert np.min(np.abs(freqs - sp.d_minus)) <= 1e-12
-
-
-def test_frequency_content_is_closed_under_pairing():
-    content = frequency_content(number_state(1), Couplings(1.0, 0.1))
-    base = branch_frequencies(number_state(1), Couplings(1.0, 0.1))
-    assert 0.0 in content
-    # population-level combinations and their pairwise closure must be present
-    for f in base:
-        for g in base:
-            assert np.min(np.abs(content - (f + g))) <= 1e-9
-            assert np.min(np.abs(content - abs(f - g))) <= 1e-9
-    assert np.min(np.abs(content - 4 * base[-1])) <= 1e-9
-
-
-def test_frequency_content_caps_large_supports():
-    with pytest.raises(ValidationError):
-        frequency_content(binomial_state(100, 0.1), Couplings(1.0, 0.1))
