@@ -17,9 +17,9 @@ the blocks the initial state populates, diagonalizes them with one batched
 ``eigh`` and never forms a state on the full basis, so omega need only keep
 the blocks' entries finite.  Each mixture component keeps its own rows, the
 blocks from its lowest to its highest populated one, with a zero row
-between components.  The path traces before it moves: it reduces a first
-chunk of the grid to block densities and carries those, not the states, to
-every later chunk.
+between components.  The path traces before it moves: it evolves the rows
+to the grid's first time once, reduces them to block densities there and
+carries those, not the states, to every later time.
 ``dense=True`` keeps the dense 4(n_max + 1)-dimensional matrix and the full
 density matrix as the reference.
 """
@@ -47,14 +47,12 @@ __all__ = [
 
 _HERMITICITY_TOL = 1e-12
 # Complex entries of one panel of the default path of ``oracle_entropy_series``,
-# 1 MB: the first chunk's coefficients, 4 per row and point, or a tile's
-# densities and phases, sized at 64 per block and chunk start or half point,
-# about twice what they take, as the allocator keeps the freed arrays of one
-# tile for the next (at 44, binomial M = 400 peaked 0.6 MB higher in RSS).
-# Products stay below 16 * _CHUNK_ENTRIES = 2**20 multiply-adds, from which
-# OpenBLAS threads them at a loss (up to 8 ms against 0.08 ms on one thread
-# of a 2-core host); the chunk's 4 entries a point keep it within 16,384
-# points, below the 32,768 at which ``Propagator.evolve_state`` reaches that.
+# 1 MB: a tile's densities and phases, sized at 64 per block and chunk start
+# or half point, about twice what they take, as the allocator keeps the freed
+# arrays of one tile for the next (at 44, binomial M = 400 peaked 0.6 MB
+# higher in RSS).  Products stay below 16 * _CHUNK_ENTRIES = 2**20
+# multiply-adds, from which OpenBLAS threads them at a loss (up to 8 ms
+# against 0.08 ms on one thread of a 2-core host).
 _CHUNK_ENTRIES = 2**16
 _N_MAX = "n_max must be a non-negative integer, got {!r}"
 
@@ -309,11 +307,13 @@ def _initial_blocks(config: SystemConfig) -> tuple[np.ndarray, np.ndarray, list]
     return ks, psi0, spans
 
 
-def _blocks_at_zero(config: SystemConfig, omega: float):
-    """``_initial_blocks``' excitations, rows and spans; the blocks' Propagator,
-    empty slots zeroed in its eigenvectors V; the traced observables A_b and
-    X_b; and the densities rho_b and rho_b,b-1 at t = 0, all real
-    (RESOLVED_EQUATIONS.md, "Partial trace from the blocks")."""
+def _blocks_at(config: SystemConfig, omega: float, t: float):
+    """The blocks' Propagator, empty slots zeroed in its eigenvectors V; the
+    trace of the rows; and the densities rho_b(t) and rho_b,b-1(t) in V,
+    weighted entry by entry by the traced observables A_b and X_b (X_0 = 0),
+    i.e. the amplitudes of the lines (RESOLVED_EQUATIONS.md, "Trace first,
+    then move").  Each component's rows are evolved to ``t`` by their own
+    blocks; at t = 0 the imaginary parts are exactly 0."""
     ks, psi0, spans = _initial_blocks(config)
     prop = Propagator(build_hamiltonian(config.couplings, omega, excitations=ks))
     # an empty slot's row and column of H are zero, but eigh may mix it into a
@@ -321,14 +321,15 @@ def _blocks_at_zero(config: SystemConfig, omega: float):
     v = prop.eigenvectors
     v[ks[:, None] < _SLOTS[:, 2]] = 0.0
     vt = np.swapaxes(v, -1, -2)
+    rho, pair = np.zeros((2, ks.size, 4, 4), dtype=complex)
+    for rows, blocks in spans:
+        state = prop[blocks].evolve_state(psi0[rows], [t]).view(float)
+        c = np.matmul(vt[blocks], state).view(complex)  # (rows, 4, 1)
+        rho[blocks] += c * _adjoint(c)
+        pair[blocks.start + 1 : blocks.stop] += c[1:] * _adjoint(c[:-1])
     a = vt[:, :, :2] @ v[:, :2]
     x = np.concatenate([np.zeros((1, 4, 4)), vt[1:, :, :2] @ v[:-1, 2:]])
-    rho, pair = np.zeros((2, ks.size, 4, 4))
-    for rows, blocks in spans:
-        c = (vt[blocks] @ psi0[rows, :, None])[..., 0]
-        rho[blocks] += c[:, :, None] * c[:, None, :]
-        pair[blocks.start + 1 : blocks.stop] += c[1:, :, None] * c[:-1, None, :]
-    return ks, psi0, spans, prop, a, x, rho, pair
+    return prop, np.sum(psi0**2), a * rho, x * pair
 
 
 def _grouped(freq: np.ndarray, amp: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -346,11 +347,11 @@ def _lines(config: SystemConfig, *, omega: float = 0.0):
     """The lines of rho_ee(t) = sum_w A_w exp(-iwt) and rho_eg(t) = sum_w B_w
     exp(-iwt) at ``omega``, as ((w, A), (w, B)), real and grouped within
     64 eps max|E| (RESOLVED_EQUATIONS.md, "Line spectrum")."""
-    _, _, _, prop, a, x, rho, pair = _blocks_at_zero(config, omega)
+    prop, _, ee, eg = _blocks_at(config, omega, 0.0)
     e = prop.eigenvalues
     tol = 64.0 * np.finfo(float).eps * np.max(np.abs(e))
-    return (_grouped(e[:, :, None] - e[:, None, :], a * rho, tol),
-            _grouped(e[1:, :, None] - e[:-1, None, :], x[1:] * pair[1:], tol))
+    return (_grouped(e[:, :, None] - e[:, None, :], ee.real, tol),
+            _grouped(e[1:, :, None] - e[:-1, None, :], eg[1:].real, tol))
 
 
 def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bool = False) -> TimeSeries:
@@ -361,12 +362,14 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
     The default path builds and diagonalizes only the excitation blocks that
     the initial state populates, and gives each mixture component its own
     rows of those blocks (see ``_initial_blocks``).  It traces before it
-    moves: the rows are evolved over a first chunk of about sqrt(T) points
-    (``Propagator.evolve_state``) and reduced to block densities in the
-    blocks' real eigenvectors; each later chunk start s moves a density
-    entry by its phase exp(-i(E_j - E_j')s), and each block's traced
-    observables weight the entries in a few real matrix products.  The
-    formulas are in RESOLVED_EQUATIONS.md, "Partial trace from the blocks".
+    moves: the rows are evolved once, to the grid's first time t0
+    (``Propagator.evolve_state``), and reduced to block densities in the
+    blocks' real eigenvectors, weighted by each block's traced observables
+    (``_blocks_at``).  A density entry then turns by its phase
+    exp(-i(E_j - E_j')(s + tau)), tau over a first chunk of about sqrt(T)
+    points and s over the chunk starts, and a few real matrix products sum
+    the entries at every point.  The formulas are in RESOLVED_EQUATIONS.md,
+    "Trace first, then move".
     That relies on the grid being uniform, which ``TimeGrid`` guarantees.
     With ``dense=True`` the full-matrix reference path is used instead, at
     the exact truncation ``required_n_max`` of the oscillator support.
@@ -381,81 +384,67 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
             rho_t = prop.evolve_density(rho0, t)
             zeta[i] = 1.0 - purity(reduce_qubit1(rho_t))
         return TimeSeries(times, np.clip(zeta, 0.0, 0.5))
-    ks, psi0, spans, prop, a, w_eg, rho, pair = _blocks_at_zero(config, omega)
+    # the weighted block densities at times[0]
+    prop, trace, d_ee, d_eg = _blocks_at(config, omega, times[0])
     # the phases below are not checked one by one, so the grid is checked here
     check_phase(np.max(np.abs(prop.eigenvalues), initial=0.0), times, "oracle eigenvalue")
-    vt = np.swapaxes(prop.eigenvectors, -1, -2)
     # t = times[0] + s + tau, tau over the first chunk's n points and s over
     # the chunk starts, padded to rows of ``width``: s_qw+r = s_qw + s_r
-    n = max(1, min(math.isqrt(times.size - 1) + 1, _CHUNK_ENTRIES // psi0.size))
+    n = math.isqrt(times.size - 1) + 1
+    tau = times[:n] - times[0]
     starts = times[::n] - times[0]
     width = math.isqrt(starts.size - 1) + 1
     padded = width * -(-starts.size // width)
-    # eigen-coefficients V^T psi of every row over the first chunk, points first
-    coef = np.zeros((n, psi0.shape[0], 4), dtype=complex)
-    for rows, blocks in spans:
-        state = prop[blocks].evolve_state(psi0[rows], times[:n]).view(float)
-        coef[:, rows] = np.moveaxis(np.matmul(vt[blocks], state).view(complex), -1, 0)
-    # the traced observables weight the entries j < j' of rho_b by 2 A_b and
-    # those of rho_b,b-1 by X_b (X_0 = 0)
+    # rho_ee's share from the populations does not move, nor does the trace;
+    # the entries j < j' of rho_b count twice, for their conjugates j' > j
+    populations = np.sum(np.trace(d_ee, axis1=1, axis2=2).real)
     j, jp = np.triu_indices(4, 1)
-    w_ee = 2.0 * a[:, j, jp]
-    # rho_ee's share from the populations does not move, nor does the trace
-    populations = np.sum(np.diagonal(a, axis1=1, axis2=2) * np.diagonal(rho, axis1=1, axis2=2))
-    paired = pair.any(axis=(1, 2))
+    d_ee = 2.0 * d_ee[:, j, jp]
+    paired = d_eg.any()
     rho_ee = np.zeros((padded, n))
-    rho_eg = np.zeros((padded, 2, n)) if paired.any() else None  # real and imaginary parts
+    rho_eg = np.zeros((padded, 2, n)) if paired else None  # real and imaginary parts
     energies = np.concatenate([np.zeros((1, 4)), prop.eigenvalues])  # block -1 ahead of block 0
-    tile = max(1, min(ks.size, _CHUNK_ENTRIES // (64 * max(padded, 2 * n))))
+    blocks = prop.eigenvalues.shape[0]
+    tile = max(1, min(blocks, _CHUNK_ENTRIES // (64 * max(padded, 2 * n))))
     # the larger product is rho_eg's, (group, 32 tile) x (32 tile, 2 n)
     group = max(1, (16 * _CHUNK_ENTRIES - 1) // (64 * tile * n))
-    for b0 in range(0, ks.size, tile):
-        b1 = min(b0 + tile, ks.size)
-        # the tile's densities over the first chunk, summed over the rows that
-        # hold each block, each row paired with the row before it
-        pairs = paired[b0:b1].any()
-        ee = np.zeros((n, b1 - b0, 6), dtype=complex)
-        eg = np.zeros((2, n, b1 - b0, 4, 4), dtype=complex) if pairs else None
-        for rows, blocks in spans:
-            lo, hi = max(b0, blocks.start), min(b1, blocks.stop)
-            if lo >= hi:
-                continue
-            r = rows.start - blocks.start  # the row of block b is r + b
-            c = coef[:, r + lo : r + hi]
-            ee[:, lo - b0 : hi - b0] += c[..., j] * c[..., jp].conj()
-            if pairs:
-                lo = max(lo, blocks.start + 1)
-                c, below = coef[:, r + lo : r + hi], coef[:, r + lo - 1 : r + hi - 1]
-                eg[0, :, lo - b0 : hi - b0] += c[..., :, None] * below[..., None, :].conj()
-        ee *= w_ee[b0:b1]
+    for b0 in range(0, blocks, tile):
+        b1 = min(b0 + tile, blocks)
+        e = energies[b0 : b1 + 1]
+        # the tile's densities over the first chunk: an entry turns by
+        # exp(-i(E_j - E_j')tau) from its value at times[0]
+        q = np.exp(-1j * (tau[:, None, None] * e))
+        ee = np.empty((n, b1 - b0, 6), dtype=complex)
+        np.multiply(q[:, 1:, j], q[:, 1:, jp].conj(), out=ee)
+        ee *= d_ee[b0:b1]
         ee = ee.reshape(n, -1).view(float).T
-        if pairs:
+        if paired:
+            eg = np.empty((2, n, b1 - b0, 4, 4), dtype=complex)
+            np.multiply(q[:, 1:, :, None], q[:, :-1, None, :].conj(), out=eg[0])
+            eg[0] *= d_eg[b0:b1]
             # -i times the densities gives Im rho_eg from the same product
-            eg[0] *= w_eg[b0:b1]
             np.multiply(eg[0], -1j, out=eg[1])
             eg = eg.reshape(2 * n, -1).view(float).T
         # the conjugate phases at every chunk start: their real view against
         # the densities' is the real part of the sum over the entries
-        e = energies[b0 : b1 + 1]
         zc = np.exp(1j * (starts[::width, None, None, None] * e)) * np.exp(1j * (starts[:width, None, None] * e))
         zc = zc.reshape(padded, -1, 4)
         z = zc.conj()
         p_ee = np.empty((padded, b1 - b0, 6), dtype=complex)
         np.multiply(zc[:, 1:, j], z[:, 1:, jp], out=p_ee)
         p_ee = p_ee.reshape(padded, -1).view(float)
-        if pairs:
+        if paired:
             p_eg = np.empty((padded, b1 - b0, 4, 4), dtype=complex)
             np.multiply(zc[:, 1:, :, None], z[:, :-1, None, :], out=p_eg)
             p_eg = p_eg.reshape(padded, -1).view(float)
         for o in range(0, padded, group):
             rho_ee[o : o + group] += np.matmul(p_ee[o : o + group], ee)
-            if pairs:
+            if paired:
                 rho_eg[o : o + group] += np.matmul(p_eg[o : o + group], eg).reshape(-1, 2, n)
     # zeta = 1 - (Tr rho)^2 / 2 - 2 (rho_ee - Tr rho / 2)^2 - 2 |rho_eg|^2, in place
-    trace = np.sum(psi0**2)
     rho_ee += populations - trace / 2
     np.square(rho_ee, out=rho_ee)
-    if rho_eg is not None:
+    if paired:
         np.square(rho_eg, out=rho_eg)
         rho_ee += rho_eg[:, 0]
         rho_ee += rho_eg[:, 1]

@@ -11,6 +11,7 @@ freeze them. Times are measured in units of 1/lambda1 throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,9 +232,25 @@ def binomial_state(m: int, q: float) -> FockDistribution:
 
 def check_components(components) -> tuple[tuple[float, FockDistribution], ...]:
     """The oscillator mixture sum_k weight_k |psi_k><psi_k| given as
-    (weight, FockDistribution) pairs, as a tuple; raises ValidationError
-    unless the weights are non-negative and sum to 1."""
-    components = tuple((w, dist) for w, dist in components)
+    (weight, FockDistribution) pairs, as a tuple; raises ValidationError,
+    naming the component, unless each is a pair of a real weight and a
+    FockDistribution, and unless the weights are non-negative and sum to 1."""
+    try:
+        components = tuple(components)
+    except TypeError:
+        raise ValidationError(f"oscillator {components!r} is neither a FockDistribution "
+                              f"nor a sequence of (weight, FockDistribution) pairs") from None
+    pairs = []
+    for i, component in enumerate(components):
+        try:
+            w, dist = component
+        except (TypeError, ValueError):
+            w = dist = None
+        if not (isinstance(w, numbers.Real) and isinstance(dist, FockDistribution)):
+            raise ValidationError(f"oscillator component {i}, {component!r}, "
+                                  f"is not a (weight, FockDistribution) pair")
+        pairs.append((w, dist))
+    components = tuple(pairs)
     weights = np.array([w for w, _ in components], dtype=float)
     if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
         raise ValidationError(

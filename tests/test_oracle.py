@@ -402,8 +402,9 @@ def test_series_takes_omega_by_keyword_only():
 @pytest.mark.parametrize("name", sorted(_PREPARATIONS))
 def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
     # every point is a point of the first chunk moved by a chunk start, and
-    # every panel of phases meets its tile's densities in one product; the
-    # grid starts away from t = 0
+    # every panel of phases meets its tile's densities in one product, at
+    # whatever tile and group sizes the budget gives; the grid starts away
+    # from t = 0
     grid = TimeGrid(2.5, 32.5, 151)
     panels = []
     matmul = np.matmul
@@ -421,18 +422,18 @@ def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
         chunk = 0
         whole = oracle_entropy_series(config, omega=omega).values
         dense = oracle_entropy_series(config, omega=omega, dense=True).values
-        for points in (1, 7, grid.n_points + 50):
-            monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", points * psi0.size)
-            # about sqrt(151) points a chunk, at most the budget's
-            chunk = min(points, 13)
-            starts = -(-grid.n_points // chunk)
-            span = math.isqrt(starts - 1) + 1
+        # about sqrt(151) points a chunk, whatever the budget
+        chunk = math.isqrt(grid.n_points - 1) + 1
+        starts = -(-grid.n_points // chunk)
+        span = math.isqrt(starts - 1) + 1
+        for entries in (1, 7, grid.n_points + 50):
+            monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", entries * psi0.size)
             panels.clear()
             chunked = oracle_entropy_series(config, omega=omega).values
             # the panels hold every chunk start of every block once
             assert sum(g * k for g, k in panels) == span * -(-starts // span) * ks.size
-            assert np.max(np.abs(chunked - whole)) <= 1e-13, (p, omega, points)
-            assert np.max(np.abs(chunked - dense)) <= 1e-12, (p, omega, points)
+            assert np.max(np.abs(chunked - whole)) <= 1e-13, (p, omega, entries)
+            assert np.max(np.abs(chunked - dense)) <= 1e-12, (p, omega, entries)
 
 
 @pytest.mark.parametrize(
@@ -458,20 +459,22 @@ def test_series_moves_only_the_rows_each_component_populates(dist, p, rows):
     assert not np.any(psi0[~held])
 
 
-def test_series_evolves_each_components_first_chunk_with_the_propagator(monkeypatch):
+def test_series_evolves_each_component_once_to_the_first_time_with_the_propagator(monkeypatch):
     # |1> at 0 < p < 1: one row in block 3 and one in block 2, each evolved
-    # over the whole first chunk, about sqrt(151) points, by its own block
-    calls = []
+    # once, to the grid's first time, by its own block
+    calls, moments = [], []
     evolve_state = Propagator.evolve_state
 
     def recording_evolve_state(self, psi0, times):
         calls.append((self.eigenvectors.shape, psi0.shape, len(times)))
+        moments.append(list(times))
         return evolve_state(self, psi0, times)
 
     monkeypatch.setattr(Propagator, "evolve_state", recording_evolve_state)
-    config = _config(number_state(1), 0.5, grid=TimeGrid(0.0, 30.0, 151))
+    config = _config(number_state(1), 0.5, grid=TimeGrid(2.5, 32.5, 151))
     oracle_entropy_series(config)
-    assert calls == [((1, 4, 4), (1, 4), 13)] * 2
+    assert calls == [((1, 4, 4), (1, 4), 1)] * 2
+    assert moments == [[2.5]] * 2
 
 
 @pytest.mark.parametrize(
@@ -520,9 +523,9 @@ def test_series_memory_stays_bounded_on_a_long_grid():
 
 
 def test_series_block_path_memory_stays_bounded_on_a_wide_support():
-    # binomial M=400 on 3001 points: K = 402 blocks, 2 components, 20 points
-    # per 1 MB chunk; the first chunk, its coefficients and one tile's
-    # densities and phases are alive at once, next to a few grid arrays
+    # binomial M=400 on 3001 points: K = 402 blocks, 2 components, a first
+    # chunk of 55 points; the weighted densities at the first time and one
+    # tile's densities and phases are alive at once, next to a few grid arrays
     config = _config(binomial_state(400, 0.5), 0.37)
     tracemalloc.start()
     try:

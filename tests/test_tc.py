@@ -423,6 +423,12 @@ def test_mixture_entropy_arrays_reject_bad_weights():
         components = [(weights[0], number_state(0)), (weights[1], number_state(1))]
         with pytest.raises(ValidationError):
             _config(components, 0.0, l2=0.0, grid=TimeGrid(0.0, 1.0, 5))
+    # a component that is not a (weight, FockDistribution) pair is named
+    for oscillator, named in (([(1.0, [1.0])], "[1.0]"), ([(1.0, number_state(1), 3)], "3"),
+                              (5, "5"), (None, "None"),
+                              ([("0.5", number_state(0)), (0.5, number_state(1))], "'0.5'")):
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            _config(oscillator, 0.0, l2=0.0, grid=TimeGrid(0.0, 1.0, 5))
 
 
 def test_mixed_binomial_and_number_state_closed_form_matches_oracle():
