@@ -46,6 +46,11 @@ _CHUNK_POINTS = 8192
 # np.sinc's stand-in for a zero argument.
 _EPS = np.finfo(float).eps
 
+# Density-band entries below this are left out of the closed form: each one
+# left out moves alpha, beta and Im gamma by less than it (see
+# RESOLVED_EQUATIONS.md, "One evaluation per block").
+_NEGLIGIBLE = _EPS * _EPS
+
 
 @dataclass(frozen=True)
 class SpectralParams:
@@ -210,11 +215,17 @@ def _block_columns(sp: SpectralParams, couplings: Couplings, t: np.ndarray):
 
 
 def _density_bands(oscillator) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal P_n and first off-diagonal C_n of the oscillator density matrix."""
+    """Diagonal P_n and first off-diagonal C_n of the oscillator density
+    matrix, with every |C_n| below ``_NEGLIGIBLE`` set to 0, and every P_n
+    below it whose C_n is then 0: the terms walk only the nonzero entries.
+    A P_n with a coherence is kept, since |C_n| <= sqrt(P_n P_{n+1}) can
+    exceed P_n by far."""
     P, C = np.zeros((2, 1 + max(dist.cutoff for _, dist in oscillator)))  # C[-1] stays 0
     for weight, dist in oscillator:
         P[: dist.cutoff + 1] += weight * dist.probabilities()
         C[: dist.cutoff] += weight * dist.amplitudes[:-1] * dist.amplitudes[1:]
+    C[np.abs(C) < _NEGLIGIBLE] = 0.0
+    P[(P < _NEGLIGIBLE) & (C == 0.0)] = 0.0
     return P, C
 
 
@@ -245,7 +256,7 @@ def _terms(config: SystemConfig, bands, params: dict[int, SpectralParams],
     gamma_im = np.zeros_like(t)
     blocks = {}
     for n in np.flatnonzero(P).tolist():
-        # blocks below n - 1 are left over after a gap in the populated n
+        # blocks below n - 1 are left over after a gap in the kept n
         for m in [m for m in blocks if m < n - 1]:
             del blocks[m]
         coherent = C[n] != 0.0
@@ -272,6 +283,8 @@ def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
     The grid is walked in slices of ``_CHUNK_POINTS`` times, so only the
     returned array grows with its length; each block's spectral params are
     formed, and its phase checked over the whole grid, once before the walk.
+    Only the blocks of the kept indices of ``_density_bands`` are evaluated
+    and checked.
     """
     t = np.atleast_1d(_check_times(t))
     bands = _density_bands(config.oscillator)

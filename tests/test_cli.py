@@ -33,7 +33,7 @@ from tcsim.scenario import (
     preset,
     scenario_from_header,
 )
-from tcsim.series import TimeSeries
+from tcsim.series import PHASE_LIMIT, TimeSeries
 
 GOOD_SCENARIO = """\
 [oscillator]
@@ -363,6 +363,28 @@ def test_phases_beyond_double_precision_are_rejected_before_evaluation(
     assert err.startswith(f"error: {source}: the phase at frequency ")
     assert "is beyond double precision" in err
     assert not out.exists()
+
+
+def test_phase_check_covers_only_the_blocks_the_closed_form_evaluates(tmp_path, capsys):
+    # binomial(400, 0.5) leaves out its indices below 86 and above 314: the
+    # highest block it evaluates is 314, inside the phase limit at this
+    # t_end, while block 401 of the full support is past it
+    text = GOOD_SCENARIO.replace("kind = number\nN = 1", "kind = binomial\nM = 400\nq = 0.5")
+    text = text.replace("t_end = 30", "t_end = 2.2e14").replace("points = 3001", "points = 11")
+    text = text.replace("enabled = true", "enabled = false")
+    path, out = tmp_path / "wide.ini", tmp_path / "wide.csv"
+    path.write_text(text, encoding="utf-8")
+    config = load_scenario(path).system_config()
+    P, C = tc._density_bands(config.oscillator)
+    last = int(np.flatnonzero(P)[-1])
+    assert last + (C[last] != 0.0) == 314
+    assert tc.spectral_params(314, config.couplings).d_plus * 2.2e14 < PHASE_LIMIT
+    assert tc.spectral_params(401, config.couplings).d_plus * 2.2e14 >= PHASE_LIMIT
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    # the oracle keeps every index, so its largest eigenvalue is still refused
+    capsys.readouterr()
+    assert main(["oracle-check", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: oracle eigenvalue: the phase at frequency ")
 
 
 @pytest.mark.parametrize("points", ["100000000000000000", "1000000000000000000000000000000"])

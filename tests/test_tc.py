@@ -362,14 +362,57 @@ def test_closed_form_evaluates_each_block_once(monkeypatch):
     # a mixture evaluates the blocks its components share once
     two_binomials = [(0.5, binomial_state(400, 0.3)), (0.5, binomial_state(400, 0.7))]
     for dist, blocks in (
-        (binomial_state(400, 0.5), list(range(-1, 401))),
+        (binomial_state(400, 0.5), _kept_blocks(binomial_state(400, 0.5))),
         (number_state(1), [0, 1]),
-        (two_binomials, list(range(-1, 401))),
+        (two_binomials, _kept_blocks(two_binomials)),
         (_PHASE_AVERAGED, [-1, 0, 1]),
+        # P_0 = P_1 = C_0 = 1e-40 and C_1 = 1e-20: index 0 is left out, index
+        # 1 is kept for its coherence, which reads block 2
+        (FockDistribution(np.array([1e-20, 1e-20, 1.0])), [0, 1, 2]),
     ):
         calls.clear()
         mixture_entropy_arrays(_config(dist, 0.3), t)
         assert calls == blocks
+    # 230 blocks of the 402 (-1..400) of the full sum
+    assert _kept_blocks(binomial_state(400, 0.5)) == list(range(85, 315))
+
+
+def _kept_blocks(dist):
+    """Blocks n0 - 1 .. n1 read by the kept indices n0 .. n1 of a binomial
+    state or mixture, whose kept indices are contiguous, and block n1 + 1
+    if the last of them keeps its coherence."""
+    P, C = tc._density_bands(_config(dist, 0.3).oscillator)
+    kept = np.flatnonzero(P)
+    assert np.array_equal(kept, np.arange(kept[0], kept[-1] + 1))
+    return list(range(kept[0] - 1, kept[-1] + 1 + (C[kept[-1]] != 0.0)))
+
+
+def test_leaving_out_negligible_indices_moves_zeta_by_at_most_4_eps(monkeypatch):
+    # each index left out moves alpha, beta and Im gamma by less than eps^2,
+    # far below an ulp of zeta; the full sum (no threshold) keeps every index
+    grid = TimeGrid(0.0, 30.0, 301)
+    two_binomials = [(0.5, binomial_state(400, 0.3)), (0.5, binomial_state(400, 0.7))]
+    cases = [
+        (q, _config(binomial_state(400, q), p, l2=l2, grid=grid))
+        for q in (0.02, 0.5, 0.98) for p in (0.0, 0.37, 1.0) for l2 in (0.0, 0.1, 1.0)
+    ] + [(None, _config(two_binomials, 0.37, grid=grid))]
+    t = grid.times()
+
+    def zetas(negligible):
+        monkeypatch.setattr(tc, "_NEGLIGIBLE", negligible)
+        return [mixture_entropy_arrays(config, t) for _, config in cases]
+
+    kept = zetas(tc._NEGLIGIBLE)
+    full = zetas(0.0)
+    control = zetas(1e-6)
+    for (q, config), zeta, zeta_full, zeta_control in zip(cases, kept, full, control):
+        assert np.max(np.abs(zeta - zeta_full)) <= 4 * tc._EPS
+        # a threshold that leaves out real weight fails the same check
+        assert np.max(np.abs(zeta_control - zeta_full)) > 4 * tc._EPS
+        # the oracle keeps every index: at q = 0.02 and 0.98 the ones left
+        # out are those of the highest or the lowest blocks
+        if q in (0.02, 0.98):
+            assert np.max(np.abs(zeta - oracle_entropy_series(config).values)) <= 1e-12
 
 
 def test_phase_limit_error_names_the_largest_time_of_the_grid():
