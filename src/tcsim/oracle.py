@@ -15,11 +15,11 @@ evolves only those blocks.  It addresses each state by its total excitation
 k and its slot in the 4x4 block of k (``_SLOTS``), builds the Hamiltonian on
 the blocks the initial state populates, diagonalizes them with one batched
 ``eigh`` and never forms a state on the full basis, so omega need only keep
-the blocks' entries finite.  Each mixture component keeps its own rows, the
-blocks from its lowest to its highest populated one, with a zero row
-between components.  The path traces before it moves: it evolves the rows
-to the grid's first time once, reduces them to block densities there and
-carries those, not the states, to every later time.
+the blocks' entries finite.  The initial state is one (components, K, 4)
+stack: each mixture component's state on the K blocks, zero outside the
+blocks it spans.  The path traces before it moves: it evolves the stack to
+the grid's first time once, reduces it to block densities there and carries
+those, not the states, to every later time.
 ``dense=True`` keeps the dense 4(n_max + 1)-dimensional matrix and the full
 density matrix as the reference.
 """
@@ -225,13 +225,6 @@ class Propagator:
         except np.linalg.LinAlgError as exc:
             raise EigendecompositionError(str(exc)) from exc
 
-    def __getitem__(self, index) -> "Propagator":
-        """The propagator of the matrices ``index`` selects from the stack,
-        sharing this one's eigendecomposition."""
-        sub = object.__new__(Propagator)
-        sub.eigenvalues, sub.eigenvectors = self.eigenvalues[index], self.eigenvectors[index]
-        return sub
-
     def unitary(self, t: float) -> np.ndarray:
         v = self.eigenvectors
         return (v * np.exp(-1j * self.eigenvalues * t)[..., None, :]) @ _adjoint(v)
@@ -241,23 +234,12 @@ class Propagator:
         stack, and return the state at each time as the last axis of a
         (..., d, n_times) array.  exp(-iEt) is computed once per call, so
         states stacked on extra leading axes share it.  A phase E * t past
-        ``series.PHASE_LIMIT`` raises ValidationError.  The real product of
-        each matrix's eigenvectors with the coefficients, (d, d) x
-        (d, 2 n_times), reaches the 2**20 multiply-adds at which OpenBLAS
-        hands it to its threads from 32,768 times on 4x4 blocks."""
+        ``series.PHASE_LIMIT`` raises ValidationError."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         check_phase(np.max(np.abs(self.eigenvalues), initial=0.0), times, "oracle eigenvalue")
         v = self.eigenvectors
         c0 = (_adjoint(v) @ np.asarray(psi0, dtype=complex)[..., None])[..., 0]
-        # the coefficients at each time, real and imaginary parts side by side
-        # along the last axis, so that V acts on them as real matrices: OpenBLAS
-        # threads a complex product from 4096 times on, which made a (2, 4, 4)
-        # stack nine times slower on a 2-core host
-        parts = (c0[..., None] * np.exp(-1j * (self.eigenvalues[..., None] * times))).view(float)
-        evolved = (v.real @ parts).view(complex)
-        if np.iscomplexobj(v):
-            evolved += 1j * (v.imag @ parts).view(complex)
-        return evolved
+        return v @ (c0[..., None] * np.exp(-1j * (self.eigenvalues[..., None] * times)))
 
     def evolve_density(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """Density matrix ``rho0`` evolved to the single time ``t``."""
@@ -280,53 +262,46 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def _initial_blocks(config: SystemConfig) -> tuple[np.ndarray, np.ndarray, list]:
-    """The blocks the evolution reads and the rows it moves.
+def _initial_blocks(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks the evolution reads and the state it moves.
 
-    Returns the excitations (K,) of the blocks, ascending; the (rows, 4)
-    initial stack; and, for each mixture component, the slice of its rows
-    and the slice of the excitations they hold.  A component's rows are its
-    blocks from the lowest to the highest it populates, ascending, with
-    sqrt(weight) folded in, so that rho = sum_c |psi_c><psi_c|; one zero row
-    separates consecutive components.  So every pair of neighbouring rows
-    either holds consecutive blocks of one component or has a zero row.
+    Returns the excitations (K,) of the blocks, ascending, and the
+    (components, K, 4) initial stack.  Each mixture component holds its
+    state in its blocks from the lowest to the highest it populates, with
+    sqrt(weight) folded in, so that rho = sum_c |psi_c><psi_c|, and is zero
+    in every other block.  The blocks are those ranges, each built once.
 
     |e1 e2 m> is slot 0 of block m + 2 and |e1 g2 m> slot 1 of block m + 1.
     """
     preps = _preparations(config)
     populated = [np.flatnonzero(dist.amplitudes) + 1 + q2 for _, q2, dist in preps]
     ks = np.flatnonzero(np.bincount(np.concatenate([np.arange(k[0], k[-1] + 1) for k in populated])))
-    psi0 = np.zeros((sum(k[-1] - k[0] + 2 for k in populated) - 1, 4))
-    spans, row = [], 0
-    for k, (weight, q2, dist) in zip(populated, preps):
-        count = k[-1] - k[0] + 1
-        psi0[row + k - k[0], 1 - q2] = math.sqrt(weight) * dist.amplitudes[k - 1 - q2]
-        block = np.searchsorted(ks, k[0])
-        spans.append((slice(row, row + count), slice(block, block + count)))
-        row += count + 1
-    return ks, psi0, spans
+    psi0 = np.zeros((len(preps), ks.size, 4))
+    for c, (k, (weight, q2, dist)) in enumerate(zip(populated, preps)):
+        psi0[c, np.searchsorted(ks, k), 1 - q2] = math.sqrt(weight) * dist.amplitudes[k - 1 - q2]
+    return ks, psi0
 
 
 def _blocks_at(config: SystemConfig, omega: float, t: float):
     """The blocks' Propagator, empty slots zeroed in its eigenvectors V; the
-    trace of the rows; and the densities rho_b(t) and rho_b,b-1(t) in V,
-    weighted entry by entry by the traced observables A_b and X_b (X_0 = 0),
-    i.e. the amplitudes of the lines (RESOLVED_EQUATIONS.md, "Trace first,
-    then move").  Each component's rows are evolved to ``t`` by their own
-    blocks; at t = 0 the imaginary parts are exactly 0."""
-    ks, psi0, spans = _initial_blocks(config)
+    trace of the initial state; and the densities rho_b(t) and rho_b,b-1(t)
+    in V, weighted entry by entry by the traced observables A_b and X_b
+    (X_0 = 0), i.e. the amplitudes of the lines (RESOLVED_EQUATIONS.md,
+    "Trace first, then move").  The component stack is evolved to ``t`` in
+    one call and summed over its components; a component stays exactly zero
+    outside its blocks, so two components never pair.  At t = 0 the
+    imaginary parts are exactly 0."""
+    ks, psi0 = _initial_blocks(config)
     prop = Propagator(build_hamiltonian(config.couplings, omega, excitations=ks))
     # an empty slot's row and column of H are zero, but eigh may mix it into a
     # degenerate eigenvalue of its block; zeroing its rows of V keeps it out
     v = prop.eigenvectors
     v[ks[:, None] < _SLOTS[:, 2]] = 0.0
     vt = np.swapaxes(v, -1, -2)
-    rho, pair = np.zeros((2, ks.size, 4, 4), dtype=complex)
-    for rows, blocks in spans:
-        state = prop[blocks].evolve_state(psi0[rows], [t]).view(float)
-        c = np.matmul(vt[blocks], state).view(complex)  # (rows, 4, 1)
-        rho[blocks] += c * _adjoint(c)
-        pair[blocks.start + 1 : blocks.stop] += c[1:] * _adjoint(c[:-1])
+    c = np.matmul(vt, prop.evolve_state(psi0, [t]))  # (components, K, 4, 1)
+    rho = np.sum(c * _adjoint(c), axis=0)
+    pair = np.zeros_like(rho)
+    pair[1:] = np.sum(c[:, 1:] * _adjoint(c[:, :-1]), axis=0)
     a = vt[:, :, :2] @ v[:, :2]
     x = np.concatenate([np.zeros((1, 4, 4)), vt[1:, :, :2] @ v[:-1, 2:]])
     return prop, np.sum(psi0**2), a * rho, x * pair
@@ -360,9 +335,9 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
     resonant frequency ``omega`` (0: interaction picture).
 
     The default path builds and diagonalizes only the excitation blocks that
-    the initial state populates, and gives each mixture component its own
-    rows of those blocks (see ``_initial_blocks``).  It traces before it
-    moves: the rows are evolved once, to the grid's first time t0
+    the initial state populates, and holds each mixture component's state
+    on those blocks in one stack (see ``_initial_blocks``).  It traces before
+    it moves: the stack is evolved once, to the grid's first time t0
     (``Propagator.evolve_state``), and reduced to block densities in the
     blocks' real eigenvectors, weighted by each block's traced observables
     (``_blocks_at``).  A density entry then turns by its phase

@@ -250,21 +250,9 @@ def test_propagator_evolves_a_stack_like_each_matrix(rng):
         assert np.max(np.abs(evolved[c, k] - single)) <= 1e-13
 
 
-def test_propagator_of_part_of_the_stack_evolves_like_the_stack(rng):
-    stack = rng.normal(size=(4, 4, 4))
-    stack = stack + stack.swapaxes(-1, -2)
-    psi0 = rng.normal(size=(4, 4))
-    times = np.linspace(0.0, 5.0, 7)
-    prop = Propagator(stack)
-    part = prop[1:3]
-    assert np.shares_memory(part.eigenvectors, prop.eigenvectors)
-    whole = prop.evolve_state(psi0, times)
-    assert np.max(np.abs(part.evolve_state(psi0[1:3], times) - whole[1:3])) <= 1e-13
-
-
 def test_propagator_evolves_complex_hermitian_matrices_like_the_unitary(rng):
-    # complex eigenvectors act on the real and imaginary parts of the
-    # coefficients as two real products
+    # the eigenvectors of a complex Hermitian stack are complex, and one
+    # complex product applies them
     stack = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
     stack = stack + stack.conj().swapaxes(-1, -2)
     psi0 = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
@@ -356,8 +344,8 @@ _PREPARATIONS = {
     "vacuum-one-photon": [(0.3, number_state(0)), (0.7, number_state(1))],
     "vacuum": number_state(0),
     "gapped-custom": FockDistribution(np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8])),
-    # the components' blocks do not touch, so only the zero row between
-    # them keeps their rows from pairing
+    # the components' blocks do not touch, so each component is zero in the
+    # other's blocks and the pairs across them sum to an exact 0
     "gapped-mixture": [(0.5, number_state(0)), (0.5, number_state(4))],
 }
 
@@ -417,7 +405,7 @@ def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
     monkeypatch.setattr(np, "matmul", recording_matmul)
     for p, omega in itertools.product((0.0, 0.37, 1.0), (0.0, 0.7)):
         config = _config(_PREPARATIONS[name], p, l2=0.3, grid=grid)
-        ks, psi0, _ = oracle._initial_blocks(config)
+        ks, psi0 = oracle._initial_blocks(config)
         monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", grid.n_points * psi0.size)
         chunk = 0
         whole = oracle_entropy_series(config, omega=omega).values
@@ -437,44 +425,42 @@ def test_series_is_independent_of_the_time_chunk(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "dist, p, rows",
+    "dist, p, shape, spans",
     [
-        # |e1 e2 1> in block 3 and |e1 g2 1> in block 2, one zero row between
-        (number_state(1), 0.5, 2 + 1),
-        (number_state(1), 0.0, 1),
-        (number_state(1), 1.0, 1),
-        # blocks 2..402 and 1..401, one zero row between
-        (binomial_state(400, 0.4), 0.37, 802 + 1),
+        # |e1 e2 1> in block 3 and |e1 g2 1> in block 2
+        (number_state(1), 0.5, (2, 2, 4), [(3, 3), (2, 2)]),
+        (number_state(1), 0.0, (1, 1, 4), [(2, 2)]),
+        (number_state(1), 1.0, (1, 1, 4), [(3, 3)]),
+        # blocks 2..402 and 1..401
+        (binomial_state(400, 0.4), 0.37, (2, 402, 4), [(2, 402), (1, 401)]),
     ],
 )
-def test_series_moves_only_the_rows_each_component_populates(dist, p, rows):
-    ks, psi0, spans = oracle._initial_blocks(_config(dist, p))
-    assert psi0.shape == (rows, 4)
-    # every block the rows hold is built once, whichever components share it
-    assert ks.size == len(np.unique(ks)) == max(b.stop for _, b in spans)
-    # the rows that separate the components stay zero
-    held = np.zeros(rows, dtype=bool)
-    for r, _ in spans:
-        held[r] = True
-    assert not np.any(psi0[~held])
+def test_series_starts_from_one_stack_of_the_components(dist, p, shape, spans):
+    ks, psi0 = oracle._initial_blocks(_config(dist, p))
+    assert psi0.shape == shape
+    # every block a component spans is built once, whichever components share it
+    assert np.array_equal(ks, np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])))
+    # each component is zero outside the blocks it spans
+    for component, (lo, hi) in zip(psi0, spans):
+        outside = (ks < lo) | (ks > hi)
+        assert np.any(component[~outside])
+        assert not np.any(component[outside])
 
 
 def test_series_evolves_each_component_once_to_the_first_time_with_the_propagator(monkeypatch):
-    # |1> at 0 < p < 1: one row in block 3 and one in block 2, each evolved
-    # once, to the grid's first time, by its own block
-    calls, moments = [], []
+    # |1> at 0 < p < 1: the (2, 2, 4) stack of both components on blocks 2
+    # and 3, evolved in one call, to the grid's first time
+    calls = []
     evolve_state = Propagator.evolve_state
 
     def recording_evolve_state(self, psi0, times):
-        calls.append((self.eigenvectors.shape, psi0.shape, len(times)))
-        moments.append(list(times))
+        calls.append((self.eigenvectors.shape, psi0.shape, list(times)))
         return evolve_state(self, psi0, times)
 
     monkeypatch.setattr(Propagator, "evolve_state", recording_evolve_state)
     config = _config(number_state(1), 0.5, grid=TimeGrid(2.5, 32.5, 151))
     oracle_entropy_series(config)
-    assert calls == [((1, 4, 4), (1, 4), 1)] * 2
-    assert moments == [[2.5]] * 2
+    assert calls == [((2, 4, 4), (2, 2, 4), [2.5])]
 
 
 @pytest.mark.parametrize(
@@ -484,7 +470,7 @@ def test_series_evolves_each_component_once_to_the_first_time_with_the_propagato
 def test_series_keeps_every_product_off_the_blas_threads(monkeypatch, dist, grid):
     # OpenBLAS hands a product of 2**20 multiply-adds or more to its threads,
     # which costs far more than it saves on products this thin; the default
-    # path's products are its np.matmul calls and the real product that
+    # path's products are its np.matmul calls and the complex product that
     # Propagator.evolve_state makes of each block's eigenvectors
     sizes = []
     matmul, evolve_state = np.matmul, Propagator.evolve_state
@@ -495,7 +481,7 @@ def test_series_keeps_every_product_off_the_blas_threads(monkeypatch, dist, grid
 
     def recording_evolve_state(self, psi0, times):
         d = self.eigenvectors.shape[-1]
-        sizes.append(d * d * 2 * len(times))  # (d, d) x (d, 2 times) real
+        sizes.append(4 * d * d * len(times))  # (d, d) x (d, times) complex
         return evolve_state(self, psi0, times)
 
     monkeypatch.setattr(np, "matmul", recording_matmul)
