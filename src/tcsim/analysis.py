@@ -71,15 +71,16 @@ def find_revivals(series: TimeSeries, after: float = 0.0) -> RevivalReport:
 
 
 def time_average(series: TimeSeries, window: tuple[float, float]) -> float:
-    """Trapezoidal mean of the series over the samples inside ``window``."""
+    """Trapezoidal mean of the series over the samples inside ``window``, which is a slice
+    of the strictly increasing times, so nothing is copied."""
     t0, t1 = window
-    if t1 <= t0:
+    if not t1 > t0:  # also a NaN edge, which searchsorted would place after every time
         raise WindowEmptyError(f"window ({t0}, {t1}) is empty")
     t, z = series.times, series.values
-    mask = (t >= t0) & (t <= t1)
-    if np.count_nonzero(mask) < 2:
+    inside = slice(np.searchsorted(t, t0, side="left"), np.searchsorted(t, t1, side="right"))
+    tw, zw = t[inside], z[inside]
+    if tw.size < 2:
         raise WindowEmptyError(f"window ({t0}, {t1}) holds fewer than two samples")
-    tw, zw = t[mask], z[mask]
     return float(np.trapezoid(zw, tw) / (tw[-1] - tw[0]))
 
 

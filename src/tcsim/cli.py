@@ -17,6 +17,7 @@ import argparse
 import codecs
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -96,22 +97,32 @@ def oracle_series(scenario: Scenario) -> TimeSeries:
 _CSV_BLOCK_ROWS = 4096  # rows per % operation, so the temporary table and tuple stay small
 
 
-def csv_lines(scenario: Scenario, closed: TimeSeries, checked: TimeSeries | None) -> list[str]:
+def _blocks(columns: list[np.ndarray], field: str, sep: str) -> Iterator[str]:
+    """The rows of the equal-length ``columns``, each ``field``-formatted and comma-joined,
+    as strings of ``_CSV_BLOCK_ROWS`` ``sep``-joined rows, one ``%`` operation each."""
+    row = ",".join([field] * len(columns))
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS] for column in columns])
+        yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+
+
+def csv_lines(scenario: Scenario, closed: TimeSeries, checked: TimeSeries | None) -> Iterator[str]:
     """``#`` scenario lines, the column header, then the ``%.17g`` rows (which read back to
-    the same doubles) in strings of ``_CSV_BLOCK_ROWS`` newline-joined rows."""
+    the same doubles) in strings of ``_CSV_BLOCK_ROWS`` newline-joined rows.  A generator:
+    each block is formatted when it is asked for, so a caller that writes the lines as they
+    come, as ``write_text`` does, holds one block of text at a time.  It is consumed once."""
     columns = {"t": closed.times, "zeta": closed.values}
     if checked is not None:
         columns.update(zeta_oracle=checked.values, abs_err=np.abs(closed.values - checked.values))
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [f"# {entry}" for entry in scenario.to_lines()] + [",".join(columns)]
-    for start in range(0, len(closed), _CSV_BLOCK_ROWS):
-        block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS] for column in columns.values()])
-        lines.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
-    return lines
+    for entry in scenario.to_lines():
+        yield f"# {entry}"
+    yield ",".join(columns)
+    yield from _blocks(list(columns.values()), "%.17g", "\n")
 
 
-def write_text(path: Path | None, lines: list[str]) -> None:
-    """Each of ``lines`` and a newline, written one at a time to ``path`` (stdout if None)."""
+def write_text(path: Path | None, lines: Iterable[str]) -> None:
+    """Each of ``lines`` and a newline, written to ``path`` (stdout if None) as it arrives.
+    ``lines`` is consumed once, so a generator such as ``csv_lines`` is never held whole."""
     try:
         with nullcontext(sys.stdout) if path is None else path.open("w", encoding="utf-8") as f:
             for line in lines:
@@ -121,8 +132,10 @@ def write_text(path: Path | None, lines: list[str]) -> None:
         raise ScenarioParseError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
-def svg_lines(series: TimeSeries, title: str) -> list[str]:
-    """Minimal static SVG 1.1 line plot: one polyline plus labelled axes."""
+def svg_lines(series: TimeSeries, title: str) -> Iterator[str]:
+    """Minimal static SVG 1.1 line plot: one polyline plus labelled axes.  A generator,
+    consumed once like ``csv_lines``; the polyline's points are formatted
+    ``_CSV_BLOCK_ROWS`` points per ``%`` operation into its one ``points`` attribute."""
     width, height = 960, 540
     left, right, top, bottom = 70, 20, 30, 50
     plot_w = width - left - right
@@ -136,33 +149,28 @@ def svg_lines(series: TimeSeries, title: str) -> list[str]:
     def sy(z):
         return top + (z1 - z) / (z1 - z0) * plot_h
 
-    pts = " ".join(f"{sx(t):.2f},{sy(z):.2f}" for t, z in zip(series.times, series.values))
-    tick_ts = np.linspace(t0, t1, 7)
-    tick_zs = np.linspace(z0, z1, 6)
+    pts = " ".join(_blocks([sx(series.times), sy(series.values)], "%.2f", " "))
     # escaped by hand: xml.sax.saxutils would import urllib.request into every run
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-        f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
-    ]
-    for t in tick_ts:
+    yield '<?xml version="1.0" encoding="UTF-8"?>'
+    yield f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">'
+    yield f'<rect width="{width}" height="{height}" fill="white"/>'
+    yield f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>'
+    yield f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" stroke="black"/>'
+    yield f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>'
+    for t in np.linspace(t0, t1, 7):
         x = sx(t)
-        lines.append(f'<line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" y2="{top + plot_h + 5}" stroke="black"/>')
-        lines.append(f'<text x="{x:.2f}" y="{top + plot_h + 20}" text-anchor="middle" font-size="11">{t:g}</text>')
-    for z in tick_zs:
+        yield f'<line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" y2="{top + plot_h + 5}" stroke="black"/>'
+        yield f'<text x="{x:.2f}" y="{top + plot_h + 20}" text-anchor="middle" font-size="11">{t:g}</text>'
+    for z in np.linspace(z0, z1, 6):
         y = sy(z)
-        lines.append(f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" stroke="black"/>')
-        lines.append(f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="11">{z:g}</text>')
-    lines.append(f'<text x="{left + plot_w / 2:.0f}" y="{height - 10}" text-anchor="middle" font-size="13">t</text>')
-    lines.append(f'<text x="18" y="{top + plot_h / 2:.0f}" text-anchor="middle" font-size="13" '
-                 f'transform="rotate(-90 18 {top + plot_h / 2:.0f})">zeta</text>')
-    lines.append(f'<polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="1"/>')
-    lines.append("</svg>")
-    return lines
+        yield f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" stroke="black"/>'
+        yield f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="11">{z:g}</text>'
+    yield f'<text x="{left + plot_w / 2:.0f}" y="{height - 10}" text-anchor="middle" font-size="13">t</text>'
+    yield (f'<text x="18" y="{top + plot_h / 2:.0f}" text-anchor="middle" font-size="13" '
+           f'transform="rotate(-90 18 {top + plot_h / 2:.0f})">zeta</text>')
+    yield f'<polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
+    yield "</svg>"
 
 
 def _run_scenario(scenario: Scenario, out: Path | None, svg_path: Path | None, title: str) -> int:

@@ -94,7 +94,8 @@ class TimeSeries:
             raise NonuniformGridError("need at least two samples to define a step")
         steps = np.diff(self.times)
         mean = steps.mean()
-        i = int(np.argmax(np.abs(steps - mean)))
+        deviation = steps - mean
+        i = int(np.argmax(np.abs(deviation, out=deviation)))
         if abs(steps[i] - mean) > STEP_RTOL * mean:
             raise NonuniformGridError(
                 f"time grid is not uniform: step {i} at t = {self.times[i]:g} is "

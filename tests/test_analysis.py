@@ -99,6 +99,9 @@ def test_time_average_window_checks():
         time_average(series, (5.0, 5.0))
     with pytest.raises(WindowEmptyError):
         time_average(series, (100.0, 200.0))
+    for window in ((math.nan, 5.0), (1.0, math.nan), (math.nan, math.nan)):  # no sample passes a NaN edge
+        with pytest.raises(WindowEmptyError):
+            time_average(series, window)
 
 
 # ------------------------------------------------------------------ spectra

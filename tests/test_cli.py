@@ -22,6 +22,7 @@ from tcsim.cli import (
     csv_lines,
     main,
     oracle_series,
+    svg_lines,
     write_text,
 )
 from tcsim.errors import ScenarioParseError
@@ -479,7 +480,7 @@ def _reference_body(columns):
 def test_oracle_columns_match_a_per_field_reference(preset_id):
     sc = preset(preset_id)
     closed, checked = closed_series(sc), oracle_series(sc)
-    lines = csv_lines(sc, closed, checked)
+    lines = list(csv_lines(sc, closed, checked))
     assert lines[len(sc.to_lines())] == "t,zeta,zeta_oracle,abs_err"
     errors = [abs(z - zo) for z, zo in zip(closed.values, checked.values)]
     reference = _reference_body([closed.times, closed.values, checked.values, errors])
@@ -491,10 +492,34 @@ def test_awkward_doubles_match_a_per_field_reference_across_blocks():
     n = 2 * _CSV_BLOCK_ROWS + 7
     times = np.arange(n) / 3 + 1e-300
     values = np.resize(awkward, n)
-    lines = csv_lines(preset("2c"), TimeSeries(times, values), None)
+    lines = list(csv_lines(preset("2c"), TimeSeries(times, values), None))
     blocks = lines[len(preset("2c").to_lines()) + 1:]
     assert len(blocks) == 3
     assert "\n".join(blocks).split("\n") == _reference_body([times, values])
+
+
+def test_csv_and_svg_lines_are_iterators():
+    sc = preset("2c", points=11)
+    closed = closed_series(sc)
+    for lines in (csv_lines(sc, closed, None), svg_lines(closed, "figure 2c")):
+        assert iter(lines) is lines
+
+
+def test_svg_points_match_a_per_point_reference_across_blocks():
+    n = 2 * _CSV_BLOCK_ROWS + 7
+    times = np.linspace(0.5, 40.0, n)
+    values = 0.25 + 0.3 * np.sin(times)  # above 0.5 and below 0 in places
+    t0, t1, z1 = times[0], times[-1], max(0.5, float(values.max()))
+
+    def sx(t):
+        return 70 + (t - t0) / (t1 - t0) * 870
+
+    def sy(z):
+        return 30 + (z1 - z) / (z1 - 0.0) * 460
+
+    reference = " ".join(f"{sx(t):.2f},{sy(z):.2f}" for t, z in zip(times, values))
+    polyline = [line for line in svg_lines(TimeSeries(times, values), "long") if line.startswith("<polyline")]
+    assert polyline == [f'<polyline points="{reference}" fill="none" stroke="#1f5fa8" stroke-width="1"/>']
 
 
 def test_figure_one_takes_the_mixture_closed_form_path(tmp_path):
@@ -816,7 +841,7 @@ def test_run_to_a_failing_stdout_is_a_usage_error(tmp_path, monkeypatch, capsys)
 
 def test_write_text_sends_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
     sc = preset("2c", points=2 * _CSV_BLOCK_ROWS + 7)
-    lines = csv_lines(sc, closed_series(sc), None)
+    lines = list(csv_lines(sc, closed_series(sc), None))
     write_text(tmp_path / "out.csv", lines)
     write_text(None, lines)
     assert capsys.readouterr().out == (tmp_path / "out.csv").read_text(encoding="utf-8")
