@@ -7,8 +7,8 @@ Each total-excitation sector splits into four-level blocks
 whose frequencies come in two pairs +-d_plus, +-d_minus.  The propagator
 column starting from |e1 e2 n> gives the "unprimed" coefficient quad; the
 column starting from |e1 g2 n> lives in the block with index n-1 and gives
-the "primed" quad.  One evaluation of block m yields both of its columns,
-the unprimed quad at n = m and the primed quad at n = m + 1, each entry
+the "primed" quad.  One evaluation of block m yields the columns read of
+it, the unprimed quad at n = m and the primed quad at n = m + 1, each entry
 real or -i times real.  From the quads, the reduced single-qubit
 populations (alpha, beta) and coherence (gamma) assemble the linear entropy
 
@@ -155,29 +155,20 @@ def _check_times(t) -> np.ndarray:
     return t
 
 
-def _checked_params(m: int, couplings: Couplings, t) -> SpectralParams:
-    """``spectral_params`` of block ``m``; a phase d_plus * t past
-    ``series.PHASE_LIMIT`` at the largest of the times ``t`` raises
-    ValidationError.  Past it the t-linear terms of a block with
-    d_minus = 0, whose coefficients vanish only up to rounding, would also
-    grow to overflow."""
-    sp = spectral_params(m, couplings)
-    check_phase(sp.d_plus, t, f"block {m}")
-    return sp
-
-
-def _block_columns(sp: SpectralParams, couplings: Couplings, t: np.ndarray):
-    """Both propagator columns of block ``m = sp.n`` at times ``t``, as real arrays.
+def _block_columns(sp: SpectralParams, sides: tuple[bool, bool], couplings: Couplings,
+                   t: np.ndarray):
+    """The propagator columns of block ``m = sp.n`` named by ``sides``, at
+    times ``t``, as real arrays, and None for a column not named.
 
     The first is the unprimed quad at n = m (start |e1 e2 m>), the second
-    the primed quad at n = m + 1 (start |e1 g2 m+1>).  c1, c4, c'2 and c'3
-    are returned as they are; c2, c3, c'1 and c'4 are -i times the returned
-    value.  At m = -1 the |e1 e2 -1> level does not exist: c'1 vanishes
-    identically because the x = sqrt(m + 1) prefactor is zero, with
-    d_minus = 0 enforcing the same degeneracy spectrally.  The caller has
-    checked the phase with ``_checked_params``, and ``sp.D > 0``:
-    ``SystemConfig`` rejects lambda1 <= 0 and ``spectral_params`` raises
-    before D^2 underflows.
+    the primed quad at n = m + 1 (start |e1 g2 m+1>), both from one set of
+    cos and sin arrays.  c1, c4, c'2 and c'3 are returned as they are; c2,
+    c3, c'1 and c'4 are -i times the returned value.  At m = -1 the
+    |e1 e2 -1> level does not exist: c'1 vanishes identically because the
+    x = sqrt(m + 1) prefactor is zero, with d_minus = 0 enforcing the same
+    degeneracy spectrally.  The caller has checked the phase with
+    ``_block_params``, and ``sp.D > 0``: ``SystemConfig`` rejects
+    lambda1 <= 0 and ``spectral_params`` raises before D^2 underflows.
     """
     m = sp.n
     l1, l2 = couplings.lambda1, couplings.lambda2
@@ -198,7 +189,7 @@ def _block_columns(sp: SpectralParams, couplings: Couplings, t: np.ndarray):
             + (l1 * x * sp.a_plus - 4.0 * l1 * l2 * l2 * x * y * y) * sin_m
         ),
         (2.0 * l1 * l2 * x * y / sp.D) * (cos_p - cos_m),
-    )
+    ) if sides[0] else None
     primed = (
         inv2d * (
             (l2 * x * sp.b_plus + 2.0 * l1 * l1 * l2 * x * ssum) * sin_p
@@ -210,7 +201,7 @@ def _block_columns(sp: SpectralParams, couplings: Couplings, t: np.ndarray):
             (l1 * y * sp.b_plus + 2.0 * l1 * l2 * l2 * y * ssum) * sin_p
             + (l1 * y * sp.b_minus - 2.0 * l1 * l2 * l2 * y * ssum) * sin_m
         ),
-    )
+    ) if sides[1] else None
     return unprimed, primed
 
 
@@ -229,48 +220,79 @@ def _density_bands(oscillator) -> tuple[np.ndarray, np.ndarray]:
     return P, C
 
 
-def _block_params(bands, couplings: Couplings, t: np.ndarray) -> dict[int, SpectralParams]:
-    """Phase-checked spectral params of every block the terms read over the
-    times ``t``, evaluated once each, in the order the terms first read them:
-    index n reads blocks n - 1 and n, and with a coherence n + 1 as well."""
+def _branches(p: float) -> list[tuple[float, int]]:
+    """(weight, side) of each environment branch of nonzero weight, as
+    ``oracle._preparations`` keeps them: the excited branch (weight p) reads
+    the unprimed side 0 of the block columns, the ground branch (weight
+    1 - p) the primed side 1.  At index n, branch side s reads side s of
+    block n - s, and with a coherence of block n - s + 1 as well."""
+    return [(w, side) for side, w in enumerate((p, 1.0 - p)) if w != 0.0]
+
+
+def _block_params(config: SystemConfig, bands,
+                  t: np.ndarray) -> dict[int, tuple[SpectralParams, tuple[bool, bool]]]:
+    """Spectral params of every block the terms read over the times ``t``,
+    with the sides (unprimed, primed) they read of it, in ascending block
+    order: each block is evaluated once, and a block no branch of nonzero
+    weight reads is not.  A phase d_plus * t past ``series.PHASE_LIMIT`` at
+    the largest of the times ``t`` raises ValidationError.  Past it the
+    t-linear terms of a block with d_minus = 0, whose coefficients vanish
+    only up to rounding, would also grow to overflow."""
     P, C = bands
     t_max = float(np.max(t, initial=0.0))  # so each check names the largest t
+    # read[s, m + 1]: side s of block m is read (-1 <= m < len(P)); C[-1] is 0
+    read = np.zeros((2, P.size + 1), dtype=bool)
+    for _, s in _branches(config.env.p):
+        read[s, 1 - s:][:P.size] |= P != 0.0
+        read[s, 2 - s:][:P.size - 1] |= C[:-1] != 0.0
     params = {}
-    for n in np.flatnonzero(P).tolist():
-        for m in range(n - 1, n + 1 + (C[n] != 0.0)):
-            if m not in params:
-                params[m] = _checked_params(m, couplings, t_max)
+    for m in (np.flatnonzero(read[0] | read[1]) - 1).tolist():
+        sp = spectral_params(m, config.couplings)
+        check_phase(sp.d_plus, t_max, f"block {m}")
+        params[m] = sp, tuple(read[:, m + 1].tolist())
     return params
 
 
-def _terms(config: SystemConfig, bands, params: dict[int, SpectralParams],
+def _terms(config: SystemConfig, bands,
+           params: dict[int, tuple[SpectralParams, tuple[bool, bool]]],
            t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """alpha, beta and Im gamma over ``t`` from the density bands and the
     params of ``_block_params``: every product is real or -i times real, so
-    gamma is i times a real array.  Each block's columns are formed once and
-    dropped once no later index reads them."""
-    p, couplings = config.env.p, config.couplings
+    gamma is i times a real array.  Each index sums w X over the branches
+    (w, X) of ``_branches``, p X + (1 - p) Y when both are kept.  Each block
+    is formed once, with the sides read of it, and dropped once no later
+    index reads it."""
     P, C = bands
+    branches = _branches(config.env.p)
+    # side s reads blocks n - s and, with a coherence, n - s + 1: over the kept
+    # sides, blocks n + first .. n + last - 1, and n + last with a coherence
+    first, last = -branches[-1][1], 1 - branches[0][1]
     alpha = np.zeros_like(t)
     beta = np.zeros_like(t)
     gamma_im = np.zeros_like(t)
     blocks = {}
     for n in np.flatnonzero(P).tolist():
-        # blocks below n - 1 are left over after a gap in the kept n
+        # blocks below n - 1 are read by no index from n on
         for m in [m for m in blocks if m < n - 1]:
             del blocks[m]
         coherent = C[n] != 0.0
-        for m in range(n - 1, n + 1 + coherent):
+        for m in range(n + first, n + last + coherent):
             if m not in blocks:
-                blocks[m] = _block_columns(params[m], couplings, t)
-        (c1, c2, c3, c4), _ = blocks[n]
-        _, (k1, k2, k3, k4) = blocks.pop(n - 1)
-        alpha += P[n] * (p * (c3**2 + c4**2) + (1.0 - p) * (k3**2 + k4**2))
-        beta += P[n] * (p * (c1**2 + c2**2) + (1.0 - p) * (k1**2 + k2**2))
+                blocks[m] = _block_columns(*params[m], config.couplings, t)
+        a = b = g = None
+        for w, s in branches:
+            c1, c2, c3, c4 = blocks[n - s][s]
+            x, y = w * (c3**2 + c4**2), w * (c1**2 + c2**2)
+            a, b = (x, y) if a is None else (a + x, b + y)
+            if coherent:
+                d1, d2, _, _ = blocks[n - s + 1][s]
+                # the primed side's coherence has the opposite sign
+                z = w * (c4 * d2 - c3 * d1 if s == 0 else c3 * d1 - c4 * d2)
+                g = z if g is None else g + z
+        alpha += P[n] * a
+        beta += P[n] * b
         if coherent:
-            (d1, d2, _, _), _ = blocks[n + 1]
-            _, (e1, e2, _, _) = blocks[n]
-            gamma_im += C[n] * (p * (c4 * d2 - c3 * d1) + (1.0 - p) * (k3 * e1 - k4 * e2))
+            gamma_im += C[n] * g
     return alpha, beta, gamma_im
 
 
@@ -283,12 +305,12 @@ def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
     The grid is walked in slices of ``_CHUNK_POINTS`` times, so only the
     returned array grows with its length; each block's spectral params are
     formed, and its phase checked over the whole grid, once before the walk.
-    Only the blocks of the kept indices of ``_density_bands`` are evaluated
-    and checked.
+    Only the blocks that the kept indices of ``_density_bands`` read in an
+    environment branch of nonzero weight are evaluated and checked.
     """
     t = np.atleast_1d(_check_times(t))
     bands = _density_bands(config.oscillator)
-    params = _block_params(bands, config.couplings, t)
+    params = _block_params(config, bands, t)
     zeta = np.empty_like(t)
     for start in range(0, len(t), _CHUNK_POINTS):
         part = slice(start, start + _CHUNK_POINTS)

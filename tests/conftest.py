@@ -31,7 +31,8 @@ def coefficient_quad(n: int, couplings: Couplings, t, primed: bool) -> np.ndarra
     unprimed from block n, primed from block n - 1 (see RESOLVED_EQUATIONS.md).
     A scalar ``t`` gives one column."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    columns = tc._block_columns(tc.spectral_params(n - primed, couplings), couplings, t)[primed]
+    sp = tc.spectral_params(n - primed, couplings)
+    columns = tc._block_columns(sp, (not primed, primed), couplings, t)[primed]
     return _QUAD_PHASES[primed][:, None] * np.array(columns)
 
 
@@ -40,7 +41,7 @@ def entropy_terms(config, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one point), as ``tc.mixture_entropy_arrays`` forms them for one chunk."""
     t = np.atleast_1d(tc._check_times(t))
     bands = tc._density_bands(config.oscillator)
-    alpha, beta, gamma_im = tc._terms(config, bands, tc._block_params(bands, config.couplings, t), t)
+    alpha, beta, gamma_im = tc._terms(config, bands, tc._block_params(config, bands, t), t)
     return alpha, beta, 1j * gamma_im
 
 

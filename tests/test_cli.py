@@ -388,6 +388,27 @@ def test_phase_check_covers_only_the_blocks_the_closed_form_evaluates(tmp_path, 
     assert capsys.readouterr().err.startswith("error: oracle eigenvalue: the phase at frequency ")
 
 
+def test_phase_check_skips_the_blocks_of_a_branch_of_weight_zero(tmp_path, capsys):
+    # |1> at p = 0 has only the ground branch, which reads block 0; block 1,
+    # read only by the excited branch, is past the phase limit at this t_end
+    text = GOOD_SCENARIO.replace("p = 0.5", "p = 0").replace("t_end = 30", "t_end = 2.8e15")
+    text = text.replace("points = 3001", "points = 11").replace("enabled = true", "enabled = false")
+    path, out = tmp_path / "pure.ini", tmp_path / "pure.csv"
+    path.write_text(text, encoding="utf-8")
+    config = load_scenario(path).system_config()
+    assert tc.spectral_params(0, config.couplings).d_plus * 2.8e15 < PHASE_LIMIT
+    assert tc.spectral_params(1, config.couplings).d_plus * 2.8e15 >= PHASE_LIMIT
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    # the oracle leaves out the same branch and forms only the sector of
+    # block 0, so neither phase check refuses; this close to the limit the
+    # two curves then differ by far more than --tol (exit 5), as the error
+    # model C eps d_max t_max allows
+    capsys.readouterr()
+    assert main(["oracle-check", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and "phase" not in captured.err
+
+
 @pytest.mark.parametrize("points", ["100000000000000000", "1000000000000000000000000000000"])
 def test_grid_too_large_for_memory_is_a_validation_error(tmp_path, capsys, points):
     # 8e17 bytes exceed every 64-bit address space, so numpy refuses the

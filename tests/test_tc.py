@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcsim.tc as tc
-from conftest import branch_amplitudes_bruteforce, coefficient_quad, entropy_terms
+from conftest import _QUAD_PHASES, branch_amplitudes_bruteforce, coefficient_quad, entropy_terms
 from tcsim.errors import ValidationError
 from tcsim.jc import jc_amplitudes, jc_number_entropy
 from tcsim.oracle import (
@@ -348,43 +348,110 @@ def test_entropy_grid_partition_is_bitwise_stable():
 
 
 def test_closed_form_evaluates_each_block_once(monkeypatch):
-    # index n reads blocks n and n - 1; one evaluation yields both columns
-    calls = []
-    true_params = tc.spectral_params
+    # at index n, the branch that reads side s (0 = unprimed, excited
+    # environment, weight p; 1 = primed, ground, weight 1 - p) reads block
+    # n - s, and with a coherence block n - s + 1 as well; a branch of
+    # weight 0 reads nothing.  One evaluation of a block yields the sides
+    # read of it.
+    calls, formed = [], []
+    true_params, true_columns = tc.spectral_params, tc._block_columns
 
     def counting(m, couplings):
         calls.append(m)
         return true_params(m, couplings)
 
+    def forming(sp, sides, couplings, t):
+        formed.append((sp.n, sides))
+        return true_columns(sp, sides, couplings, t)
+
     monkeypatch.setattr(tc, "spectral_params", counting)
+    monkeypatch.setattr(tc, "_block_columns", forming)
     # a grid of three chunks: the params of each block carry across them
     t = np.linspace(0.0, 30.0, 2 * tc._CHUNK_POINTS + 1)
     # a mixture evaluates the blocks its components share once
     two_binomials = [(0.5, binomial_state(400, 0.3)), (0.5, binomial_state(400, 0.7))]
-    for dist, blocks in (
-        (binomial_state(400, 0.5), _kept_blocks(binomial_state(400, 0.5))),
-        (number_state(1), [0, 1]),
-        (two_binomials, _kept_blocks(two_binomials)),
-        (_PHASE_AVERAGED, [-1, 0, 1]),
-        # P_0 = P_1 = C_0 = 1e-40 and C_1 = 1e-20: index 0 is left out, index
-        # 1 is kept for its coherence, which reads block 2
-        (FockDistribution(np.array([1e-20, 1e-20, 1.0])), [0, 1, 2]),
+    unprimed, primed = (True, False), (False, True)
+    # P_0 = P_1 = C_0 = 1e-40 and C_1 = 1e-20: index 0 is left out, index 1
+    # is kept for its coherence, which reads block 2
+    faint = FockDistribution(np.array([1e-20, 1e-20, 1.0]))
+    for dist, p, sides in (
+        (binomial_state(400, 0.5), 0.3, _read_sides(binomial_state(400, 0.5))),
+        # indices 86..314 with C_314 = 0: 229 blocks, one side each
+        (binomial_state(400, 0.5), 0.0, dict.fromkeys(range(85, 314), primed)),
+        (binomial_state(400, 0.5), 1.0, dict.fromkeys(range(86, 315), unprimed)),
+        (number_state(1), 0.3, {0: primed, 1: unprimed}),
+        (number_state(1), 0.0, {0: primed}),
+        (number_state(1), 1.0, {1: unprimed}),
+        (two_binomials, 0.3, _read_sides(two_binomials)),
+        (_PHASE_AVERAGED, 0.3, _read_sides(_PHASE_AVERAGED)),
+        (_PHASE_AVERAGED, 0.0, {-1: primed, 0: primed}),
+        (_PHASE_AVERAGED, 1.0, {0: unprimed, 1: unprimed}),
+        (faint, 0.3, {0: primed, 1: (True, True), 2: unprimed}),
+        (faint, 0.0, {0: primed, 1: primed}),
+        (faint, 1.0, {1: unprimed, 2: unprimed}),
     ):
         calls.clear()
-        mixture_entropy_arrays(_config(dist, 0.3), t)
-        assert calls == blocks
+        formed.clear()
+        mixture_entropy_arrays(_config(dist, p), t)
+        assert calls == list(sides), p
+        # each chunk forms each block once, in ascending order, with only
+        # the sides read of it
+        assert formed == list(sides.items()) * 3, p
     # 230 blocks of the 402 (-1..400) of the full sum
-    assert _kept_blocks(binomial_state(400, 0.5)) == list(range(85, 315))
+    assert list(_read_sides(binomial_state(400, 0.5))) == list(range(85, 315))
+    assert list(_read_sides(_PHASE_AVERAGED)) == [-1, 0, 1]
 
 
-def _kept_blocks(dist):
-    """Blocks n0 - 1 .. n1 read by the kept indices n0 .. n1 of a binomial
-    state or mixture, whose kept indices are contiguous, and block n1 + 1
-    if the last of them keeps its coherence."""
+def _read_sides(dist):
+    """Blocks n0 - 1 .. n1 read at 0 < p < 1 by the kept indices n0 .. n1 of
+    a binomial state or mixture, whose kept indices are contiguous, and
+    block n1 + 1 if the last of them keeps its coherence, each with the
+    sides read of it: the first only primed, the last only unprimed, and
+    every other both."""
     P, C = tc._density_bands(_config(dist, 0.3).oscillator)
     kept = np.flatnonzero(P)
     assert np.array_equal(kept, np.arange(kept[0], kept[-1] + 1))
-    return list(range(kept[0] - 1, kept[-1] + 1 + (C[kept[-1]] != 0.0)))
+    blocks = range(kept[0] - 1, kept[-1] + 1 + (C[kept[-1]] != 0.0))
+    sides = dict.fromkeys(blocks, (True, True))
+    sides[blocks[0]], sides[blocks[-1]] = (False, True), (True, False)
+    return sides
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_a_branch_of_weight_zero_changes_no_bit_of_zeta(p):
+    # zeta against the two-branch sum P_n (p X + (1 - p) Y), both sides
+    # formed and added in the order the closed form adds them at 0 < p < 1
+    grid = TimeGrid(0.0, 60.0, 601)
+    t = grid.times()
+    for dist in (number_state(0), number_state(1), number_state(5), binomial_state(11, 0.95),
+                 binomial_state(100, 0.1), _PHASE_AVERAGED,
+                 FockDistribution(np.array([1e-20, 1e-20, 1.0]))):
+        for l2 in (0.0, 0.1, 1.0):
+            config = _config(dist, p, l2=l2, grid=grid)
+            assert np.array_equal(mixture_entropy_arrays(config, t), _two_branch_zeta(config, t))
+
+
+def _two_branch_zeta(config, t):
+    p, couplings = config.env.p, config.couplings
+    P, C = tc._density_bands(config.oscillator)
+    alpha, beta, gamma_im = np.zeros((3, t.size))
+    for n in np.flatnonzero(P).tolist():
+        c1, c2, c3, c4 = _real_columns(n, couplings, t, False)
+        k1, k2, k3, k4 = _real_columns(n, couplings, t, True)
+        alpha += P[n] * (p * (c3**2 + c4**2) + (1.0 - p) * (k3**2 + k4**2))
+        beta += P[n] * (p * (c1**2 + c2**2) + (1.0 - p) * (k1**2 + k2**2))
+        if C[n] != 0.0:
+            d1, d2, _, _ = _real_columns(n + 1, couplings, t, False)
+            e1, e2, _, _ = _real_columns(n + 1, couplings, t, True)
+            gamma_im += C[n] * (p * (c4 * d2 - c3 * d1) + (1.0 - p) * (k3 * e1 - k4 * e2))
+    return np.clip(1.0 - alpha**2 - beta**2 - 2.0 * gamma_im**2, 0.0, 0.5)
+
+
+def _real_columns(n, couplings, t, primed):
+    """The real arrays of ``coefficient_quad``, each entry r or -i r read back
+    as r exactly."""
+    quad = coefficient_quad(n, couplings, t, primed)
+    return [q.real if phase == 1 else -q.imag for q, phase in zip(quad, _QUAD_PHASES[primed])]
 
 
 def test_leaving_out_negligible_indices_moves_zeta_by_at_most_4_eps(monkeypatch):
