@@ -264,21 +264,19 @@ def _terms(config: SystemConfig, bands,
     index reads it."""
     P, C = bands
     branches = _branches(config.env.p)
-    # side s reads blocks n - s and, with a coherence, n - s + 1: over the kept
-    # sides, blocks n + first .. n + last - 1, and n + last with a coherence
-    first, last = -branches[-1][1], 1 - branches[0][1]
     alpha = np.zeros_like(t)
     beta = np.zeros_like(t)
     gamma_im = np.zeros_like(t)
     blocks = {}
     for n in np.flatnonzero(P).tolist():
-        # blocks below n - 1 are read by no index from n on
+        # index n reads blocks n - 1 .. n + 1 of the table, and blocks below
+        # n - 1 are read by no index from n on
         for m in [m for m in blocks if m < n - 1]:
             del blocks[m]
-        coherent = C[n] != 0.0
-        for m in range(n + first, n + last + coherent):
-            if m not in blocks:
+        for m in range(n - 1, n + 2):
+            if m in params and m not in blocks:
                 blocks[m] = _block_columns(*params[m], config.couplings, t)
+        coherent = C[n] != 0.0
         a = b = g = None
         for w, s in branches:
             c1, c2, c3, c4 = blocks[n - s][s]
@@ -329,8 +327,9 @@ def entropy_series(config: SystemConfig) -> TimeSeries:
 def _error_model(config: SystemConfig) -> tuple[float, float, float]:
     """(C, floor, d_max) of the closed-vs-oracle error model
     |zeta_closed - zeta_oracle| <= C eps d_max t_max + floor (see
-    RESOLVED_EQUATIONS.md); d_plus grows with the block index, so d_max is
-    that of block cutoff + 1, the last one the oracle's truncation holds."""
+    RESOLVED_EQUATIONS.md); d_max is the d_plus of block cutoff + 1, above
+    every block the terms read, so that C covers the oracle's eigenvalue
+    error as well."""
     cutoff = max(dist.cutoff for _, dist in config.oscillator)
     return 4.0, 2e-14, spectral_params(cutoff + 1, config.couplings).d_plus
 

@@ -609,6 +609,21 @@ def test_oracle_check_prints_the_error_model_bound_next_to_a_failure(tmp_path, c
     assert 1e-8 < max_err <= expected
 
 
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_oracle_check_d_max_is_that_of_the_block_above_the_cutoff_at_every_p(tmp_path, capsys, p):
+    # |1> reads only block 0 at p = 0 (d_plus 1.447) and only block 1 at p = 1
+    # (1.79683), but the bound takes block 2's: with the blocks read, the
+    # oracle's eigenvalue error pushes the difference past 4 eps d_max t_max
+    # on some grids at p = 0 (RESOLVED_EQUATIONS.md, "Closed-vs-oracle error
+    # model")
+    path = tmp_path / "one.ini"
+    path.write_text(GOOD_SCENARIO.replace("p = 0.5", f"p = {p}"), encoding="utf-8")
+    assert main(["oracle-check", str(path)]) == 0
+    assert "(d_max = 2.09579, t_max = 30)" in capsys.readouterr().out
+    couplings = load_scenario(path).system_config().couplings
+    assert f"{tc.spectral_params(2, couplings).d_plus:.6g}" == "2.09579"
+
+
 def test_oracle_check_fails_on_corrupted_frequency_pairing(monkeypatch, capsys):
     true_params = tc.spectral_params
 

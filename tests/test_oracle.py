@@ -635,6 +635,65 @@ def test_line_average_of_a_decoupled_environment_is_one_quarter():
         assert abs(amp[freq == 0.0][0] - 0.25) <= 4 * np.finfo(float).eps
 
 
+# ------------------------------------------------- weak-environment limit
+
+# "Weak-environment limit" in RESOLVED_EQUATIONS.md: as lambda2 -> 0+ the two
+# environment branches dephase, and <zeta> tends to (1 - 2 p (1 - p)) Z_JC +
+# p (1 - p), with Z_JC its value at lambda2 = 0
+
+_WEAK_CASES = [(number_state(n), (0.0, 0.25, 0.5, 1.0)) for n in (0, 1, 2, 5)] + [
+    (_LINE_PREPARATIONS[name], (0.1, 0.37, 0.5)) for name in ("binomial-11", "binomial-8", "mixture")
+]
+
+
+def _line_average(config) -> float:
+    freq, amp = zeta_lines(config)
+    return float(amp[freq == 0.0][0])
+
+
+def test_weak_environment_law():
+    # |error| / (lambda2 / lambda1)^2 reads at most 452 (binomial(11, 0.95)
+    # at p = 0.1) and the same at both ratios: the error is second order
+    for case, (dist, ps) in enumerate(_WEAK_CASES):
+        for p in ps:
+            z_jc = _line_average(_config(dist, p, l2=0.0))
+            law = (1.0 - 2.0 * p * (1.0 - p)) * z_jc + p * (1.0 - p)
+            for ratio in (1e-3, 1e-4):
+                error = abs(_line_average(_config(dist, p, l2=ratio)) - law)
+                assert error <= 1000.0 * ratio**2, (case, p, ratio, error / ratio**2)
+
+
+def test_decoupled_environment_average_does_not_depend_on_p():
+    # at lambda2 = 0 both branches drive qubit 1 alike: every p reads the same bits
+    cases = [(number_state(n), 0.25) for n in (0, 1, 2, 5)] + [
+        (binomial_state(11, 0.95), 0.28155538707), (binomial_state(8, 0.5), 0.36362457275)]
+    for dist, z_jc in cases:
+        averages = {_line_average(_config(dist, p, l2=0.0)) for p in (0.0, 0.37, 1.0)}
+        assert len(averages) == 1 and abs(averages.pop() - z_jc) <= 1e-11, dist.cutoff
+
+
+def test_slow_line_sits_at_the_second_order_branch_splitting():
+    # at p = 1/2 the slowest line of |n> with >= 1% share is the beat of the two
+    # branches, 8 (n + 1)^(3/2) lambda2^2 / lambda1; the next order moves it by
+    # at most 147 (lambda2 / lambda1)^2 relative (n = 5, at every lambda1)
+    l2 = 1e-3
+    for l1, n in itertools.product((0.5, 1.0, 2.0), (0, 1, 2, 5)):
+        freq, amp = zeta_lines(_config(number_state(n), 0.5, l1=l1, l2=l2))
+        slow = np.min(np.abs(freq[line_shares(freq, amp) >= 0.01]))
+        law = 8.0 * (n + 1) ** 1.5 * l2**2 / l1
+        assert abs(slow / law - 1.0) <= 300.0 * (l2 / l1) ** 2, (l1, n, slow / law - 1.0)
+
+
+def test_slow_line_below_the_grouping_tolerance_merges_into_the_average():
+    # a negative control of the line grouping, not a defect: |1> at p = 1/2
+    # reads the law's 0.375 while its slow line stands clear of 64 eps max|E|,
+    # and Z_JC = 1/4 once the line falls inside it and joins w = 0
+    tol = 64.0 * np.finfo(float).eps * spectral_params(1, Couplings(1.0, 0.0)).d_plus
+    for l2, average in ((1e-7, 0.375), (3e-8, 0.25)):
+        assert (8.0 * 2.0**1.5 * l2**2 > tol) == (average == 0.375)
+        assert abs(_line_average(_config(number_state(1), 0.5, l2=l2)) - average) <= 1e-12
+
+
 def test_preset_grids_sample_zetas_fastest_line():
     # samples per period of zeta's fastest line, over every line and over the
     # lines at >= 1% of the largest, as the comment on scenario._PRESETS

@@ -2,8 +2,10 @@
 resolves; the package root resolves its names on first access.  ``perfbench/spans.py`` wraps the functions in its ``TARGETS`` by
 attribute and ``perfbench/harness.py`` calls a few ``cli`` and ``Scenario``
 names directly, so removing or renaming one of them breaks the benchmark
-without breaking any other test."""
+without breaking any other test.  Across the package's own modules, only
+the private names in ``PRIVATE_READS`` are read."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -17,6 +19,9 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # the cli names perfbench/harness.py calls or reads
 HARNESS_CLI_NAMES = ("closed_series", "oracle_series", "csv_lines", "write_text", "main", "EXIT_OK")
+
+# (reader, owner, name) of each _-prefixed name one tcsim module reads of another
+PRIVATE_READS = {("cli", "scenario", "_fmt"), ("cli", "tc", "_error_model"), ("jc", "tc", "_CHUNK_POINTS")}
 
 
 @pytest.mark.parametrize("module", [tcsim, tc, oracle, analysis, scenario], ids=lambda m: m.__name__)
@@ -55,3 +60,37 @@ def test_star_import_binds_every_exported_name():
     exec("from tcsim import *", namespace)
     assert set(tcsim.__all__) <= set(namespace)
     assert all(namespace[name] is getattr(tcsim, name) for name in tcsim.__all__)
+
+
+def _private_reads(path: Path, modules: set[str]) -> set[tuple[str, str, str]]:
+    """(reader, owner, name) of each _-prefixed name that the module at
+    ``path`` imports from, or reads as an attribute of, another tcsim module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {f"tcsim.{m}": m for m in modules}  # dotted expression -> module it names
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname: a.name.partition(".")[2] for a in node.names
+                          if a.asname and a.name.startswith("tcsim.")})
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("tcsim")):
+            base = ".".join(filter(None, ["tcsim" if node.level else None, node.module]))
+            for alias in node.names:
+                if base == "tcsim" and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add((path.stem, base.partition(".")[2] or "__init__", alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
+            owner = bound.get(ast.unparse(node.value))
+            if owner is not None:
+                found.add((path.stem, owner, node.attr))
+    return {read for read in found if read[0] != read[1]}
+
+
+def test_modules_read_no_other_private_names():
+    # a private name read across modules couples them unseen: a new one is
+    # listed in PRIVATE_READS, or made public
+    package = Path(tcsim.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    reads = set().union(*(_private_reads(path, modules) for path in package.glob("*.py")))
+    assert reads == PRIVATE_READS
