@@ -25,8 +25,9 @@ import numpy as np
 
 from . import tc
 from .errors import ScenarioParseError, ValidationError
-from .scenario import PRESET_IDS, Scenario, _fmt, load_scenario, preset
+from .scenario import PRESET_IDS, Scenario, load_scenario, preset
 from .series import TimeSeries
+from .states import SystemConfig
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -212,6 +213,15 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
+def _error_model(config: SystemConfig) -> tuple[float, float, float]:
+    """(C, floor, d_max) of the error model |zeta_closed - zeta_oracle| <=
+    C eps d_max t_max + floor (RESOLVED_EQUATIONS.md); d_max is the d_plus
+    of block cutoff + 1, above every block the closed form reads, so that C
+    covers the oracle's eigenvalue error as well."""
+    cutoff = max(dist.cutoff for _, dist in config.oscillator)
+    return 4.0, 2e-14, tc.spectral_params(cutoff + 1, config.couplings).d_plus
+
+
 def cmd_oracle_check(args) -> int:
     if (args.scenario is None) == (args.preset is None):
         raise ScenarioParseError("oracle-check needs exactly one of a scenario file and --preset")
@@ -222,14 +232,14 @@ def cmd_oracle_check(args) -> int:
     worst = int(np.argmax(errors))
     max_err = float(errors[worst])
     ok = max_err <= args.tol
-    c, floor, d_max = tc._error_model(scenario.system_config())  # information, not a second gate
+    c, floor, d_max = _error_model(scenario.system_config())  # information, not a second gate
     expected = c * np.finfo(float).eps * d_max * closed.times[-1] + floor
     print(f"max |zeta_closed - zeta_oracle| = {max_err:.3e} over {len(closed)} points "
           f"(tol {args.tol:g}): {'PASS' if ok else 'FAIL'}")
-    print(f"worst point: t = {_fmt(closed.times[worst])}  zeta_closed = {_fmt(closed.values[worst])}  "
-          f"zeta_oracle = {_fmt(checked.values[worst])}")
+    print(f"worst point: t = {closed.times[worst]:.17g}  zeta_closed = {closed.values[worst]:.17g}  "
+          f"zeta_oracle = {checked.values[worst]:.17g}")
     print(f"expected <~ {c:g}*eps*d_max*t_max + {floor:g} = {expected:.3e}  "
-          f"(d_max = {d_max:.6g}, t_max = {_fmt(closed.times[-1])})")
+          f"(d_max = {d_max:.6g}, t_max = {closed.times[-1]:.17g})")
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 

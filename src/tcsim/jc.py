@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProbabilityError, ValidationError
-from .series import check_integer, check_phase
-from .tc import _CHUNK_POINTS
+from .series import CHUNK_POINTS, check_integer, check_phase
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,8 @@ def jc_mixture_entropy(f, coupling, t):
 
     with L = coupling.  ``t`` may be a scalar or an array; a phase
     sqrt(2) * coupling * t past ``series.PHASE_LIMIT`` raises
-    ValidationError.  The times are walked in slices of ``tc._CHUNK_POINTS``,
-    so only the returned array grows with their number.
+    ValidationError.  Only the returned array grows with the number of
+    times, which are walked in slices of ``series.CHUNK_POINTS``.
     """
     if not (isinstance(f, (int, float)) and math.isfinite(f) and 0.0 <= f <= 1.0):
         raise InvalidProbabilityError(f"f = {f!r} must lie in [0, 1]")
@@ -100,8 +99,8 @@ def jc_mixture_entropy(f, coupling, t):
     check_phase(math.sqrt(2.0) * coupling, t, "vacuum/one-photon mixture")
     zeta = np.empty(t.shape)
     times, out = t.reshape(-1), zeta.reshape(-1)
-    for start in range(0, times.size, _CHUNK_POINTS):
-        part = slice(start, start + _CHUNK_POINTS)
+    for start in range(0, times.size, CHUNK_POINTS):
+        part = slice(start, start + CHUNK_POINTS)
         th1 = coupling * times[part]
         th2 = math.sqrt(2.0) * coupling * times[part]
         excited = f * np.cos(th1) ** 2 + (1.0 - f) * np.cos(th2) ** 2

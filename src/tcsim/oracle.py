@@ -226,6 +226,9 @@ class Propagator:
             raise EigendecompositionError(str(exc)) from exc
 
     def unitary(self, t: float) -> np.ndarray:
+        """exp(-iHt) for each matrix of the stack.  A phase E * t past
+        ``series.PHASE_LIMIT`` raises ValidationError."""
+        check_phase(np.max(np.abs(self.eigenvalues), initial=0.0), t, "oracle eigenvalue")
         v = self.eigenvectors
         return (v * np.exp(-1j * self.eigenvalues * t)[..., None, :]) @ _adjoint(v)
 

@@ -13,6 +13,10 @@ from .errors import NonuniformGridError, ValidationError
 # frequency * t past 1/eps has no significant digit left.
 PHASE_LIMIT = 1.0 / np.finfo(float).eps
 
+# Grid points per slice of the closed forms' time walk: their working memory
+# is a few blocks of eight arrays of this length, whatever the grid length.
+CHUNK_POINTS = 8192
+
 # Relative spread of the steps that ``TimeSeries.step`` accepts as uniform.
 STEP_RTOL = 1e-9
 

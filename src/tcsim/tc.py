@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .series import TimeSeries, check_integer, check_phase
+from .series import CHUNK_POINTS, TimeSeries, check_integer, check_phase
 from .states import Couplings, SystemConfig
 
 __all__ = [
@@ -38,10 +38,6 @@ __all__ = [
     "entropy_series",
     "mixture_entropy_arrays",
 ]
-
-# Grid points per slice of ``mixture_entropy_arrays``: its working memory is
-# a few blocks of eight arrays of this length, whatever the grid length.
-_CHUNK_POINTS = 8192
 
 # np.sinc's stand-in for a zero argument.
 _EPS = np.finfo(float).eps
@@ -300,7 +296,7 @@ def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
     reduced-qubit terms are formed once from the oscillator's density bands,
     then the entropy from them.
 
-    The grid is walked in slices of ``_CHUNK_POINTS`` times, so only the
+    The grid is walked in slices of ``series.CHUNK_POINTS`` times, so only the
     returned array grows with its length; each block's spectral params are
     formed, and its phase checked over the whole grid, once before the walk.
     Only the blocks that the kept indices of ``_density_bands`` read in an
@@ -310,8 +306,8 @@ def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
     bands = _density_bands(config.oscillator)
     params = _block_params(config, bands, t)
     zeta = np.empty_like(t)
-    for start in range(0, len(t), _CHUNK_POINTS):
-        part = slice(start, start + _CHUNK_POINTS)
+    for start in range(0, len(t), CHUNK_POINTS):
+        part = slice(start, start + CHUNK_POINTS)
         alpha, beta, gamma_im = _terms(config, bands, params, t[part])
         # rounding can land an ulp outside the mathematical range [0, 1/2]
         np.clip(1.0 - alpha**2 - beta**2 - 2.0 * gamma_im**2, 0.0, 0.5, out=zeta[part])
@@ -322,14 +318,4 @@ def entropy_series(config: SystemConfig) -> TimeSeries:
     """Linear entropy evaluated over the configuration's time grid."""
     times = config.grid.times()
     return TimeSeries(times, mixture_entropy_arrays(config, times))
-
-
-def _error_model(config: SystemConfig) -> tuple[float, float, float]:
-    """(C, floor, d_max) of the closed-vs-oracle error model
-    |zeta_closed - zeta_oracle| <= C eps d_max t_max + floor (see
-    RESOLVED_EQUATIONS.md); d_max is the d_plus of block cutoff + 1, above
-    every block the terms read, so that C covers the oracle's eigenvalue
-    error as well."""
-    cutoff = max(dist.cutoff for _, dist in config.oscillator)
-    return 4.0, 2e-14, spectral_params(cutoff + 1, config.couplings).d_plus
 

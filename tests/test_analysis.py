@@ -64,6 +64,19 @@ def test_time_series_rejects_non_finite_samples():
             TimeSeries(np.where(np.arange(5) == 4, bad, t), np.full(5, 0.25))
 
 
+def test_time_series_rejects_ragged_empty_and_unordered_grids():
+    for times, values in ((np.zeros((2, 2)), np.zeros((2, 2))), (np.arange(3.0), np.zeros(2))):
+        with pytest.raises(ValidationError, match="must be 1-d arrays of equal length"):
+            TimeSeries(times, values)
+    with pytest.raises(ValidationError, match="needs at least one sample"):
+        TimeSeries([], [])
+    for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(ValidationError, match="times must be strictly increasing"):
+            TimeSeries(times, np.zeros(3))
+    with pytest.raises(NonuniformGridError, match="need at least two samples to define a step"):
+        TimeSeries([1.0], [0.25]).step()
+
+
 def test_find_revivals_shift_invariance():
     series = _single_branch_series()
     shifted = TimeSeries(series.times + 5.0, series.values)

@@ -106,10 +106,16 @@ def test_parse_rejects_missing_section():
 
 
 def test_parse_rejects_bad_kind_and_mismatched_keys():
-    with pytest.raises(ScenarioParseError):
+    with pytest.raises(ScenarioParseError, match="unknown oscillator kind 'squeezed'"):
         parse_scenario(GOOD_SCENARIO.replace("kind = number", "kind = squeezed"))
-    with pytest.raises(ScenarioParseError):
+    with pytest.raises(ScenarioParseError, match=re.escape("keys ['M'] do not apply to kind = number")):
         parse_scenario(GOOD_SCENARIO.replace("N = 1", "M = 4"))  # number needs N
+    with pytest.raises(ScenarioParseError, match=re.escape("[oscillator] needs a kind")):
+        parse_scenario(GOOD_SCENARIO.replace("kind = number\n", ""))
+    with pytest.raises(ScenarioParseError, match=re.escape("kind = binomial requires keys ['q']")):
+        parse_scenario(GOOD_SCENARIO.replace("kind = number\nN = 1", "kind = binomial\nM = 4"))
+    with pytest.raises(ScenarioParseError, match="amplitudes = '' is not a non-empty list of numbers"):
+        parse_scenario(GOOD_SCENARIO.replace("kind = number\nN = 1", "kind = custom\namplitudes ="))
 
 
 def test_parse_binomial_and_custom_kinds():

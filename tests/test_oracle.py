@@ -151,6 +151,15 @@ def test_non_finite_omega_is_a_validation_error_naming_it(omega, dense):
         oracle_entropy_series(config, omega=omega, dense=dense)
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_phases_beyond_double_precision_are_a_validation_error_on_both_paths(dense):
+    # E * t passes series.PHASE_LIMIT at the grid's first time; unchecked, the
+    # dense path returned entropies that carry no significant digit
+    config = _config(number_state(1), 0.5, grid=TimeGrid(3e15, 3e15 + 1000.0, 5))
+    with pytest.raises(ValidationError, match="^oracle eigenvalue: .* is beyond double precision"):
+        oracle_entropy_series(config, dense=dense)
+
+
 def test_excitation_block_spectrum_is_symmetric():
     couplings = Couplings(1.0, 0.3)
     for n in (0, 2, 4):
@@ -732,13 +741,15 @@ def _imported_submodules(name: str) -> set[str]:
     return found & {path.stem for path in _PACKAGE.glob("*.py")}
 
 
-def test_oracle_reaches_no_closed_form_module():
+@pytest.mark.parametrize("pipeline", ["oracle", "tc", "jc"])
+def test_pipeline_reaches_no_other_pipeline(pipeline):
     # the cross-check is independent only if no module the oracle imports,
-    # directly or through another tcsim module, holds a closed-form formula
-    reached, todo = set(), ["oracle"]
+    # directly or through another tcsim module, holds a closed-form formula;
+    # each closed form, likewise, sits on the base modules alone
+    reached, todo = set(), [pipeline]
     while todo:
         for name in _imported_submodules(todo.pop()) - reached:
             reached.add(name)
             todo.append(name)
-    assert {"states", "series"} <= reached
-    assert not reached & {"tc", "jc"}, sorted(reached)
+    assert "series" in reached
+    assert reached <= {"errors", "series", "states"}, sorted(reached)

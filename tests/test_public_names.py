@@ -2,8 +2,8 @@
 resolves; the package root resolves its names on first access.  ``perfbench/spans.py`` wraps the functions in its ``TARGETS`` by
 attribute and ``perfbench/harness.py`` calls a few ``cli`` and ``Scenario``
 names directly, so removing or renaming one of them breaks the benchmark
-without breaking any other test.  Across the package's own modules, only
-the private names in ``PRIVATE_READS`` are read."""
+without breaking any other test.  No module of the package reads another
+module's private names."""
 
 import ast
 import importlib.util
@@ -19,9 +19,6 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # the cli names perfbench/harness.py calls or reads
 HARNESS_CLI_NAMES = ("closed_series", "oracle_series", "csv_lines", "write_text", "main", "EXIT_OK")
-
-# (reader, owner, name) of each _-prefixed name one tcsim module reads of another
-PRIVATE_READS = {("cli", "scenario", "_fmt"), ("cli", "tc", "_error_model"), ("jc", "tc", "_CHUNK_POINTS")}
 
 
 @pytest.mark.parametrize("module", [tcsim, tc, oracle, analysis, scenario], ids=lambda m: m.__name__)
@@ -88,9 +85,9 @@ def _private_reads(path: Path, modules: set[str]) -> set[tuple[str, str, str]]:
 
 
 def test_modules_read_no_other_private_names():
-    # a private name read across modules couples them unseen: a new one is
-    # listed in PRIVATE_READS, or made public
+    # a private name read across modules couples them unseen: the name moves
+    # to the module that reads it, or is made public
     package = Path(tcsim.__file__).parent
     modules = {path.stem for path in package.glob("*.py")}
     reads = set().union(*(_private_reads(path, modules) for path in package.glob("*.py")))
-    assert reads == PRIVATE_READS
+    assert reads == set()

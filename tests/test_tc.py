@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcsim.tc as tc
+from tcsim import cli
 from conftest import _QUAD_PHASES, branch_amplitudes_bruteforce, coefficient_quad, entropy_terms
 from tcsim.errors import ValidationError
 from tcsim.jc import jc_amplitudes, jc_number_entropy
@@ -19,7 +20,7 @@ from tcsim.oracle import (
     oracle_entropy_series,
     reduce_qubit1,
 )
-from tcsim.series import PHASE_LIMIT
+from tcsim.series import CHUNK_POINTS, PHASE_LIMIT
 from tcsim.states import (
     Couplings,
     EnvironmentMixture,
@@ -336,7 +337,7 @@ def test_entropy_series_matches_bruteforce_reference_scenario():
 def test_entropy_grid_partition_is_bitwise_stable():
     # a grid of three chunks, cut where no chunk boundary falls
     config = _config(binomial_state(6, 0.6), 0.4)
-    chunk = tc._CHUNK_POINTS
+    chunk = CHUNK_POINTS
     t = np.linspace(0.0, 30.0, 2 * chunk + 7)
     full = mixture_entropy_arrays(config, t)
     cuts = [0, 1500, chunk + 3, 2 * chunk + 1, t.size]
@@ -367,7 +368,7 @@ def test_closed_form_evaluates_each_block_once(monkeypatch):
     monkeypatch.setattr(tc, "spectral_params", counting)
     monkeypatch.setattr(tc, "_block_columns", forming)
     # a grid of three chunks: the params of each block carry across them
-    t = np.linspace(0.0, 30.0, 2 * tc._CHUNK_POINTS + 1)
+    t = np.linspace(0.0, 30.0, 2 * CHUNK_POINTS + 1)
     # a mixture evaluates the blocks its components share once
     two_binomials = [(0.5, binomial_state(400, 0.3)), (0.5, binomial_state(400, 0.7))]
     unprimed, primed = (True, False), (False, True)
@@ -484,8 +485,8 @@ def test_leaving_out_negligible_indices_moves_zeta_by_at_most_4_eps(monkeypatch)
 
 def test_phase_limit_error_names_the_largest_time_of_the_grid():
     # every chunk of this grid passes the limit; the error names the last t
-    t = np.linspace(0.0, 1e16, 2 * tc._CHUNK_POINTS + 7)
-    assert t[tc._CHUNK_POINTS - 1] > PHASE_LIMIT
+    t = np.linspace(0.0, 1e16, 2 * CHUNK_POINTS + 7)
+    assert t[CHUNK_POINTS - 1] > PHASE_LIMIT
     with pytest.raises(ValidationError, match=r"^block 0: .* and t = 1e\+16 is beyond"):
         mixture_entropy_arrays(_config(number_state(1), 0.5), t)
 
@@ -564,7 +565,7 @@ def _closed_vs_oracle(config):
     model's C and floor."""
     t = config.grid.times()
     err = np.max(np.abs(mixture_entropy_arrays(config, t) - oracle_entropy_series(config).values))
-    c, floor, d_max = tc._error_model(config)
+    c, floor, d_max = cli._error_model(config)
     return float(err), np.finfo(float).eps * d_max * float(t[-1]), c, floor
 
 
@@ -572,7 +573,7 @@ def test_error_model_d_max_is_the_largest_d_plus_the_truncation_holds():
     for dist in (number_state(1), binomial_state(11, 0.95), number_state(0)):
         config = _config(dist, 0.5, l2=0.7)
         d_max = max(spectral_params(m, config.couplings).d_plus for m in range(-1, dist.cutoff + 2))
-        assert tc._error_model(config) == (4.0, 2e-14, d_max)
+        assert cli._error_model(config) == (4.0, 2e-14, d_max)
 
 
 def test_closed_vs_oracle_error_grows_as_eps_d_max_t_max():
