@@ -18,7 +18,7 @@ import codecs
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from pathlib import Path
 
 import numpy as np
@@ -122,14 +122,18 @@ def csv_lines(scenario: Scenario, closed: TimeSeries, checked: TimeSeries | None
 
 
 def write_text(path: Path | None, lines: Iterable[str]) -> None:
-    """Each of ``lines`` and a newline, written to ``path`` (stdout if None) as it arrives.
-    ``lines`` is consumed once, so a generator such as ``csv_lines`` is never held whole."""
+    """Each of ``lines`` and a newline, written to ``path`` (stdout if None) as it arrives, then
+    flushed; ``lines`` is consumed once, so a generator such as ``csv_lines`` is never held whole."""
     try:
         with nullcontext(sys.stdout) if path is None else path.open("w", encoding="utf-8") as f:
             for line in lines:
                 f.write(line)
                 f.write("\n")
+            f.flush()
     except OSError as exc:
+        if path is None:  # closed, with what it still buffers, so exit does not fail on it again
+            with suppress(OSError):
+                sys.stdout.close()
         raise ScenarioParseError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
@@ -209,7 +213,7 @@ def cmd_figure(args) -> int:
     out = out_dir / f"fig{scenario.label}.csv"
     svg_path = out_dir / f"fig{scenario.label}.svg" if args.svg else None
     _run_scenario(scenario, out, svg_path, title=f"figure {scenario.label}")
-    print(f"wrote {out}" + (f" and {svg_path}" if svg_path else ""))
+    write_text(None, [f"wrote {out}" + (f" and {svg_path}" if svg_path else "")])
     return EXIT_OK
 
 
@@ -234,12 +238,12 @@ def cmd_oracle_check(args) -> int:
     ok = max_err <= args.tol
     c, floor, d_max = _error_model(scenario.system_config())  # information, not a second gate
     expected = c * np.finfo(float).eps * d_max * closed.times[-1] + floor
-    print(f"max |zeta_closed - zeta_oracle| = {max_err:.3e} over {len(closed)} points "
-          f"(tol {args.tol:g}): {'PASS' if ok else 'FAIL'}")
-    print(f"worst point: t = {closed.times[worst]:.17g}  zeta_closed = {closed.values[worst]:.17g}  "
-          f"zeta_oracle = {checked.values[worst]:.17g}")
-    print(f"expected <~ {c:g}*eps*d_max*t_max + {floor:g} = {expected:.3e}  "
-          f"(d_max = {d_max:.6g}, t_max = {closed.times[-1]:.17g})")
+    write_text(None, [f"max |zeta_closed - zeta_oracle| = {max_err:.3e} over {len(closed)} points "
+                      f"(tol {args.tol:g}): {'PASS' if ok else 'FAIL'}",
+                      f"worst point: t = {closed.times[worst]:.17g}  zeta_closed = "
+                      f"{closed.values[worst]:.17g}  zeta_oracle = {checked.values[worst]:.17g}",
+                      f"expected <~ {c:g}*eps*d_max*t_max + {floor:g} = {expected:.3e}  "
+                      f"(d_max = {d_max:.6g}, t_max = {closed.times[-1]:.17g})"])
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -361,15 +365,15 @@ def cmd_analyze(args) -> int:
     # both reports are formed before any output, so a failure prints nothing
     report = analysis.find_revivals(series, after=args.after)
     spectrum = analysis.dominant_frequencies(series, count=args.peaks)
-    print(f"samples: {len(series)}  t in [{series.times[0]:g}, {series.times[-1]:g}]")
-    print(f"time average over (after={args.after:g}): {report.time_average:.6f}")
-    print(f"local minima after t={args.after:g}: {len(report.minima)}")
+    lines = [f"samples: {len(series)}  t in [{series.times[0]:g}, {series.times[-1]:g}]",
+             f"time average over (after={args.after:g}): {report.time_average:.6f}",
+             f"local minima after t={args.after:g}: {len(report.minima)}"]
     if report.global_min is not None:
         tmin, zmin = report.global_min
-        print(f"global minimum: zeta = {zmin:.6e} at t = {tmin:.6f}")
-    print(f"frequency resolution: {spectrum.resolution:.6f}")
-    for freq, magnitude in spectrum.peaks:
-        print(f"peak: omega = {freq:.6f}  magnitude = {magnitude:.3f}")
+        lines.append(f"global minimum: zeta = {zmin:.6e} at t = {tmin:.6f}")
+    lines.append(f"frequency resolution: {spectrum.resolution:.6f}")
+    lines += [f"peak: omega = {freq:.6f}  magnitude = {magnitude:.3f}" for freq, magnitude in spectrum.peaks]
+    write_text(None, lines)
     return EXIT_OK
 
 
@@ -409,16 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioParseError as exc:
+    except (ScenarioParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_PARSE if isinstance(exc, ScenarioParseError) else EXIT_VALIDATION
 
 
 def main_entry() -> None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProbabilityError, ValidationError
-from .series import CHUNK_POINTS, check_integer, check_phase
+from .errors import ValidationError
+from .series import CHUNK_POINTS, check_integer, check_phase, check_probability
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def jc_mixture_entropy(f, coupling, t):
     ValidationError.  Only the returned array grows with the number of
     times, which are walked in slices of ``series.CHUNK_POINTS``.
     """
-    if not (isinstance(f, (int, float)) and math.isfinite(f) and 0.0 <= f <= 1.0):
-        raise InvalidProbabilityError(f"f = {f!r} must lie in [0, 1]")
+    f = check_probability(f, "f")
     if not coupling > 0:
         raise ValidationError(f"coupling must be positive, got {coupling!r}")
     t = np.asarray(t, dtype=float)

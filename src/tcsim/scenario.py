@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScenarioParseError, ValidationError
+from .series import check_probability
 from .states import (
     Couplings,
     EnvironmentMixture,
@@ -90,7 +91,8 @@ class _Kind:
 _KINDS = {
     "number": _Kind({"N": _INT}, lambda n: [(1.0, number_state(n))]),
     "binomial": _Kind({"M": _INT, "q": _FLOAT}, lambda m, q: [(1.0, binomial_state(m, q))]),
-    "mixture01": _Kind({"f": _FLOAT}, lambda f: [(f, number_state(0)), (1.0 - f, number_state(1))]),
+    "mixture01": _Kind({"f": _FLOAT},
+                       lambda f: [(check_probability(f, "f"), number_state(0)), (1.0 - f, number_state(1))]),
     "custom": _Kind({"amplitudes": _FLOATS}, lambda amps: [(1.0, FockDistribution(np.array(amps)))]),
 }
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonuniformGridError, ValidationError
+from .errors import InvalidProbabilityError, NonuniformGridError, ValidationError
 
 # A frequency carries a rounding error of order eps relative, so a phase
 # frequency * t past 1/eps has no significant digit left.
@@ -45,6 +45,14 @@ def check_integer(value, least: int, message: str, error: type = ValidationError
     except (TypeError, ValueError, OverflowError):
         pass
     raise error(message.format(value))
+
+
+def check_probability(value, name: str) -> float:
+    """``value`` as a float if it is an int or float in [0, 1]; otherwise raise
+    InvalidProbabilityError naming it ``name``, also for NaN and infinities."""
+    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+        raise InvalidProbabilityError(f"{name} = {value!r} must lie in [0, 1]")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,10 @@ import numpy as np
 from .errors import (
     EmptyTimeGridError,
     FanoUndefinedError,
-    InvalidProbabilityError,
     UnnormalizedDistributionError,
     ValidationError,
 )
-from .series import check_integer
+from .series import check_integer, check_probability
 
 # Norm drift below this is treated as rounding and silently repaired;
 # anything larger is a user error.
@@ -96,10 +95,7 @@ class EnvironmentMixture:
     p: float
 
     def __post_init__(self):
-        p = self.p
-        if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise InvalidProbabilityError(f"p = {p!r} must lie in [0, 1]")
-        object.__setattr__(self, "p", float(p))
+        object.__setattr__(self, "p", check_probability(self.p, "p"))
 
 
 @dataclass(frozen=True)
@@ -215,8 +211,7 @@ def binomial_state(m: int, q: float) -> FockDistribution:
         ``number_state(m)`` and q = 0 to the vacuum.
     """
     m = check_integer(m, 1, "m must be a positive integer, got {!r}")
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and 0.0 <= q <= 1.0):
-        raise InvalidProbabilityError(f"q = {q!r} must lie in [0, 1]")
+    q = check_probability(q, "q")
     if q == 0.0:
         return number_state(0)
     if q == 1.0:

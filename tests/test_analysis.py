@@ -164,6 +164,11 @@ def test_dominant_frequencies_require_uniform_grid():
         dominant_frequencies(series, count=1)
 
 
+def test_dominant_frequencies_require_a_positive_count():
+    with pytest.raises(ValidationError, match="count must be >= 1, got 0"):
+        dominant_frequencies(_single_branch_series(), count=0)
+
+
 def test_peaks_below_nyquist():
     t = np.linspace(0.0, 30.0, 301)
     series = TimeSeries(t, np.cos(3.0 * t) + 0.2 * np.cos(9.0 * t))

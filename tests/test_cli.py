@@ -2,7 +2,9 @@ import codecs
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -295,6 +297,14 @@ def test_run_validates_the_environment_on_the_single_branch_route(tmp_path):
     assert main(["run", str(path)]) == 0
     path.write_text(mixture.replace("p = 0.5", "p = 1.5"), encoding="utf-8")
     assert main(["run", str(path)]) == 3
+
+
+def test_a_mixture_fraction_outside_the_unit_interval_is_named(tmp_path, capsys):
+    mixture = GOOD_SCENARIO.replace("kind = number\nN = 1", "kind = mixture01\nf = 1.5")
+    path = tmp_path / "mixture.ini"
+    path.write_text(mixture.replace("lambda2 = 0.1", "lambda2 = 0"), encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == "error: f = 1.5 must lie in [0, 1]\n"
 
 
 @pytest.mark.parametrize("command, omega, enabled", [
@@ -680,6 +690,8 @@ def test_oracle_check_rejects_a_file_and_a_preset_together(capsys):
     (["figure", "2a", "--t-end", "inf"], "'inf' is not a finite number"),
     (["figure", "2a", "--points", "1"], "'1' is less than 2"),
     (["analyze", "missing.csv", "--peaks", "0"], "'0' is less than 1"),
+    (["oracle-check", "--preset", "2a", "--tol", "abc"], "'abc' is not a finite number"),
+    (["figure", "2a", "--points", "abc"], "'abc' is not an integer"),
 ])
 def test_non_finite_or_negative_numeric_options_are_usage_errors(capsys, argv, value):
     with pytest.raises(SystemExit) as exc:
@@ -869,16 +881,39 @@ def test_analyze_names_the_file_offset_of_undecodable_bytes(tmp_path, capsys, ta
     assert capsys.readouterr().err == f"error: cannot read {path}: {whole.value}\n"
 
 
-def test_run_to_a_failing_stdout_is_a_usage_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
+    ["run", "{tmp}/sc.ini"],
+    ["figure", "2c", "--points", "11", "--out-dir", "{tmp}"],
+    ["oracle-check", "--preset", "2a"],
+    ["analyze", "{tmp}/fig2c.csv"],
+], ids=lambda argv: argv[0])
+def test_run_to_a_failing_stdout_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     class BrokenPipe(io.StringIO):
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
 
     path = tmp_path / "sc.ini"
     path.write_text(GOOD_SCENARIO.replace("points = 3001", "points = 11"), encoding="utf-8")
+    assert main(["figure", "2c", "--points", "11", "--out-dir", str(tmp_path)]) == 0  # the CSV to analyze
+    capsys.readouterr()
     monkeypatch.setattr(sys, "stdout", BrokenPipe())
-    assert main(["run", str(path)]) == 2
-    assert "cannot write stdout: [Errno 32] Broken pipe" in capsys.readouterr().err
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_report_to_a_closed_pipe_exits_2_without_a_traceback(unbuffered):
+    # buffered, the report would fail only in the flush at exit, past every handler
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONUNBUFFERED=unbuffered)
+    try:
+        done = subprocess.run([sys.executable, "-m", "tcsim.cli", "oracle-check", "--preset", "2a"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
 
 
 def test_write_text_sends_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):

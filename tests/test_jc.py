@@ -62,6 +62,8 @@ def test_amplitudes_input_validation():
         jc_amplitudes(-1, 1.0, 0.0)
     with pytest.raises(ValidationError):
         jc_amplitudes(0, 0.0, 0.0)
+    with pytest.raises(ValidationError, match="coupling must be positive, got 0.0"):
+        jc_number_entropy(0, 0.0, 0.0)
     with pytest.raises(ValidationError):
         jc_amplitudes(0, 1.0, -0.5)
 
@@ -117,8 +119,10 @@ def test_mixture_entropy_scalar_values():
 
 
 def test_mixture_entropy_rejects_bad_fraction():
-    with pytest.raises(InvalidProbabilityError):
+    with pytest.raises(InvalidProbabilityError, match=r"^f = 1\.5 must lie in \[0, 1\]$"):
         jc_mixture_entropy(1.5, 1.0, 0.0)
+    with pytest.raises(ValidationError, match="coupling must be positive, got -1.0"):
+        jc_mixture_entropy(0.5, -1.0, 0.0)
 
 
 def _mixture_oracle(f: float, grid: TimeGrid) -> np.ndarray:

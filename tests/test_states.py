@@ -108,6 +108,11 @@ def test_fock_distribution_rejects_complex_and_empty():
         FockDistribution(np.array([1j, 0.0]))
     with pytest.raises(ValidationError):
         FockDistribution(np.array([]))
+    with pytest.raises(ValidationError, match="amplitudes must be real numbers"):
+        FockDistribution(np.array(["a", "b"], dtype=object))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="amplitudes must be finite"):
+            FockDistribution(np.array([1.0, bad]))
 
 
 def test_environment_mixture_bounds():
