@@ -220,10 +220,9 @@ def cmd_figure(args) -> int:
 def _error_model(config: SystemConfig) -> tuple[float, float, float]:
     """(C, floor, d_max) of the error model |zeta_closed - zeta_oracle| <=
     C eps d_max t_max + floor (RESOLVED_EQUATIONS.md); d_max is the d_plus
-    of block cutoff + 1, above every block the closed form reads, so that C
+    of block support + 1, above every block the closed form reads, so that C
     covers the oracle's eigenvalue error as well."""
-    cutoff = max(dist.cutoff for _, dist in config.oscillator)
-    return 4.0, 2e-14, tc.spectral_params(cutoff + 1, config.couplings).d_plus
+    return 4.0, 2e-14, tc.spectral_params(config.support + 1, config.couplings).d_plus
 
 
 def cmd_oracle_check(args) -> int:

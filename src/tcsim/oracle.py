@@ -148,29 +148,21 @@ def excitation_block(couplings: Couplings, n: int) -> np.ndarray:
     return build_hamiltonian(couplings, excitations=[n + 2])[0]
 
 
-def _embed(q2: int, dist: FockDistribution, n_max: int) -> np.ndarray:
-    """State vector with qubit1 excited, qubit2 in ``q2`` (1 = excited) and
-    the oscillator in ``dist``."""
+def _embed(s: int, dist: FockDistribution, n_max: int) -> np.ndarray:
+    """State vector with qubit1 excited, qubit2 in the environment state
+    ``s`` (0 = excited) and the oscillator in ``dist``."""
     osc = np.zeros(n_max + 1)
     osc[: dist.cutoff + 1] = dist.amplitudes
-    excited, qubit2 = np.eye(2)[1], np.eye(2)[q2]
+    excited, qubit2 = np.eye(2)[1], np.eye(2)[1 - s]
     return np.kron(excited, np.kron(qubit2, osc))
 
 
 def _preparations(config: SystemConfig) -> list[tuple[float, int, FockDistribution]]:
-    """(weight, q2, oscillator) of each pure component of the initial state:
-    qubit1 excited, qubit2 in ``q2`` (1 = excited), the oscillator in the
-    given FockDistribution."""
-    p = config.env.p
-    preps = []
-    for w_osc, dist in config.oscillator:
-        if w_osc == 0.0:
-            continue
-        if p > 0.0:
-            preps.append((w_osc * p, 1, dist))
-        if p < 1.0:
-            preps.append((w_osc * (1.0 - p), 0, dist))
-    return preps
+    """(weight, s, oscillator) of each pure component of the initial state:
+    qubit1 excited, qubit2 in the state s of ``EnvironmentMixture.branches``
+    and the oscillator in the given FockDistribution."""
+    return [(w_osc * w_env, s, dist) for w_osc, dist in config.oscillator if w_osc != 0.0
+            for w_env, s in config.env.branches()]
 
 
 def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
@@ -183,14 +175,14 @@ def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
     ``n_max`` below ``required_n_max`` of its support raises TruncationError.
     """
     n_max = check_integer(n_max, 0, _N_MAX)
-    support = max(dist.cutoff for _, dist in config.oscillator)
+    support = config.support
     if n_max < required_n_max(support):
         raise TruncationError(f"n_max = {n_max} too small; oscillator support {support} needs "
                               f"n_max >= {required_n_max(support)}")
     dim = 4 * (n_max + 1)
     rho = np.zeros((dim, dim), dtype=complex)
-    for weight, q2, dist in _preparations(config):
-        vec = _embed(q2, dist, n_max)
+    for weight, s, dist in _preparations(config):
+        vec = _embed(s, dist, n_max)
         rho += weight * np.outer(vec, vec.conj())
     return rho
 
@@ -274,14 +266,15 @@ def _initial_blocks(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     sqrt(weight) folded in, so that rho = sum_c |psi_c><psi_c|, and is zero
     in every other block.  The blocks are those ranges, each built once.
 
-    |e1 e2 m> is slot 0 of block m + 2 and |e1 g2 m> slot 1 of block m + 1.
+    |e1 e2 m> is slot 0 of block m + 2 and |e1 g2 m> slot 1 of block m + 1:
+    the environment state s puts |e1 s m> in slot s of block m + 2 - s.
     """
     preps = _preparations(config)
-    populated = [np.flatnonzero(dist.amplitudes) + 1 + q2 for _, q2, dist in preps]
+    populated = [np.flatnonzero(dist.amplitudes) + 2 - s for _, s, dist in preps]
     ks = np.flatnonzero(np.bincount(np.concatenate([np.arange(k[0], k[-1] + 1) for k in populated])))
     psi0 = np.zeros((len(preps), ks.size, 4))
-    for c, (k, (weight, q2, dist)) in enumerate(zip(populated, preps)):
-        psi0[c, np.searchsorted(ks, k), 1 - q2] = math.sqrt(weight) * dist.amplitudes[k - 1 - q2]
+    for c, (k, (weight, s, dist)) in enumerate(zip(populated, preps)):
+        psi0[c, np.searchsorted(ks, k), s] = math.sqrt(weight) * dist.amplitudes[k - 2 + s]
     return ks, psi0
 
 
@@ -354,7 +347,7 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
     """
     times = config.grid.times()
     if dense:
-        n_max = required_n_max(max(dist.cutoff for _, dist in config.oscillator))
+        n_max = required_n_max(config.support)
         prop = Propagator(build_hamiltonian(config.couplings, omega, n_max=n_max))
         rho0 = initial_density(config, n_max)
         zeta = np.empty(times.size)

@@ -3,6 +3,7 @@ and the phase limit that the closed forms and the oracle share."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,9 @@ def check_integer(value, least: int, message: str, error: type = ValidationError
 
 
 def check_probability(value, name: str) -> float:
-    """``value`` as a float if it is an int or float in [0, 1]; otherwise raise
+    """``value`` as a float if it is a real number in [0, 1]; otherwise raise
     InvalidProbabilityError naming it ``name``, also for NaN and infinities."""
-    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+    if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
         raise InvalidProbabilityError(f"{name} = {value!r} must lie in [0, 1]")
     return float(value)
 

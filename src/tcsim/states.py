@@ -2,7 +2,8 @@
 states, the two-level environment mixture, coupling constants, the full
 system configuration consumed by the closed-form and oracle pipelines, and
 the oracle's exact truncation (``required_n_max``), kept here so that a
-scenario reports it without importing the oracle.
+scenario reports it without importing the oracle.  Both pipelines read the
+environment's branches and the oscillator's support here.
 
 Oscillator amplitudes are real by convention; all constructors normalize and
 freeze them. Times are measured in units of 1/lambda1 throughout.
@@ -97,6 +98,12 @@ class EnvironmentMixture:
     def __post_init__(self):
         object.__setattr__(self, "p", check_probability(self.p, "p"))
 
+    def branches(self) -> list[tuple[float, int]]:
+        """(weight, s) of each environment state of nonzero weight, the one
+        table both pipelines read: s = 0 is the excited state, of weight p,
+        and s = 1 the ground state, of weight 1 - p."""
+        return [(w, s) for s, w in enumerate((self.p, 1.0 - self.p)) if w != 0.0]
+
 
 @dataclass(frozen=True)
 class Couplings:
@@ -108,7 +115,7 @@ class Couplings:
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValidationError(f"{name} = {value!r} must be finite")
             if value < 0:
                 raise ValidationError(f"{name} = {value!r} must be non-negative")
@@ -171,6 +178,11 @@ class SystemConfig:
         object.__setattr__(self, "oscillator", check_components(osc))
         if self.couplings.lambda1 <= 0:
             raise ValidationError("lambda1 must be positive for a nontrivial scenario")
+
+    @property
+    def support(self) -> int:
+        """Highest Fock index of any oscillator component, of weight 0 too."""
+        return max(dist.cutoff for _, dist in self.oscillator)
 
 
 def required_n_max(support_cutoff: int) -> int:

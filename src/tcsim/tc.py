@@ -201,14 +201,14 @@ def _block_columns(sp: SpectralParams, sides: tuple[bool, bool], couplings: Coup
     return unprimed, primed
 
 
-def _density_bands(oscillator) -> tuple[np.ndarray, np.ndarray]:
+def _density_bands(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal P_n and first off-diagonal C_n of the oscillator density
     matrix, with every |C_n| below ``_NEGLIGIBLE`` set to 0, and every P_n
     below it whose C_n is then 0: the terms walk only the nonzero entries.
     A P_n with a coherence is kept, since |C_n| <= sqrt(P_n P_{n+1}) can
     exceed P_n by far."""
-    P, C = np.zeros((2, 1 + max(dist.cutoff for _, dist in oscillator)))  # C[-1] stays 0
-    for weight, dist in oscillator:
+    P, C = np.zeros((2, 1 + config.support))  # C[-1] stays 0
+    for weight, dist in config.oscillator:
         P[: dist.cutoff + 1] += weight * dist.probabilities()
         C[: dist.cutoff] += weight * dist.amplitudes[:-1] * dist.amplitudes[1:]
     C[np.abs(C) < _NEGLIGIBLE] = 0.0
@@ -216,29 +216,23 @@ def _density_bands(oscillator) -> tuple[np.ndarray, np.ndarray]:
     return P, C
 
 
-def _branches(p: float) -> list[tuple[float, int]]:
-    """(weight, side) of each environment branch of nonzero weight, as
-    ``oracle._preparations`` keeps them: the excited branch (weight p) reads
-    the unprimed side 0 of the block columns, the ground branch (weight
-    1 - p) the primed side 1.  At index n, branch side s reads side s of
-    block n - s, and with a coherence of block n - s + 1 as well."""
-    return [(w, side) for side, w in enumerate((p, 1.0 - p)) if w != 0.0]
-
-
 def _block_params(config: SystemConfig, bands,
                   t: np.ndarray) -> dict[int, tuple[SpectralParams, tuple[bool, bool]]]:
     """Spectral params of every block the terms read over the times ``t``,
     with the sides (unprimed, primed) they read of it, in ascending block
-    order: each block is evaluated once, and a block no branch of nonzero
-    weight reads is not.  A phase d_plus * t past ``series.PHASE_LIMIT`` at
-    the largest of the times ``t`` raises ValidationError.  Past it the
-    t-linear terms of a block with d_minus = 0, whose coefficients vanish
-    only up to rounding, would also grow to overflow."""
+    order: each block is evaluated once, and a block no branch (w, s) of
+    ``EnvironmentMixture.branches`` reads is not.  At index n, branch s
+    reads side s of block n - s (0 unprimed, 1 primed), and with a coherence
+    of block n - s + 1 as well.  A phase d_plus * t past
+    ``series.PHASE_LIMIT`` at the largest of the times ``t`` raises
+    ValidationError.  Past it the t-linear terms of a block with
+    d_minus = 0, whose coefficients vanish only up to rounding, would also
+    grow to overflow."""
     P, C = bands
     t_max = float(np.max(t, initial=0.0))  # so each check names the largest t
     # read[s, m + 1]: side s of block m is read (-1 <= m < len(P)); C[-1] is 0
     read = np.zeros((2, P.size + 1), dtype=bool)
-    for _, s in _branches(config.env.p):
+    for _, s in config.env.branches():
         read[s, 1 - s:][:P.size] |= P != 0.0
         read[s, 2 - s:][:P.size - 1] |= C[:-1] != 0.0
     params = {}
@@ -255,11 +249,11 @@ def _terms(config: SystemConfig, bands,
     """alpha, beta and Im gamma over ``t`` from the density bands and the
     params of ``_block_params``: every product is real or -i times real, so
     gamma is i times a real array.  Each index sums w X over the branches
-    (w, X) of ``_branches``, p X + (1 - p) Y when both are kept.  Each block
-    is formed once, with the sides read of it, and dropped once no later
-    index reads it."""
+    (w, s) of ``EnvironmentMixture.branches``, p X + (1 - p) Y when both are
+    kept.  Each block is formed once, with the sides read of it, and dropped
+    once no later index reads it."""
     P, C = bands
-    branches = _branches(config.env.p)
+    branches = config.env.branches()
     alpha = np.zeros_like(t)
     beta = np.zeros_like(t)
     gamma_im = np.zeros_like(t)
@@ -303,7 +297,7 @@ def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
     environment branch of nonzero weight are evaluated and checked.
     """
     t = np.atleast_1d(_check_times(t))
-    bands = _density_bands(config.oscillator)
+    bands = _density_bands(config)
     params = _block_params(config, bands, t)
     zeta = np.empty_like(t)
     for start in range(0, len(t), CHUNK_POINTS):

@@ -40,7 +40,7 @@ def entropy_terms(config, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """alpha, beta and the complex gamma over the times ``t`` (a scalar gives
     one point), as ``tc.mixture_entropy_arrays`` forms them for one chunk."""
     t = np.atleast_1d(tc._check_times(t))
-    bands = tc._density_bands(config.oscillator)
+    bands = tc._density_bands(config)
     alpha, beta, gamma_im = tc._terms(config, bands, tc._block_params(config, bands, t), t)
     return alpha, beta, 1j * gamma_im
 

@@ -392,7 +392,7 @@ def test_phase_check_covers_only_the_blocks_the_closed_form_evaluates(tmp_path, 
     path, out = tmp_path / "wide.ini", tmp_path / "wide.csv"
     path.write_text(text, encoding="utf-8")
     config = load_scenario(path).system_config()
-    P, C = tc._density_bands(config.oscillator)
+    P, C = tc._density_bands(config)
     last = int(np.flatnonzero(P)[-1])
     assert last + (C[last] != 0.0) == 314
     assert tc.spectral_params(314, config.couplings).d_plus * 2.2e14 < PHASE_LIMIT

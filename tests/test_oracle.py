@@ -631,6 +631,16 @@ def test_line_average_is_the_long_time_average(p, l2):
         assert abs(time_average(series, (0.0, t_end)) - average) <= 0.5 / t_end
 
 
+def test_line_average_is_the_grid_average_of_the_dense_reference():
+    # the same <zeta> against the dense reference's own grid average, so that
+    # the oracle's lines are checked without the closed form
+    t_end = 1e3
+    config = _config(number_state(1), 0.5, l2=0.1, grid=TimeGrid(0.0, t_end, int(20 * t_end) + 1))
+    freq, amp = zeta_lines(config)
+    dense = oracle_entropy_series(config, dense=True)
+    assert abs(time_average(dense, (0.0, t_end)) - amp[freq == 0.0][0]) <= 0.5 / t_end
+
+
 def test_line_average_of_a_decoupled_environment_is_one_quarter():
     # at lambda2 = 0, |n> gives zeta = sin^2(2 sqrt(n + 1) t) / 2 at every p:
     # rho_ee has the lines 1/4, 1/2, 1/4 at -2 sqrt(n + 1), 0, 2 sqrt(n + 1)

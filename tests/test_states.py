@@ -10,6 +10,7 @@ from tcsim.errors import (
     EmptyTimeGridError,
     FanoUndefinedError,
     InvalidProbabilityError,
+    TruncationError,
     UnnormalizedDistributionError,
     ValidationError,
 )
@@ -130,6 +131,60 @@ def test_couplings_bounds():
         Couplings(-1.0, 0.1)
     with pytest.raises(ValidationError):
         Couplings(1.0, float("inf"))
+
+
+def test_probabilities_and_couplings_take_any_real_number():
+    # numpy scalars are real numbers and keep their value as a float; a
+    # string, a complex number and None are still no probability or coupling
+    for value in (np.int64(0), np.float32(0.3), np.float64(1.0)):
+        assert EnvironmentMixture(value).p == float(value)
+        assert type(EnvironmentMixture(value).p) is float
+    c = Couplings(np.float32(1.0), np.int64(0))
+    assert (c.lambda1, c.lambda2) == (1.0, 0.0) and type(c.lambda1) is type(c.lambda2) is float
+    assert np.array_equal(binomial_state(4, np.float32(0.5)).amplitudes, binomial_state(4, 0.5).amplitudes)
+    for bad in ("0.5", 0.5j, None):
+        with pytest.raises(InvalidProbabilityError, match=re.escape(f"p = {bad!r} must lie in [0, 1]")):
+            EnvironmentMixture(bad)
+        with pytest.raises(ValidationError, match=re.escape(f"lambda1 = {bad!r} must be finite")):
+            Couplings(bad, 0.1)
+        with pytest.raises(ValidationError, match=re.escape(f"lambda2 = {bad!r} must be finite")):
+            Couplings(1.0, bad)
+
+
+@pytest.mark.parametrize("p, branches", [(0.0, [(1.0, 1)]), (0.37, [(0.37, 0), (1.0 - 0.37, 1)]),
+                                         (1.0, [(1.0, 0)])])
+def test_environment_branches_leave_out_a_state_of_weight_zero(p, branches):
+    # s = 0 is the excited state, of weight p, and s = 1 the ground state
+    assert EnvironmentMixture(p).branches() == branches
+
+
+def test_support_counts_a_component_of_weight_zero():
+    env, couplings, grid = EnvironmentMixture(0.5), Couplings(1.0, 0.1), TimeGrid(0.0, 10.0, 11)
+    assert SystemConfig(binomial_state(7, 0.3), env, couplings, grid).support == 7
+    config = SystemConfig([(1.0, number_state(2)), (0.0, number_state(5))], env, couplings, grid)
+    assert config.support == 5
+    # both pipelines size their arrays from it
+    assert tc._density_bands(config)[0].size == 6
+    with pytest.raises(TruncationError, match="oscillator support 5 needs n_max >= 7"):
+        oracle.initial_density(config, 6)
+
+
+def test_both_pipelines_read_the_environment_from_its_branches(monkeypatch):
+    # with the table patched to the excited state alone, p = 1/2 gives every
+    # bit of p = 1 on the closed form, the block oracle and the dense reference
+    grid = TimeGrid(0.0, 30.0, 151)
+    oscillator = [(0.4, binomial_state(3, 0.4)), (0.6, number_state(1))]
+
+    def series(p):
+        config = SystemConfig(oscillator, EnvironmentMixture(p), Couplings(1.0, 0.3), grid)
+        return (tc.entropy_series(config).values, oracle.oracle_entropy_series(config).values,
+                oracle.oracle_entropy_series(config, dense=True).values)
+
+    excited = series(1.0)
+    assert not np.array_equal(series(0.5)[0], excited[0])
+    monkeypatch.setattr(EnvironmentMixture, "branches", lambda self: [(1.0, 0)])
+    for name, got, want in zip(("closed", "block oracle", "dense oracle"), series(0.5), excited):
+        assert np.array_equal(got, want), name
 
 
 def test_time_grid_validation():

@@ -409,7 +409,7 @@ def _read_sides(dist):
     block n1 + 1 if the last of them keeps its coherence, each with the
     sides read of it: the first only primed, the last only unprimed, and
     every other both."""
-    P, C = tc._density_bands(_config(dist, 0.3).oscillator)
+    P, C = tc._density_bands(_config(dist, 0.3))
     kept = np.flatnonzero(P)
     assert np.array_equal(kept, np.arange(kept[0], kept[-1] + 1))
     blocks = range(kept[0] - 1, kept[-1] + 1 + (C[kept[-1]] != 0.0))
@@ -434,7 +434,7 @@ def test_a_branch_of_weight_zero_changes_no_bit_of_zeta(p):
 
 def _two_branch_zeta(config, t):
     p, couplings = config.env.p, config.couplings
-    P, C = tc._density_bands(config.oscillator)
+    P, C = tc._density_bands(config)
     alpha, beta, gamma_im = np.zeros((3, t.size))
     for n in np.flatnonzero(P).tolist():
         c1, c2, c3, c4 = _real_columns(n, couplings, t, False)
