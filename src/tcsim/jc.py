@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .series import CHUNK_POINTS, check_integer, check_phase, check_probability
+from .series import CHUNK_POINTS, check_integer, check_phase, check_probability, check_times
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,22 @@ class JcAmplitudes:
         return abs(self.c_excited) ** 2 + abs(self.c_ground) ** 2
 
 
+def _check_coupling(coupling) -> None:
+    if not coupling > 0:
+        raise ValidationError(f"coupling must be positive, got {coupling!r}")
+
+
 def jc_amplitudes(n: int, coupling: float, t: float) -> JcAmplitudes:
     """Evolve |e, n> for time ``t`` at the given coupling.
 
     Returns cos(theta) on |e, n> and -i sin(theta) on |g, n+1> with
     theta = coupling * t * sqrt(n + 1); a theta past ``series.PHASE_LIMIT``
-    raises ValidationError.
+    or a negative ``t`` raises ValidationError.
     """
     n = check_integer(n, 0, "n must be a non-negative integer, got {!r}")
-    if not coupling > 0:
-        raise ValidationError(f"coupling must be positive, got {coupling!r}")
-    if t < 0:
-        raise ValidationError(f"t must be non-negative, got {t!r}")
+    _check_coupling(coupling)
     check_phase(coupling * math.sqrt(n + 1.0), t, "number-state amplitudes")
+    check_times(t)
     theta = coupling * t * math.sqrt(n + 1.0)
     return JcAmplitudes(
         c_excited=complex(math.cos(theta)),
@@ -63,15 +66,14 @@ def jc_number_entropy(n, coupling, t):
 
     zeta(t) = sin^2(2 * coupling * sqrt(n+1) * t) / 2, periodic with period
     pi / (2 * coupling * sqrt(n+1)) and bounded by [0, 0.5].  ``t`` may be a
-    scalar or an array; a phase past ``series.PHASE_LIMIT`` raises
-    ValidationError.
+    scalar or an array; a phase past ``series.PHASE_LIMIT`` or a negative
+    time raises ValidationError.
     """
     n = check_integer(n, 0, "n must be a non-negative integer, got {!r}")
-    if not coupling > 0:
-        raise ValidationError(f"coupling must be positive, got {coupling!r}")
-    t = np.asarray(t, dtype=float)
+    _check_coupling(coupling)
     freq = 2.0 * coupling * math.sqrt(n + 1.0)
     check_phase(freq, t, "number-state entropy")
+    t = check_times(t)
     zeta = 0.5 * np.sin(freq * t) ** 2
     return zeta if zeta.ndim else float(zeta)
 
@@ -87,15 +89,14 @@ def jc_mixture_entropy(f, coupling, t):
                  - [f sin^2(L t) + (1-f) sin^2(sqrt(2) L t)]^2
 
     with L = coupling.  ``t`` may be a scalar or an array; a phase
-    sqrt(2) * coupling * t past ``series.PHASE_LIMIT`` raises
-    ValidationError.  Only the returned array grows with the number of
+    sqrt(2) * coupling * t past ``series.PHASE_LIMIT`` or a negative time
+    raises ValidationError.  Only the returned array grows with the number of
     times, which are walked in slices of ``series.CHUNK_POINTS``.
     """
     f = check_probability(f, "f")
-    if not coupling > 0:
-        raise ValidationError(f"coupling must be positive, got {coupling!r}")
-    t = np.asarray(t, dtype=float)
+    _check_coupling(coupling)
     check_phase(math.sqrt(2.0) * coupling, t, "vacuum/one-photon mixture")
+    t = check_times(t)
     zeta = np.empty(t.shape)
     times, out = t.reshape(-1), zeta.reshape(-1)
     for start in range(0, times.size, CHUNK_POINTS):

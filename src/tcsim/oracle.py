@@ -371,9 +371,15 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
     populations = np.sum(np.trace(d_ee, axis1=1, axis2=2).real)
     j, jp = np.triu_indices(4, 1)
     d_ee = 2.0 * d_ee[:, j, jp]
-    paired = d_eg.any()
+    # the sums as (pick, pick', densities, output), the picks reading a tile's
+    # phasors, which start one block before it: rho_ee pairs block b with
+    # itself on its entries j < j', real part only, n wide; rho_eg pairs block
+    # b with block b - 1 on all 16, both parts, 2n wide, and is left out where
+    # it has no density
     rho_ee = np.zeros((padded, n))
-    rho_eg = np.zeros((padded, 2, n)) if paired else None  # real and imaginary parts
+    sums = [(np.s_[:, 1:, j], np.s_[:, 1:, jp], d_ee, rho_ee)]
+    if d_eg.any():
+        sums.append((np.s_[:, 1:, :, None], np.s_[:, :-1, None, :], d_eg, np.zeros((padded, 2 * n))))
     energies = np.concatenate([np.zeros((1, 4)), prop.eigenvalues])  # block -1 ahead of block 0
     blocks = prop.eigenvalues.shape[0]
     tile = max(1, min(blocks, _CHUNK_ENTRIES // (64 * max(padded, 2 * n))))
@@ -382,43 +388,33 @@ def oracle_entropy_series(config: SystemConfig, *, omega: float = 0.0, dense: bo
     for b0 in range(0, blocks, tile):
         b1 = min(b0 + tile, blocks)
         e = energies[b0 : b1 + 1]
-        # the tile's densities over the first chunk: an entry turns by
+        # the tile's phasors over the first chunk: an entry turns by
         # exp(-i(E_j - E_j')tau) from its value at times[0]
         q = np.exp(-1j * (tau[:, None, None] * e))
-        ee = np.empty((n, b1 - b0, 6), dtype=complex)
-        np.multiply(q[:, 1:, j], q[:, 1:, jp].conj(), out=ee)
-        ee *= d_ee[b0:b1]
-        ee = ee.reshape(n, -1).view(float).T
-        if paired:
-            eg = np.empty((2, n, b1 - b0, 4, 4), dtype=complex)
-            np.multiply(q[:, 1:, :, None], q[:, :-1, None, :].conj(), out=eg[0])
-            eg[0] *= d_eg[b0:b1]
-            # -i times the densities gives Im rho_eg from the same product
-            np.multiply(eg[0], -1j, out=eg[1])
-            eg = eg.reshape(2 * n, -1).view(float).T
         # the conjugate phases at every chunk start: their real view against
         # the densities' is the real part of the sum over the entries
         zc = np.exp(1j * (starts[::width, None, None, None] * e)) * np.exp(1j * (starts[:width, None, None] * e))
         zc = zc.reshape(padded, -1, 4)
         z = zc.conj()
-        p_ee = np.empty((padded, b1 - b0, 6), dtype=complex)
-        np.multiply(zc[:, 1:, j], z[:, 1:, jp], out=p_ee)
-        p_ee = p_ee.reshape(padded, -1).view(float)
-        if paired:
-            p_eg = np.empty((padded, b1 - b0, 4, 4), dtype=complex)
-            np.multiply(zc[:, 1:, :, None], z[:, :-1, None, :], out=p_eg)
-            p_eg = p_eg.reshape(padded, -1).view(float)
-        for o in range(0, padded, group):
-            rho_ee[o : o + group] += np.matmul(p_ee[o : o + group], ee)
-            if paired:
-                rho_eg[o : o + group] += np.matmul(p_eg[o : o + group], eg).reshape(-1, 2, n)
+        for at, at_p, d, out in sums:
+            p = np.multiply(zc[at], z[at_p], order="C")
+            dens = np.empty((out.shape[1] // n, n, *p.shape[1:]), dtype=complex)
+            np.multiply(q[at], q[at_p].conj(), out=dens[0])
+            dens[0] *= d[b0:b1]
+            if len(dens) == 2:
+                # -i times the densities gives the imaginary part from the same product
+                np.multiply(dens[0], -1j, out=dens[1])
+            dens = dens.reshape(out.shape[1], -1).view(float).T
+            p = p.reshape(padded, -1).view(float)
+            for o in range(0, padded, group):
+                out[o : o + group] += np.matmul(p[o : o + group], dens)
     # zeta = 1 - (Tr rho)^2 / 2 - 2 (rho_ee - Tr rho / 2)^2 - 2 |rho_eg|^2, in place
     rho_ee += populations - trace / 2
     np.square(rho_ee, out=rho_ee)
-    if paired:
+    for *_, rho_eg in sums[1:]:
         np.square(rho_eg, out=rho_eg)
-        rho_ee += rho_eg[:, 0]
-        rho_ee += rho_eg[:, 1]
+        rho_ee += rho_eg[:, :n]
+        rho_ee += rho_eg[:, n:]
     rho_ee *= -2.0
     rho_ee += 1.0 - trace**2 / 2
     zeta = rho_ee.reshape(-1)[: times.size]

@@ -154,7 +154,7 @@ class Scenario:
     def effective_n_max(self) -> int:
         """Oscillator support + 2, the oracle's exact truncation; the benchmark reports
         the dense dimension it gives as ``oracle.dim``."""
-        return required_n_max(max(dist.cutoff for _, dist in self.oscillator_components()))
+        return required_n_max(self.system_config().support)
 
     def to_lines(self) -> list[str]:
         """Canonical scenario text, one `[section] key = value` per line.

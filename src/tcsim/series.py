@@ -37,6 +37,17 @@ def check_phase(freq: float, times, where: str) -> None:
         )
 
 
+def check_times(t) -> np.ndarray:
+    """``t`` as a float array; raise ValidationError unless every time is
+    finite and non-negative."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("times must be finite")
+    if np.any(t < 0):
+        raise ValidationError("times must be non-negative")
+    return t
+
+
 def check_integer(value, least: int, message: str, error: type = ValidationError) -> int:
     """``value`` as an int if it is an integer >= ``least``; otherwise raise
     ``error(message.format(value))``, also for NaN, infinities and None."""

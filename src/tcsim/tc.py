@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .series import CHUNK_POINTS, TimeSeries, check_integer, check_phase
+from .series import CHUNK_POINTS, TimeSeries, check_integer, check_phase, check_times
 from .states import Couplings, SystemConfig
 
 __all__ = [
@@ -140,15 +140,6 @@ def _cos_and_sin_over_freq(freq: float, t: np.ndarray) -> tuple[np.ndarray, np.n
     sin /= y
     sin *= t
     return np.cos(u), sin
-
-
-def _check_times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValidationError("times must be finite")
-    if np.any(t < 0):
-        raise ValidationError("times must be non-negative")
-    return t
 
 
 def _block_columns(sp: SpectralParams, sides: tuple[bool, bool], couplings: Couplings,
@@ -296,7 +287,7 @@ def mixture_entropy_arrays(config: SystemConfig, t) -> np.ndarray:
     Only the blocks that the kept indices of ``_density_bands`` read in an
     environment branch of nonzero weight are evaluated and checked.
     """
-    t = np.atleast_1d(_check_times(t))
+    t = np.atleast_1d(check_times(t))
     bands = _density_bands(config)
     params = _block_params(config, bands, t)
     zeta = np.empty_like(t)

@@ -20,6 +20,7 @@ import pytest
 import tcsim.tc as tc
 from tcsim import oracle
 from tcsim.oracle import Propagator, build_hamiltonian
+from tcsim.series import check_times
 from tcsim.states import Couplings
 
 # The phases ``tc._block_columns`` leaves off each entry of its real columns.
@@ -39,7 +40,7 @@ def coefficient_quad(n: int, couplings: Couplings, t, primed: bool) -> np.ndarra
 def entropy_terms(config, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """alpha, beta and the complex gamma over the times ``t`` (a scalar gives
     one point), as ``tc.mixture_entropy_arrays`` forms them for one chunk."""
-    t = np.atleast_1d(tc._check_times(t))
+    t = np.atleast_1d(check_times(t))
     bands = tc._density_bands(config)
     alpha, beta, gamma_im = tc._terms(config, bands, tc._block_params(config, bands, t), t)
     return alpha, beta, 1j * gamma_im

@@ -64,8 +64,17 @@ def test_amplitudes_input_validation():
         jc_amplitudes(0, 0.0, 0.0)
     with pytest.raises(ValidationError, match="coupling must be positive, got 0.0"):
         jc_number_entropy(0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="times must be non-negative"):
         jc_amplitudes(0, 1.0, -0.5)
+    # the entropies check their times as the amplitudes and tc do
+    with pytest.raises(ValidationError, match="times must be non-negative"):
+        jc_number_entropy(1, 1.0, -1.0)
+    with pytest.raises(ValidationError, match="times must be non-negative"):
+        jc_number_entropy(1, 1.0, np.array([0.0, 1.0, -1.0]))
+    with pytest.raises(ValidationError, match="times must be non-negative"):
+        jc_mixture_entropy(0.5, 1.0, -1.0)
+    with pytest.raises(ValidationError, match="times must be non-negative"):
+        jc_mixture_entropy(0.5, 1.0, np.array([0.0, -1.0]))
 
 
 def test_number_state_closed_forms_check_the_phase():

@@ -481,11 +481,12 @@ def test_series_keeps_every_product_off_the_blas_threads(monkeypatch, dist, grid
     # which costs far more than it saves on products this thin; the default
     # path's products are its np.matmul calls and the complex product that
     # Propagator.evolve_state makes of each block's eigenvectors
-    sizes = []
+    sizes, widths = [], []
     matmul, evolve_state = np.matmul, Propagator.evolve_state
 
     def recording_matmul(x, y, **kwargs):
         sizes.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
+        widths.append(y.shape[-1])
         return matmul(x, y, **kwargs)
 
     def recording_evolve_state(self, psi0, times):
@@ -498,6 +499,12 @@ def test_series_keeps_every_product_off_the_blas_threads(monkeypatch, dist, grid
     oracle_entropy_series(_config(dist, 0.37, grid=grid))
     assert len(sizes) > 4
     assert max(sizes) < 2**20
+    # rho_ee's products are n points wide and rho_eg's 2n, its real and
+    # imaginary parts; a component of one Fock level, as each of |1>'s two,
+    # sits in one block, so rho_eg has no density and its sum is left out
+    n = math.isqrt(grid.n_points - 1) + 1
+    assert n in widths
+    assert (2 * n in widths) == (np.count_nonzero(dist.amplitudes) > 1)
 
 
 def test_series_memory_stays_bounded_on_a_long_grid():
