@@ -81,11 +81,11 @@ def closed_series(scenario: Scenario) -> TimeSeries:
     the 3001 rows.
     """
     config = scenario.system_config()
-    if scenario.kind == "mixture01" and scenario.lambda2 == 0.0:
+    if scenario.kind == "mixture01" and config.couplings.lambda2 == 0.0:
         from . import jc
         times = config.grid.times()
         f = dict(scenario.params)["f"]
-        return TimeSeries(times, jc.jc_mixture_entropy(f, scenario.lambda1, times))
+        return TimeSeries(times, jc.jc_mixture_entropy(f, config.couplings.lambda1, times))
     return tc.entropy_series(config)
 
 

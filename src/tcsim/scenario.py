@@ -21,10 +21,13 @@ A scenario file looks like::
 
 The format lives in two tables: ``_KINDS`` holds each oscillator kind's keys
 and ``_SECTIONS`` every other section's keys, each with its value type and
-the field it fills.  Parsing, the key checks, the CSV header written by
-``Scenario.to_lines`` and its read-back by ``scenario_from_header`` all read
-them.  Unknown sections or keys are rejected outright so typos cannot
-silently change a run.
+the field it fills.  Each section but [oracle] builds the ``states`` object
+that checks its values, which ``Scenario`` holds, so parsing reports the first
+section in table order with a bad value.  Parsing, the key checks, the CSV
+header written by ``Scenario.to_lines`` and its read-back by
+``scenario_from_header`` all read the tables.  Unknown sections or keys are
+rejected outright so typos cannot silently change a run.  The figure presets
+are one table, ``_PRESETS``.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ScenarioParseError, ValidationError
-from .series import check_probability
+from .errors import ScenarioParseError
+from .series import check_finite, check_probability
 from .states import (
     Couplings,
     EnvironmentMixture,
@@ -96,15 +99,16 @@ _KINDS = {
     "custom": _Kind({"amplitudes": _FLOATS}, lambda amps: [(1.0, FockDistribution(np.array(amps)))]),
 }
 
-# Every other section in header order: each key's value type and the field it
-# fills, a TimeGrid field under [grid] and a Scenario field elsewhere.  Every
-# key is required except under [oracle], where a missing key keeps the
-# Scenario default.
-_SECTIONS: dict[str, dict[str, tuple[_Value, str]]] = {
-    "environment": {"p": (_FLOAT, "p")},
-    "couplings": {"lambda1": (_FLOAT, "lambda1"), "lambda2": (_FLOAT, "lambda2")},
-    "grid": {"t_start": (_FLOAT, "t_start"), "t_end": (_FLOAT, "t_end"), "points": (_INT, "n_points")},
-    "oracle": {"enabled": (_BOOL, "oracle_enabled"), "omega": (_FLOAT, "oracle_omega")},
+# Every other section in header order: the class it builds into the Scenario
+# field of its name, and each key's value type and the field of that class it
+# fills.  [oracle] builds none: its keys fill Scenario fields.  Every key is
+# required except under [oracle], where a missing key keeps the Scenario default.
+_SECTIONS: dict[str, tuple[type | None, dict[str, tuple[_Value, str]]]] = {
+    "environment": (EnvironmentMixture, {"p": (_FLOAT, "p")}),
+    "couplings": (Couplings, {"lambda1": (_FLOAT, "lambda1"), "lambda2": (_FLOAT, "lambda2")}),
+    "grid": (TimeGrid, {"t_start": (_FLOAT, "t_start"), "t_end": (_FLOAT, "t_end"),
+                        "points": (_INT, "n_points")}),
+    "oracle": (None, {"enabled": (_BOOL, "oracle_enabled"), "omega": (_FLOAT, "oracle_omega")}),
 }
 _OPTIONAL = "oracle"
 
@@ -123,9 +127,8 @@ class Scenario:
 
     kind: str
     params: tuple[tuple[str, object], ...]
-    p: float
-    lambda1: float
-    lambda2: float
+    environment: EnvironmentMixture
+    couplings: Couplings
     grid: TimeGrid
     oracle_enabled: bool = False
     oracle_omega: float = 0.0
@@ -134,9 +137,7 @@ class Scenario:
     def __post_init__(self):
         _kind(self.kind)
         # checked with the oracle off too, so that no invalid value reaches a CSV header
-        Couplings(self.lambda1, self.lambda2)
-        if not np.isfinite(self.oracle_omega):
-            raise ValidationError(f"omega = {self.oracle_omega!r} must be finite")
+        object.__setattr__(self, "oracle_omega", check_finite(self.oracle_omega, "omega"))
 
     def oscillator_components(self) -> list[tuple[float, FockDistribution]]:
         """The oscillator preparation as (weight, pure distribution) pairs."""
@@ -144,12 +145,7 @@ class Scenario:
 
     def system_config(self) -> SystemConfig:
         """The validated SystemConfig of this scenario."""
-        return SystemConfig(
-            oscillator=self.oscillator_components(),
-            env=EnvironmentMixture(self.p),
-            couplings=Couplings(self.lambda1, self.lambda2),
-            grid=self.grid,
-        )
+        return SystemConfig(self.oscillator_components(), self.environment, self.couplings, self.grid)
 
     def effective_n_max(self) -> int:
         """Oscillator support + 2, the oracle's exact truncation; the benchmark reports
@@ -162,8 +158,8 @@ class Scenario:
         keys = _KINDS[self.kind].keys
         lines = [f"[oscillator] kind = {self.kind}"]
         lines += [f"[oscillator] {key} = {keys[key].write(value)}" for key, value in self.params]
-        for name, section in _SECTIONS.items():
-            holder = self.grid if name == "grid" else self
+        for name, (build, section) in _SECTIONS.items():
+            holder = self if build is None else getattr(self, name)
             lines += [f"[{name}] {key} = {value.write(getattr(holder, field))}"
                       for key, (value, field) in section.items()]
         return lines
@@ -180,7 +176,7 @@ def _read(section: str, key: str, raw: str, value: _Value):
 def _build_scenario(sections: dict[str, dict[str, str]], label: str) -> Scenario:
     """The scenario of a `{section: {key: text}}` document."""
     known = {"oscillator": {"kind"}.union(*(kind.keys for kind in _KINDS.values())),
-             **{name: set(section) for name, section in _SECTIONS.items()}}
+             **{name: set(section) for name, (_, section) in _SECTIONS.items()}}
     unknown_sections = set(sections) - set(known)
     if unknown_sections:
         raise ScenarioParseError(f"unknown sections: {sorted(unknown_sections)}")
@@ -206,7 +202,7 @@ def _build_scenario(sections: dict[str, dict[str, str]], label: str) -> Scenario
     params = tuple((key, _read("oscillator", key, osc[key], value)) for key, value in keys.items())
 
     fields = {}
-    for name, section in _SECTIONS.items():
+    for name, (build, section) in _SECTIONS.items():
         given = sections.get(name, {})
         read = {}
         for key, (value, field) in section.items():
@@ -214,7 +210,7 @@ def _build_scenario(sections: dict[str, dict[str, str]], label: str) -> Scenario
                 read[field] = _read(name, key, given[key], value)
             elif name != _OPTIONAL:
                 raise ScenarioParseError(f"[{name}] needs {key}")
-        fields.update({"grid": TimeGrid(**read)} if name == "grid" else read)
+        fields.update(read if build is None else {name: build(**read)})
     return Scenario(kind=kind, params=params, label=label, **fields)
 
 
@@ -264,24 +260,20 @@ _LONG_GRID = TimeGrid(0.0, 100.0, 10001)
 # Grid choices are artifact defaults, overridable from the CLI.  Samples per
 # period of zeta's fastest line (oracle lines, tests/test_oracle.py): >= 87 on
 # presets 1-3 and 5, 40.3 on 6 and 15.6 on 4, from its binomial's tail; over
-# the lines at >= 1% of the largest, 42.3 on 6 and 37.6 on 4.
+# the lines at >= 1% of the largest, 42.3 on 6 and 37.6 on 4.  Every preset
+# has lambda1 = 1; its id is its label, which names its figN.csv.
 _PRESETS: dict[str, Scenario] = {
-    "1": Scenario(kind="mixture01", params=(("f", 0.5),), p=0.0, lambda1=1.0, lambda2=0.0,
-                  grid=_STANDARD_GRID, label="1"),
-    "2a": Scenario(kind="number", params=(("N", 1),), p=0.0, lambda1=1.0, lambda2=0.1,
-                   grid=_STANDARD_GRID, label="2a"),
-    "2b": Scenario(kind="number", params=(("N", 1),), p=0.1, lambda1=1.0, lambda2=0.1,
-                   grid=_STANDARD_GRID, label="2b"),
-    "2c": Scenario(kind="number", params=(("N", 1),), p=0.5, lambda1=1.0, lambda2=0.1,
-                   grid=_STANDARD_GRID, label="2c"),
-    "3": Scenario(kind="number", params=(("N", 1),), p=0.5, lambda1=1.0, lambda2=0.1,
-                  grid=_LONG_GRID, label="3"),
-    "4": Scenario(kind="binomial", params=(("M", 100), ("q", 0.1)), p=0.0,
-                  lambda1=1.0, lambda2=0.0, grid=_STANDARD_GRID, label="4"),
-    "5": Scenario(kind="binomial", params=(("M", 7), ("q", 0.85)), p=0.0,
-                  lambda1=1.0, lambda2=0.0, grid=_STANDARD_GRID, label="5"),
-    "6": Scenario(kind="binomial", params=(("M", 11), ("q", 0.95)), p=0.5,
-                  lambda1=1.0, lambda2=0.1, grid=_STANDARD_GRID, label="6"),
+    label: Scenario(kind, params, EnvironmentMixture(p), Couplings(1.0, lambda2), grid, label=label)
+    for label, kind, params, p, lambda2, grid in [
+        ("1", "mixture01", (("f", 0.5),), 0.0, 0.0, _STANDARD_GRID),
+        ("2a", "number", (("N", 1),), 0.0, 0.1, _STANDARD_GRID),
+        ("2b", "number", (("N", 1),), 0.1, 0.1, _STANDARD_GRID),
+        ("2c", "number", (("N", 1),), 0.5, 0.1, _STANDARD_GRID),
+        ("3", "number", (("N", 1),), 0.5, 0.1, _LONG_GRID),
+        ("4", "binomial", (("M", 100), ("q", 0.1)), 0.0, 0.0, _STANDARD_GRID),
+        ("5", "binomial", (("M", 7), ("q", 0.85)), 0.0, 0.0, _STANDARD_GRID),
+        ("6", "binomial", (("M", 11), ("q", 0.95)), 0.5, 0.1, _STANDARD_GRID),
+    ]
 }
 
 PRESET_IDS = tuple(_PRESETS)

@@ -3,6 +3,7 @@ and the phase limit that the closed forms and the oracle share."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -57,6 +58,14 @@ def check_integer(value, least: int, message: str, error: type = ValidationError
     except (TypeError, ValueError, OverflowError):
         pass
     raise error(message.format(value))
+
+
+def check_finite(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number; otherwise raise
+    ValidationError naming it ``name``, also for None, strings and complex numbers."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValidationError(f"{name} = {value!r} must be finite")
+    return float(value)
 
 
 def check_probability(value, name: str) -> float:

@@ -23,7 +23,7 @@ from .errors import (
     UnnormalizedDistributionError,
     ValidationError,
 )
-from .series import check_integer, check_probability
+from .series import check_finite, check_integer, check_probability
 
 # Norm drift below this is treated as rounding and silently repaired;
 # anything larger is a user error.
@@ -114,12 +114,10 @@ class Couplings:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValidationError(f"{name} = {value!r} must be finite")
+            value = check_finite(getattr(self, name), name)
             if value < 0:
                 raise ValidationError(f"{name} = {value!r} must be non-negative")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

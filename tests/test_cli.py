@@ -27,7 +27,7 @@ from tcsim.cli import (
     svg_lines,
     write_text,
 )
-from tcsim.errors import ScenarioParseError
+from tcsim.errors import InvalidProbabilityError, ScenarioParseError, ValidationError
 from tcsim.scenario import (
     PRESET_IDS,
     Scenario,
@@ -63,7 +63,7 @@ omega = 0.0
 def test_parse_good_scenario():
     sc = parse_scenario(GOOD_SCENARIO)
     assert sc.kind == "number" and sc.params == (("N", 1),)
-    assert sc.p == 0.5 and sc.lambda2 == 0.1
+    assert sc.environment.p == 0.5 and sc.couplings.lambda2 == 0.1
     assert sc.grid.n_points == 3001
     assert sc.oracle_enabled and sc.effective_n_max() == 3
 
@@ -136,16 +136,17 @@ def test_parse_binomial_and_custom_kinds():
 def test_presets_carry_reference_parameters():
     assert set(PRESET_IDS) == {"1", "2a", "2b", "2c", "3", "4", "5", "6"}
     two_c = preset("2c")
-    assert (two_c.kind, two_c.params, two_c.p) == ("number", (("N", 1),), 0.5)
-    assert (two_c.lambda1, two_c.lambda2) == (1.0, 0.1)
+    assert (two_c.kind, two_c.params, two_c.environment.p) == ("number", (("N", 1),), 0.5)
+    assert (two_c.couplings.lambda1, two_c.couplings.lambda2) == (1.0, 0.1)
     four = preset("4")
-    assert (four.params, four.lambda2) == ((("M", 100), ("q", 0.1)), 0.0)
+    assert (four.params, four.couplings.lambda2) == ((("M", 100), ("q", 0.1)), 0.0)
     six = preset("6")
-    assert (six.params, six.lambda2, six.p) == ((("M", 11), ("q", 0.95)), 0.1, 0.5)
+    assert (six.params, six.couplings.lambda2, six.environment.p) == ((("M", 11), ("q", 0.95)), 0.1, 0.5)
     three = preset("3")
     assert (three.grid.t_end, three.grid.n_points) == (100.0, 10001)
     one = preset("1")
-    assert (one.kind, one.params, one.lambda2) == ("mixture01", (("f", 0.5),), 0.0)
+    assert (one.kind, one.params, one.couplings.lambda2) == ("mixture01", (("f", 0.5),), 0.0)
+    assert [preset(i).label for i in PRESET_IDS] == list(PRESET_IDS)
     with pytest.raises(ScenarioParseError):
         preset("2")
     with pytest.raises(ScenarioParseError):
@@ -220,6 +221,17 @@ def test_oracle_truncation_is_not_a_scenario_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown keys in [oracle]: ['n_max']\n"
 
 
+def _as_header(text):
+    """The `# [section] key = value` lines of a scenario document, as a CSV header holds them."""
+    header, section = [], ""
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line
+        else:
+            header.append(f"# {section} {line}")
+    return header
+
+
 @pytest.mark.parametrize("enabled, flag", [
     ("true", True), ("Yes", True), ("1", True), ("false", False), ("no", False), ("0", False),
 ])
@@ -238,14 +250,24 @@ def test_scenario_errors_name_the_section_and_key(old, new, message):
     with pytest.raises(ScenarioParseError, match=message):
         parse_scenario(text)
     # the CSV header read-back checks its lines against the same table
-    header, section = [], ""
-    for line in text.splitlines():
-        if line.startswith("["):
-            section = line
-        else:
-            header.append(f"# {section} {line}")
     with pytest.raises(ScenarioParseError, match=message):
-        scenario_from_header(header)
+        scenario_from_header(_as_header(text))
+
+
+def test_a_probability_out_of_range_is_rejected_at_parse():
+    text = GOOD_SCENARIO.replace("p = 0.5", "p = 1.5")
+    for read in (parse_scenario, lambda document: scenario_from_header(_as_header(document))):
+        with pytest.raises(InvalidProbabilityError, match=r"^p = 1\.5 must lie in \[0, 1\]$"):
+            read(text)
+
+
+def test_the_first_section_in_error_is_reported(tmp_path, capsys):
+    # [environment] comes before [grid] in the format table, so its bad p wins
+    path = tmp_path / "two.ini"
+    path.write_text(GOOD_SCENARIO.replace("p = 0.5", "p = 2").replace("points = 3001", "points = abc"),
+                    encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == "error: p = 2.0 must lie in [0, 1]\n"
 
 
 def test_header_rejects_a_repeated_key():
@@ -273,16 +295,19 @@ def test_run_writes_csv(tmp_path):
     errs = np.array([float(line.split(",")[3]) for line in data])
     assert errs.max() <= 1e-8
     rebuilt = scenario_from_header(header)
-    assert rebuilt.params == (("N", 1),) and rebuilt.p == 0.5
+    assert rebuilt.params == (("N", 1),) and rebuilt.environment.p == 0.5
 
 
-def test_run_exit_codes(tmp_path):
+def test_run_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.ini"
     assert main(["run", str(missing)]) == 2
 
     bad = tmp_path / "bad.ini"
     bad.write_text(GOOD_SCENARIO.replace("p = 0.5", "p = 1.2"), encoding="utf-8")
-    assert main(["run", str(bad)]) == 3
+    capsys.readouterr()
+    for command in ("run", "oracle-check"):
+        assert main([command, str(bad)]) == 3
+        assert capsys.readouterr().err == "error: p = 1.2 must lie in [0, 1]\n"
 
     garbled = tmp_path / "garbled.ini"
     garbled.write_text("kind = number\n", encoding="utf-8")
@@ -316,6 +341,12 @@ def test_non_finite_omega_is_a_validation_error(tmp_path, capsys, command, omega
     path.write_text(text.replace("enabled = true", f"enabled = {enabled}"), encoding="utf-8")
     assert main([command, str(path)]) == 3
     assert f"omega = {omega} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega", [None, "1", 1j])
+def test_omega_that_is_not_a_real_number_is_a_validation_error(omega):
+    with pytest.raises(ValidationError, match=re.escape(f"omega = {omega!r} must be finite")):
+        replace(preset("2c"), oracle_omega=omega)
 
 
 def test_omega_overflowing_the_oracle_hamiltonian_is_a_validation_error(tmp_path, capsys):
@@ -488,12 +519,12 @@ def test_figure_outputs_are_byte_identical(tmp_path):
     ]
     rebuilt = scenario_from_header(header)
     reference = preset("2c")
-    assert (rebuilt.kind, rebuilt.params, rebuilt.p) == (
+    assert (rebuilt.kind, rebuilt.params, rebuilt.environment.p) == (
         reference.kind,
         reference.params,
-        reference.p,
+        reference.environment.p,
     )
-    assert (rebuilt.lambda1, rebuilt.lambda2) == (reference.lambda1, reference.lambda2)
+    assert rebuilt.couplings == reference.couplings
     assert rebuilt.grid == reference.grid
 
 

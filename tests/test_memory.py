@@ -53,7 +53,7 @@ def _layers(points: int, tmp_path) -> dict[str, int]:
         "closed form": _working_bytes(lambda: tc.mixture_entropy_arrays(config, t),
                                       lambda zeta: zeta.nbytes),
         "jc closed form": _working_bytes(
-            lambda: jc.jc_mixture_entropy(dict(mixture.params)["f"], mixture.lambda1, t),
+            lambda: jc.jc_mixture_entropy(dict(mixture.params)["f"], mixture.couplings.lambda1, t),
             lambda zeta: zeta.nbytes),
         "CSV write": _working_bytes(lambda: write_text(path, csv_lines(sc, closed, None)), lambda _: 0),
         "CSV read": _working_bytes(lambda: _load_csv(path),

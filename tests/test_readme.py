@@ -27,7 +27,7 @@ def _fenced(language):
 def test_readme_scenario_document_parses():
     [document] = _fenced("ini")
     sc = parse_scenario(document)
-    assert (sc.kind, sc.params, sc.p) == ("binomial", (("M", 11), ("q", 0.95)), 0.5)
+    assert (sc.kind, sc.params, sc.environment.p) == ("binomial", (("M", 11), ("q", 0.95)), 0.5)
     assert (sc.oracle_enabled, sc.oracle_omega, sc.effective_n_max()) == (True, 0.0, 13)
 
 
@@ -36,7 +36,7 @@ def test_module_docstring_scenario_document_parses():
     example = doc[doc.index("::\n") + 3:]
     document = textwrap.dedent(example[: re.search(r"\n\S", example).start()])
     sc = parse_scenario(document)
-    assert (sc.kind, sc.params, sc.p, sc.grid.n_points) == ("number", (("N", 1),), 0.5, 3001)
+    assert (sc.kind, sc.params, sc.environment.p, sc.grid.n_points) == ("number", (("N", 1),), 0.5, 3001)
     assert (sc.oracle_enabled, sc.oracle_omega, sc.effective_n_max()) == (True, 0.0, 3)
 
 
