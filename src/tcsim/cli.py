@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import io
+import itertools
 import math
 import sys
 from collections.abc import Iterable, Iterator
@@ -246,17 +248,20 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def _seek_first_row(f) -> bool:
-    """Move the text file ``f`` to its first line that is not blank and does not start with
-    ``#`` or ``t,``; False, at the end of the file, if there is none."""
-    start = f.tell()
-    for line in iter(f.readline, ""):
-        text = line.strip()
-        if text and not text.startswith(("#", "t,")):
-            f.seek(start)
-            return True
-        start = f.tell()
-    return False
+def _header_lines(path: Path) -> int | None:
+    """The number of lines before the first data row of ``path``, that is before its first
+    line that is not blank and does not start with ``#`` or ``t,``; None if there is none.
+    The file is read as numpy reads it, UTF-8 with universal newlines, so numpy's
+    ``skiprows`` skips the same lines.  A file that cannot be read twice, as a pipe, raises
+    OSError, since numpy opens it again."""
+    with path.open(encoding="utf-8") as f:
+        if not f.seekable():
+            raise io.UnsupportedOperation("underlying stream is not seekable")
+        for count, line in enumerate(f):
+            text = line.strip()
+            if text and not text.startswith(("#", "t,")):
+                return count
+    return None
 
 
 def _undecodable(path: Path, exc: UnicodeDecodeError) -> str:
@@ -296,15 +301,15 @@ def _is_number(field: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _bad_row(path: Path) -> str | None:
+def _bad_row(path: Path, skip: int) -> str | None:
     """The first data row of ``path`` that numpy's reader rejects and why, as ``data row N``
-    counting from 1 over the rows numpy reads, as the other row messages count; None if
-    none is found.  Called only after numpy has failed, since it reads the file again."""
+    counting from 1 over the rows numpy reads after the ``skip`` header lines, as the other
+    row messages count; None if none is found.  Called only after numpy has failed, since
+    it reads the file again."""
     try:
         with path.open(encoding="utf-8", errors="replace") as f:
-            _seek_first_row(f)
             row = 0
-            for line in f:
+            for line in itertools.islice(f, skip, None):
                 text = line.rstrip("\n").partition("#")[0]
                 if not text:  # numpy skips empty lines and lines of only a comment
                     continue
@@ -321,25 +326,33 @@ def _bad_row(path: Path) -> str | None:
     return None
 
 
+# numpy opens a path through a decompressor chosen by these suffixes; tcsim writes plain
+# text under any name, so a file named so goes to numpy as an open text file instead,
+# which numpy reads a Python line at a time rather than in blocks
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _load_csv(path: Path) -> TimeSeries:
     """The first two columns of the rows after the leading blank, ``#`` and ``t,`` lines,
-    parsed by numpy from the open file in one call, which skips empty and ``#`` lines and
-    drops the text after a ``#``.  A row numpy cannot parse, or that is not finite, exits 2
-    and names the file and the data row; a zeta outside [0, 0.5], or a t not above the one
-    before it, exits 3 and names them too."""
+    parsed by numpy in one call, which reads the file in blocks, skips empty and ``#``
+    lines and drops the text after a ``#``.  A row numpy cannot parse, or that is not
+    finite, exits 2 and names the file and the data row; a zeta outside [0, 0.5], or a t
+    not above the one before it, exits 3 and names them too."""
     try:
-        with path.open(encoding="utf-8") as f:
-            has_rows = _seek_first_row(f)
-            if has_rows:
-                times, values = np.loadtxt(f, delimiter=",", usecols=(0, 1), ndmin=2,
-                                           unpack=True, comments="#")
+        skip = _header_lines(path)
+        if skip is not None:
+            with (path.open(encoding="utf-8") if path.suffix in _COMPRESSED_SUFFIXES
+                  else nullcontext(path)) as source:
+                times, values = np.loadtxt(source, delimiter=",", usecols=(0, 1), ndmin=2,
+                                           unpack=True, comments="#", skiprows=skip,
+                                           encoding="utf-8")
     except UnicodeDecodeError as exc:  # caught before ValueError, its base
         raise ScenarioParseError(f"cannot read {path}: {_undecodable(path, exc)}") from exc
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise ScenarioParseError(_bad_row(path) or f"bad CSV row in {path}: {exc}") from exc
-    if not has_rows:
+        raise ScenarioParseError(_bad_row(path, skip) or f"bad CSV row in {path}: {exc}") from exc
+    if skip is None:
         raise ScenarioParseError(f"no data rows in {path}")
     bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(values)))
     if bad.size:

@@ -21,10 +21,11 @@ A scenario file looks like::
 
 The format lives in two tables: ``_KINDS`` holds each oscillator kind's keys
 and ``_SECTIONS`` every other section's keys, each with its value type and
-the field it fills.  Each section but [oracle] builds the ``states`` object
-that checks its values, which ``Scenario`` holds, so parsing reports the first
-section in table order with a bad value.  Parsing, the key checks, the CSV
-header written by ``Scenario.to_lines`` and its read-back by
+the field it fills.  Each section builds, as it is read, the ``states``
+objects that check its values: [oscillator] its components, and every other
+section but [oracle] the object that ``Scenario`` holds.  So parsing reports
+the first section in table order with a bad value.  Parsing, the key checks,
+the CSV header written by ``Scenario.to_lines`` and its read-back by
 ``scenario_from_header`` all read the tables.  Unknown sections or keys are
 rejected outright so typos cannot silently change a run.  The figure presets
 are one table, ``_PRESETS``.
@@ -33,7 +34,7 @@ are one table, ``_PRESETS``.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,6 +120,12 @@ def _kind(name: str) -> _Kind:
     return _KINDS[name]
 
 
+def _components(kind: str, params) -> list[tuple[float, FockDistribution]]:
+    """The (weight, FockDistribution) components that the [oscillator] values ``params``
+    of ``kind`` prepare; a value out of range raises ValidationError."""
+    return _KINDS[kind].prepare(*(value for _, value in params))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully specified run: oscillator preparation, environment, couplings,
@@ -136,12 +143,14 @@ class Scenario:
 
     def __post_init__(self):
         _kind(self.kind)
-        # checked with the oracle off too, so that no invalid value reaches a CSV header
+        # the oscillator values, and omega with the oracle off too, are checked here so that
+        # no invalid value reaches a CSV header
+        _components(self.kind, self.params)
         object.__setattr__(self, "oracle_omega", check_finite(self.oracle_omega, "omega"))
 
     def oscillator_components(self) -> list[tuple[float, FockDistribution]]:
         """The oscillator preparation as (weight, pure distribution) pairs."""
-        return _KINDS[self.kind].prepare(*(value for _, value in self.params))
+        return _components(self.kind, self.params)
 
     def system_config(self) -> SystemConfig:
         """The validated SystemConfig of this scenario."""
@@ -200,6 +209,7 @@ def _build_scenario(sections: dict[str, dict[str, str]], label: str) -> Scenario
     if absent:
         raise ScenarioParseError(f"kind = {kind} requires keys {sorted(absent)}")
     params = tuple((key, _read("oscillator", key, osc[key], value)) for key, value in keys.items())
+    _components(kind, params)  # [oscillator] is the first section, so its values are checked first
 
     fields = {}
     for name, (build, section) in _SECTIONS.items():
@@ -261,19 +271,18 @@ _LONG_GRID = TimeGrid(0.0, 100.0, 10001)
 # period of zeta's fastest line (oracle lines, tests/test_oracle.py): >= 87 on
 # presets 1-3 and 5, 40.3 on 6 and 15.6 on 4, from its binomial's tail; over
 # the lines at >= 1% of the largest, 42.3 on 6 and 37.6 on 4.  Every preset
-# has lambda1 = 1; its id is its label, which names its figN.csv.
-_PRESETS: dict[str, Scenario] = {
-    label: Scenario(kind, params, EnvironmentMixture(p), Couplings(1.0, lambda2), grid, label=label)
-    for label, kind, params, p, lambda2, grid in [
-        ("1", "mixture01", (("f", 0.5),), 0.0, 0.0, _STANDARD_GRID),
-        ("2a", "number", (("N", 1),), 0.0, 0.1, _STANDARD_GRID),
-        ("2b", "number", (("N", 1),), 0.1, 0.1, _STANDARD_GRID),
-        ("2c", "number", (("N", 1),), 0.5, 0.1, _STANDARD_GRID),
-        ("3", "number", (("N", 1),), 0.5, 0.1, _LONG_GRID),
-        ("4", "binomial", (("M", 100), ("q", 0.1)), 0.0, 0.0, _STANDARD_GRID),
-        ("5", "binomial", (("M", 7), ("q", 0.85)), 0.0, 0.0, _STANDARD_GRID),
-        ("6", "binomial", (("M", 11), ("q", 0.95)), 0.5, 0.1, _STANDARD_GRID),
-    ]
+# has lambda1 = 1; its id is its label, which names its figN.csv.  Each row is
+# (kind, params, p, lambda2, grid); ``preset`` builds the Scenario when it is
+# asked for, so importing this module prepares no oscillator state.
+_PRESETS: dict[str, tuple] = {
+    "1": ("mixture01", (("f", 0.5),), 0.0, 0.0, _STANDARD_GRID),
+    "2a": ("number", (("N", 1),), 0.0, 0.1, _STANDARD_GRID),
+    "2b": ("number", (("N", 1),), 0.1, 0.1, _STANDARD_GRID),
+    "2c": ("number", (("N", 1),), 0.5, 0.1, _STANDARD_GRID),
+    "3": ("number", (("N", 1),), 0.5, 0.1, _LONG_GRID),
+    "4": ("binomial", (("M", 100), ("q", 0.1)), 0.0, 0.0, _STANDARD_GRID),
+    "5": ("binomial", (("M", 7), ("q", 0.85)), 0.0, 0.0, _STANDARD_GRID),
+    "6": ("binomial", (("M", 11), ("q", 0.95)), 0.5, 0.1, _STANDARD_GRID),
 }
 
 PRESET_IDS = tuple(_PRESETS)
@@ -288,12 +297,7 @@ def preset(preset_id: str, t_end: float | None = None, points: int | None = None
         )
     if key not in _PRESETS:
         raise ScenarioParseError(f"unknown figure id {preset_id!r}; valid: {', '.join(PRESET_IDS)}")
-    sc = _PRESETS[key]
-    if t_end is not None or points is not None:
-        grid = TimeGrid(
-            sc.grid.t_start,
-            t_end if t_end is not None else sc.grid.t_end,
-            points if points is not None else sc.grid.n_points,
-        )
-        sc = replace(sc, grid=grid)
-    return sc
+    kind, params, p, lambda2, grid = _PRESETS[key]
+    grid = TimeGrid(grid.t_start, grid.t_end if t_end is None else t_end,
+                    grid.n_points if points is None else points)
+    return Scenario(kind, params, EnvironmentMixture(p), Couplings(1.0, lambda2), grid, label=key)

@@ -1,6 +1,7 @@
 import codecs
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -268,6 +269,29 @@ def test_the_first_section_in_error_is_reported(tmp_path, capsys):
                     encoding="utf-8")
     assert main(["run", str(path)]) == 3
     assert capsys.readouterr().err == "error: p = 2.0 must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize("kind, key, value, error, message", [
+    ("number", "N", -3, ValidationError, r"^number state index must be a non-negative integer, got -3$"),
+    ("mixture01", "f", 1.5, InvalidProbabilityError, r"^f = 1\.5 must lie in \[0, 1\]$"),
+], ids=["number N = -3", "mixture01 f = 1.5"])
+def test_an_oscillator_value_out_of_range_is_rejected_when_the_scenario_is_built(kind, key, value, error,
+                                                                                   message):
+    text = GOOD_SCENARIO.replace("kind = number\nN = 1", f"kind = {kind}\n{key} = {value}")
+    for read in (parse_scenario, lambda document: scenario_from_header(_as_header(document))):
+        with pytest.raises(error, match=message):
+            read(text)
+    with pytest.raises(error, match=message):  # so that to_lines never writes the value
+        replace(preset("2c"), kind=kind, params=((key, value),))
+
+
+def test_a_bad_oscillator_value_is_reported_before_a_bad_grid(tmp_path, capsys):
+    # [oscillator] is the first section, so its bad f wins over the grid's bad points
+    path = tmp_path / "two.ini"
+    path.write_text(GOOD_SCENARIO.replace("kind = number\nN = 1", "kind = mixture01\nf = 1.5")
+                    .replace("points = 3001", "points = abc"), encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == "error: f = 1.5 must lie in [0, 1]\n"
 
 
 def test_header_rejects_a_repeated_key():
@@ -836,10 +860,48 @@ def test_load_csv_reads_a_good_file_with_one_numpy_call_and_no_second_pass(tmp_p
     write_text(path, csv_lines(sc, closed_series(sc), None))
     calls = []
     loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(args[0]) or loadtxt(*args, **kwargs))
     monkeypatch.setattr(cli, "_bad_row", None)  # not called unless numpy fails
     assert len(_load_csv(path)) == 101
-    assert len(calls) == 1
+    # the path, not an open file: only a path gets numpy's block reader
+    assert calls == [path]
+
+
+def test_load_csv_reads_rows_after_a_header_longer_than_numpys_read_block(tmp_path):
+    sc = preset("2c", points=101)
+    closed = closed_series(sc)
+    path = tmp_path / "fig.csv"
+    write_text(path, itertools.chain([f"# note {k}" for k in range(20_000)], csv_lines(sc, closed, None)))
+    series = _load_csv(path)
+    assert np.array_equal(series.times, closed.times)
+    assert np.array_equal(series.values, closed.values)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_analyze_reads_a_plain_csv_named_like_a_compressed_file(tmp_path, capsys, suffix):
+    # numpy would pick a decompressor by these suffixes; tcsim writes plain text under any name
+    assert main(["figure", "2c", "--points", "101", "--out-dir", str(tmp_path)]) == 0
+    csv = tmp_path / "fig2c.csv"
+    named = tmp_path / f"c.csv{suffix}"
+    named.write_bytes(csv.read_bytes())
+    capsys.readouterr()
+    assert main(["analyze", str(csv)]) == 0
+    expected = capsys.readouterr()
+    assert main(["analyze", str(named)]) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+def test_analyze_refuses_a_pipe_that_numpy_would_open_a_second_time(tmp_path):
+    # the header is counted in one pass and numpy opens the file again: a pipe
+    # would lose the lines the first pass read
+    assert main(["figure", "2c", "--points", "11", "--out-dir", str(tmp_path)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "tcsim.cli", "analyze", "/dev/stdin"],
+                          input=(tmp_path / "fig2c.csv").read_text(encoding="utf-8"),
+                          capture_output=True, env=env, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: cannot read /dev/stdin: underlying stream is not seekable\n"
 
 
 @pytest.mark.parametrize("oracle_columns", [False, True], ids=["2 columns", "4 columns"])
@@ -857,9 +919,10 @@ def test_load_csv_reads_back_every_preset_bit_for_bit(tmp_path, preset_id, oracl
 @pytest.mark.parametrize("text", [
     "\n# a\n\n#b\nt,zeta\n0,0.25\n1,0.125\n",
     "# a\r\nt,zeta\r\n0,0.25\r\n1,0.125\r\n",
+    "\r# a\rt,zeta\r0,0.25\r1,0.125\r",
     "  # a\n   \n  t,zeta \n 0 , 0.25 \n1 ,0.125  \n",
     "t,zeta\n0,0.25\n\n# a\n1,0.125 # b\n",
-], ids=["blank and # lines first", "CRLF", "spaces", "empty and # lines among the rows"])
+], ids=["blank and # lines first", "CRLF", "CR", "spaces", "empty and # lines among the rows"])
 def test_load_csv_reads_header_variants(tmp_path, text):
     path = tmp_path / "variant.csv"
     path.write_bytes(text.encode("utf-8"))
