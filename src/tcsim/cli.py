@@ -82,7 +82,7 @@ def closed_series(scenario: Scenario) -> TimeSeries:
     path differs from it by at most 2.9e-15, in the last bits of 2203 of
     the 3001 rows.
     """
-    config = scenario.system_config()
+    config = scenario.config
     if scenario.kind == "mixture01" and config.couplings.lambda2 == 0.0:
         from . import jc
         times = config.grid.times()
@@ -94,7 +94,7 @@ def closed_series(scenario: Scenario) -> TimeSeries:
 def oracle_series(scenario: Scenario) -> TimeSeries:
     """Brute-force entropy series for any scenario kind."""
     from . import oracle
-    return oracle.oracle_entropy_series(scenario.system_config(), omega=scenario.oracle_omega)
+    return oracle.oracle_entropy_series(scenario.config, omega=scenario.oracle_omega)
 
 
 _CSV_BLOCK_ROWS = 4096  # rows per % operation, so the temporary table and tuple stay small
@@ -237,7 +237,7 @@ def cmd_oracle_check(args) -> int:
     worst = int(np.argmax(errors))
     max_err = float(errors[worst])
     ok = max_err <= args.tol
-    c, floor, d_max = _error_model(scenario.system_config())  # information, not a second gate
+    c, floor, d_max = _error_model(scenario.config)  # information, not a second gate
     expected = c * np.finfo(float).eps * d_max * closed.times[-1] + floor
     write_text(None, [f"max |zeta_closed - zeta_oracle| = {max_err:.3e} over {len(closed)} points "
                       f"(tol {args.tol:g}): {'PASS' if ok else 'FAIL'}",

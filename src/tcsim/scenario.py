@@ -24,17 +24,19 @@ and ``_SECTIONS`` every other section's keys, each with its value type and
 the field it fills.  Each section builds, as it is read, the ``states``
 objects that check its values: [oscillator] its components, and every other
 section but [oracle] the object that ``Scenario`` holds.  So parsing reports
-the first section in table order with a bad value.  Parsing, the key checks,
-the CSV header written by ``Scenario.to_lines`` and its read-back by
-``scenario_from_header`` all read the tables.  Unknown sections or keys are
-rejected outright so typos cannot silently change a run.  The figure presets
-are one table, ``_PRESETS``.
+the first section in table order with a bad value.  The ``Scenario`` builds
+its ``SystemConfig`` once, when it is made, and holds it as ``config``;
+lambda1 > 0 is checked there, after every section is read.
+Parsing, the key checks, the CSV header written by ``Scenario.to_lines`` and
+its read-back by ``scenario_from_header`` all read the tables.  Unknown
+sections or keys are rejected outright so typos cannot silently change a run.
+The figure presets are one table, ``_PRESETS``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,26 +142,23 @@ class Scenario:
     oracle_enabled: bool = False
     oracle_omega: float = 0.0
     label: str = ""
+    config: SystemConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _kind(self.kind)
-        # the oscillator values, and omega with the oracle off too, are checked here so that
-        # no invalid value reaches a CSV header
-        _components(self.kind, self.params)
+        # checked here so that no bad value reaches a CSV header; omega with the oracle off too
+        object.__setattr__(self, "config", SystemConfig(_components(self.kind, self.params),
+                                                        self.environment, self.couplings, self.grid))
         object.__setattr__(self, "oracle_omega", check_finite(self.oracle_omega, "omega"))
 
     def oscillator_components(self) -> list[tuple[float, FockDistribution]]:
         """The oscillator preparation as (weight, pure distribution) pairs."""
-        return _components(self.kind, self.params)
-
-    def system_config(self) -> SystemConfig:
-        """The validated SystemConfig of this scenario."""
-        return SystemConfig(self.oscillator_components(), self.environment, self.couplings, self.grid)
+        return list(self.config.oscillator)
 
     def effective_n_max(self) -> int:
         """Oscillator support + 2, the oracle's exact truncation; the benchmark reports
         the dense dimension it gives as ``oracle.dim``."""
-        return required_n_max(self.system_config().support)
+        return required_n_max(self.config.support)
 
     def to_lines(self) -> list[str]:
         """Canonical scenario text, one `[section] key = value` per line.

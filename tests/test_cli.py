@@ -38,6 +38,7 @@ from tcsim.scenario import (
     scenario_from_header,
 )
 from tcsim.series import PHASE_LIMIT, TimeSeries
+from tcsim.states import TimeGrid, binomial_state
 
 GOOD_SCENARIO = """\
 [oscillator]
@@ -294,6 +295,48 @@ def test_a_bad_oscillator_value_is_reported_before_a_bad_grid(tmp_path, capsys):
     assert capsys.readouterr().err == "error: f = 1.5 must lie in [0, 1]\n"
 
 
+def test_a_zero_lambda1_is_rejected_when_the_scenario_is_built(tmp_path, capsys):
+    text = GOOD_SCENARIO.replace("lambda1 = 1.0", "lambda1 = 0")
+    message = r"^lambda1 must be positive for a nontrivial scenario$"
+    for read in (parse_scenario, lambda document: scenario_from_header(_as_header(document))):
+        with pytest.raises(ValidationError, match=message):
+            read(text)
+    path = tmp_path / "zero.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == "error: lambda1 must be positive for a nontrivial scenario\n"
+    # lambda1 > 0 is checked when the scenario is made, after every section is read, so
+    # a value of a later section that does not parse is reported first
+    path.write_text(text.replace("points = 3001", "points = abc"), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: [grid] points = 'abc' is not an integer\n"
+
+
+def test_the_held_config_follows_the_fields():
+    grid = TimeGrid(0.0, 5.0, 11)
+    sc = replace(preset("2c"), grid=grid)
+    assert sc.config.grid == grid
+    assert len(closed_series(sc)) == 11
+
+
+@pytest.mark.parametrize("args, builds", [
+    (["oracle-check", "{path}"], 2), (["oracle-check", "--preset", "6"], 1),
+    (["run", "{path}", "--out", "{out}"], 2),
+], ids=["oracle-check-file", "oracle-check-preset-6", "run-file"])
+def test_a_command_prepares_the_oscillator_state_once_per_scenario(tmp_path, monkeypatch, capsys, args,
+                                                                     builds):
+    # a document builds it twice: once when [oscillator] is read, before the later
+    # sections, and once when the Scenario, which holds it, is made
+    text = GOOD_SCENARIO.replace("kind = number\nN = 1", "kind = binomial\nM = 400\nq = 0.5")
+    path, out = tmp_path / "wide.ini", tmp_path / "wide.csv"
+    path.write_text(text.replace("points = 3001", "points = 11"), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr("tcsim.scenario.binomial_state", lambda *a: calls.append(a) or binomial_state(*a))
+    assert main([arg.format(path=path, out=out) for arg in args]) == 0
+    capsys.readouterr()
+    assert len(calls) == builds
+
+
 def test_header_rejects_a_repeated_key():
     header = _emitted_header(preset("2c"))
     with pytest.raises(ScenarioParseError, match=r"^\[couplings\] lambda2 appears twice in the header$"):
@@ -446,7 +489,7 @@ def test_phase_check_covers_only_the_blocks_the_closed_form_evaluates(tmp_path, 
     text = text.replace("enabled = true", "enabled = false")
     path, out = tmp_path / "wide.ini", tmp_path / "wide.csv"
     path.write_text(text, encoding="utf-8")
-    config = load_scenario(path).system_config()
+    config = load_scenario(path).config
     P, C = tc._density_bands(config)
     last = int(np.flatnonzero(P)[-1])
     assert last + (C[last] != 0.0) == 314
@@ -466,7 +509,7 @@ def test_phase_check_skips_the_blocks_of_a_branch_of_weight_zero(tmp_path, capsy
     text = text.replace("points = 3001", "points = 11").replace("enabled = true", "enabled = false")
     path, out = tmp_path / "pure.ini", tmp_path / "pure.csv"
     path.write_text(text, encoding="utf-8")
-    config = load_scenario(path).system_config()
+    config = load_scenario(path).config
     assert tc.spectral_params(0, config.couplings).d_plus * 2.8e15 < PHASE_LIMIT
     assert tc.spectral_params(1, config.couplings).d_plus * 2.8e15 >= PHASE_LIMIT
     assert main(["run", str(path), "--out", str(out)]) == 0
@@ -691,7 +734,7 @@ def test_oracle_check_d_max_is_that_of_the_block_above_the_cutoff_at_every_p(tmp
     path.write_text(GOOD_SCENARIO.replace("p = 0.5", f"p = {p}"), encoding="utf-8")
     assert main(["oracle-check", str(path)]) == 0
     assert "(d_max = 2.09579, t_max = 30)" in capsys.readouterr().out
-    couplings = load_scenario(path).system_config().couplings
+    couplings = load_scenario(path).config.couplings
     assert f"{tc.spectral_params(2, couplings).d_plus:.6g}" == "2.09579"
 
 

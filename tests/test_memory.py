@@ -39,7 +39,7 @@ def _layers(points: int, tmp_path) -> dict[str, int]:
     # figure 3's |1> at its 100 samples per unit time
     t_end = (points - 1) / 100
     sc = preset("3", t_end=t_end, points=points)
-    config = sc.system_config()
+    config = sc.config
     t = config.grid.times()
     closed = closed_series(sc)
     # preset 1, the vacuum/one-photon mixture that closed_series routes to jc,

@@ -727,7 +727,7 @@ def test_preset_grids_sample_zetas_fastest_line():
     measured = {}
     for preset_id in PRESET_IDS:
         sc = preset(preset_id)
-        freq, amp = zeta_lines(sc.system_config(), sc.oracle_omega)
+        freq, amp = zeta_lines(sc.config, sc.oracle_omega)
         step = (sc.grid.t_end - sc.grid.t_start) / (sc.grid.n_points - 1)
         strong = freq[line_shares(freq, amp) >= 0.01]
         fastest = (float(np.max(np.abs(f))) for f in (freq, strong))
