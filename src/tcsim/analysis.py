@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, WindowEmptyError
+from .errors import ValidationError
 from .series import TimeSeries
 
 __all__ = [
@@ -54,10 +54,10 @@ def find_revivals(series: TimeSeries, after: float = 0.0) -> RevivalReport:
     the trapezoidal mean over [after, end].
     """
     if len(series) < 3:
-        raise WindowEmptyError("need at least three samples to find local minima")
+        raise ValidationError("need at least three samples to find local minima")
     t, z = series.times, series.values
     if after >= t[-1]:
-        raise WindowEmptyError(f"window ({after}, {t[-1]}] is empty")
+        raise ValidationError(f"window ({after}, {t[-1]}] is empty")
     interior = (z[1:-1] < z[:-2]) & (z[1:-1] < z[2:])
     idx = np.nonzero(interior)[0] + 1
     idx = idx[t[idx] > after]
@@ -75,12 +75,12 @@ def time_average(series: TimeSeries, window: tuple[float, float]) -> float:
     of the strictly increasing times, so nothing is copied."""
     t0, t1 = window
     if not t1 > t0:  # also a NaN edge, which searchsorted would place after every time
-        raise WindowEmptyError(f"window ({t0}, {t1}) is empty")
+        raise ValidationError(f"window ({t0}, {t1}) is empty")
     t, z = series.times, series.values
     inside = slice(np.searchsorted(t, t0, side="left"), np.searchsorted(t, t1, side="right"))
     tw, zw = t[inside], z[inside]
     if tw.size < 2:
-        raise WindowEmptyError(f"window ({t0}, {t1}) holds fewer than two samples")
+        raise ValidationError(f"window ({t0}, {t1}) holds fewer than two samples")
     return float(np.trapezoid(zw, tw) / (tw[-1] - tw[0]))
 
 
@@ -94,7 +94,7 @@ def dominant_frequencies(series: TimeSeries, count: int) -> SpectrumReport:
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count!r}")
-    dt = series.step()  # raises NonuniformGridError on ragged grids
+    dt = series.step()  # raises ValidationError on ragged grids
     values = series.values - series.values.mean()
     mag = np.abs(np.fft.rfft(values))
     d_omega = 2.0 * np.pi / (len(series) * dt)

@@ -251,10 +251,10 @@ def cmd_oracle_check(args) -> int:
 def _header_lines(path: Path) -> int | None:
     """The number of lines before the first data row of ``path``, that is before its first
     line that is not blank and does not start with ``#`` or ``t,``; None if there is none.
-    The file is read as numpy reads it, UTF-8 with universal newlines, so numpy's
-    ``skiprows`` skips the same lines.  A file that cannot be read twice, as a pipe, raises
-    OSError, since numpy opens it again."""
-    with path.open(encoding="utf-8") as f:
+    The file is read as numpy reads it, UTF-8 with universal newlines and a leading
+    byte-order mark skipped, so numpy's ``skiprows`` skips the same lines.  A file that
+    cannot be read twice, as a pipe, raises OSError, since numpy opens it again."""
+    with path.open(encoding="utf-8-sig") as f:
         if not f.seekable():
             raise io.UnsupportedOperation("underlying stream is not seekable")
         for count, line in enumerate(f):
@@ -307,7 +307,7 @@ def _bad_row(path: Path, skip: int) -> str | None:
     row messages count; None if none is found.  Called only after numpy has failed, since
     it reads the file again."""
     try:
-        with path.open(encoding="utf-8", errors="replace") as f:
+        with path.open(encoding="utf-8-sig", errors="replace") as f:
             row = 0
             for line in itertools.islice(f, skip, None):
                 text = line.rstrip("\n").partition("#")[0]
@@ -341,11 +341,11 @@ def _load_csv(path: Path) -> TimeSeries:
     try:
         skip = _header_lines(path)
         if skip is not None:
-            with (path.open(encoding="utf-8") if path.suffix in _COMPRESSED_SUFFIXES
+            with (path.open(encoding="utf-8-sig") if path.suffix in _COMPRESSED_SUFFIXES
                   else nullcontext(path)) as source:
                 times, values = np.loadtxt(source, delimiter=",", usecols=(0, 1), ndmin=2,
                                            unpack=True, comments="#", skiprows=skip,
-                                           encoding="utf-8")
+                                           encoding="utf-8-sig")
     except UnicodeDecodeError as exc:  # caught before ValueError, its base
         raise ScenarioParseError(f"cannot read {path}: {_undecodable(path, exc)}") from exc
     except OSError as exc:

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import EigendecompositionError, TruncationError, ValidationError
+from .errors import ValidationError
 from .series import TimeSeries, check_integer, check_phase
 from .states import Couplings, FockDistribution, SystemConfig, required_n_max
 
@@ -172,12 +172,12 @@ def initial_density(config: SystemConfig, n_max: int) -> np.ndarray:
     The system qubit starts excited; the environment qubit is excited with
     probability p and ground otherwise.  The oscillator is prepared as the
     mixture ``config.oscillator`` of (weight, FockDistribution) pairs.  An
-    ``n_max`` below ``required_n_max`` of its support raises TruncationError.
+    ``n_max`` below ``required_n_max`` of its support raises ValidationError.
     """
     n_max = check_integer(n_max, 0, _N_MAX)
     support = config.support
     if n_max < required_n_max(support):
-        raise TruncationError(f"n_max = {n_max} too small; oscillator support {support} needs "
+        raise ValidationError(f"n_max = {n_max} too small; oscillator support {support} needs "
                               f"n_max >= {required_n_max(support)}")
     dim = 4 * (n_max + 1)
     rho = np.zeros((dim, dim), dtype=complex)
@@ -207,15 +207,15 @@ class Propagator:
     def __init__(self, h: np.ndarray):
         h = np.asarray(h)
         if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-            raise EigendecompositionError(f"expected square matrices, got shape {h.shape}")
+            raise ValidationError(f"expected square matrices, got shape {h.shape}")
         scale = np.maximum(np.abs(h).max(axis=(-2, -1)), 1.0)
         asymmetry = np.abs(h - _adjoint(h)).max(axis=(-2, -1))
         if not np.all(asymmetry <= _HERMITICITY_TOL * scale):
-            raise EigendecompositionError("matrix is not Hermitian")
+            raise ValidationError("matrix is not Hermitian")
         try:
             self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
-            raise EigendecompositionError(str(exc)) from exc
+            raise ValidationError(str(exc)) from exc
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-iHt) for each matrix of the stack.  A phase E * t past

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProbabilityError, NonuniformGridError, ValidationError
+from .errors import ValidationError
 
 # A frequency carries a rounding error of order eps relative, so a phase
 # frequency * t past 1/eps has no significant digit left.
@@ -49,15 +49,15 @@ def check_times(t) -> np.ndarray:
     return t
 
 
-def check_integer(value, least: int, message: str, error: type = ValidationError) -> int:
+def check_integer(value, least: int, message: str) -> int:
     """``value`` as an int if it is an integer >= ``least``; otherwise raise
-    ``error(message.format(value))``, also for NaN, infinities and None."""
+    ``ValidationError(message.format(value))``, also for NaN, infinities and None."""
     try:
         if int(value) == value and value >= least:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise error(message.format(value))
+    raise ValidationError(message.format(value))
 
 
 def check_finite(value, name: str) -> float:
@@ -70,9 +70,9 @@ def check_finite(value, name: str) -> float:
 
 def check_probability(value, name: str) -> float:
     """``value`` as a float if it is a real number in [0, 1]; otherwise raise
-    InvalidProbabilityError naming it ``name``, also for NaN and infinities."""
+    ValidationError naming it ``name``, also for NaN and infinities."""
     if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
-        raise InvalidProbabilityError(f"{name} = {value!r} must lie in [0, 1]")
+        raise ValidationError(f"{name} = {value!r} must lie in [0, 1]")
     return float(value)
 
 
@@ -117,20 +117,21 @@ class TimeSeries:
 
         Raises
         ------
-        NonuniformGridError
-            If the spacing varies by more than ``STEP_RTOL`` relative to its mean.
+        ValidationError
+            If there are fewer than two samples, or if the spacing varies
+            by more than ``STEP_RTOL`` relative to its mean.
             The message names the step farthest from the mean: with one gap
             in an otherwise uniform grid every step is off the mean, but
             only the gap is far from it.
         """
         if len(self) < 2:
-            raise NonuniformGridError("need at least two samples to define a step")
+            raise ValidationError("need at least two samples to define a step")
         steps = np.diff(self.times)
         mean = steps.mean()
         deviation = steps - mean
         i = int(np.argmax(np.abs(deviation, out=deviation)))
         if abs(steps[i] - mean) > STEP_RTOL * mean:
-            raise NonuniformGridError(
+            raise ValidationError(
                 f"time grid is not uniform: step {i} at t = {self.times[i]:g} is "
                 f"{float(steps[i])!r}, the mean step is {float(mean)!r}"
             )

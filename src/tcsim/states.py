@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyTimeGridError,
-    FanoUndefinedError,
-    UnnormalizedDistributionError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .series import check_finite, check_integer, check_probability
 
 # Norm drift below this is treated as rounding and silently repaired;
@@ -57,12 +52,12 @@ class FockDistribution:
         # past 1 + NORM_DRIFT_LIMIT puts the norm^2 past it as well
         peak = float(np.max(np.abs(amps)))
         if peak > 1.0 + NORM_DRIFT_LIMIT:
-            raise UnnormalizedDistributionError(
+            raise ValidationError(
                 f"amplitude {peak!r} exceeds 1 by more than {NORM_DRIFT_LIMIT}"
             )
         norm_sq = float(np.dot(amps, amps))
         if abs(norm_sq - 1.0) > NORM_DRIFT_LIMIT:
-            raise UnnormalizedDistributionError(
+            raise ValidationError(
                 f"amplitude norm^2 = {norm_sq!r} differs from 1 by more than "
                 f"{NORM_DRIFT_LIMIT}"
             )
@@ -134,13 +129,12 @@ class TimeGrid:
         except TypeError:  # not a real number, as None or "1"
             finite = False
         if not finite:
-            raise EmptyTimeGridError("grid endpoints must be finite")
+            raise ValidationError("grid endpoints must be finite")
         if self.t_start < 0 or self.t_end <= self.t_start:
-            raise EmptyTimeGridError(
+            raise ValidationError(
                 f"need t_end > t_start >= 0, got [{self.t_start}, {self.t_end}]"
             )
-        n_points = check_integer(self.n_points, 2, "n_points = {!r} must be an integer >= 2",
-                                 EmptyTimeGridError)
+        n_points = check_integer(self.n_points, 2, "n_points = {!r} must be an integer >= 2")
         object.__setattr__(self, "t_start", float(self.t_start))
         object.__setattr__(self, "t_end", float(self.t_end))
         object.__setattr__(self, "n_points", n_points)
@@ -269,12 +263,12 @@ def fano_factor(dist: FockDistribution) -> float:
 
     Raises
     ------
-    FanoUndefinedError
+    ValidationError
         For a vacuum-only distribution, where the mean excitation is zero.
     """
     mean = dist.mean_excitation()
     if mean == 0.0:
-        raise FanoUndefinedError("Fano factor is undefined at zero mean excitation")
+        raise ValidationError("Fano factor is undefined at zero mean excitation")
     return dist.excitation_variance() / mean
 
 
@@ -282,8 +276,8 @@ def validate(config: SystemConfig) -> SystemConfig:
     """Re-run every invariant check and return a clean configuration.
 
     Amplitude norm drift below ``NORM_DRIFT_LIMIT`` is repaired; anything
-    larger raises ``UnnormalizedDistributionError``.  Probability and grid
-    violations raise their specific errors.
+    larger, and any probability or grid violation, raises
+    ``ValidationError``.
     """
     return SystemConfig(
         oscillator=[(w, FockDistribution(np.array(dist.amplitudes))) for w, dist in config.oscillator],

@@ -28,7 +28,7 @@ from tcsim.cli import (
     svg_lines,
     write_text,
 )
-from tcsim.errors import InvalidProbabilityError, ScenarioParseError, ValidationError
+from tcsim.errors import ScenarioParseError, ValidationError
 from tcsim.scenario import (
     PRESET_IDS,
     Scenario,
@@ -259,7 +259,7 @@ def test_scenario_errors_name_the_section_and_key(old, new, message):
 def test_a_probability_out_of_range_is_rejected_at_parse():
     text = GOOD_SCENARIO.replace("p = 0.5", "p = 1.5")
     for read in (parse_scenario, lambda document: scenario_from_header(_as_header(document))):
-        with pytest.raises(InvalidProbabilityError, match=r"^p = 1\.5 must lie in \[0, 1\]$"):
+        with pytest.raises(ValidationError, match=r"^p = 1\.5 must lie in \[0, 1\]$"):
             read(text)
 
 
@@ -272,17 +272,16 @@ def test_the_first_section_in_error_is_reported(tmp_path, capsys):
     assert capsys.readouterr().err == "error: p = 2.0 must lie in [0, 1]\n"
 
 
-@pytest.mark.parametrize("kind, key, value, error, message", [
-    ("number", "N", -3, ValidationError, r"^number state index must be a non-negative integer, got -3$"),
-    ("mixture01", "f", 1.5, InvalidProbabilityError, r"^f = 1\.5 must lie in \[0, 1\]$"),
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("number", "N", -3, r"^number state index must be a non-negative integer, got -3$"),
+    ("mixture01", "f", 1.5, r"^f = 1\.5 must lie in \[0, 1\]$"),
 ], ids=["number N = -3", "mixture01 f = 1.5"])
-def test_an_oscillator_value_out_of_range_is_rejected_when_the_scenario_is_built(kind, key, value, error,
-                                                                                   message):
+def test_an_oscillator_value_out_of_range_is_rejected_when_the_scenario_is_built(kind, key, value, message):
     text = GOOD_SCENARIO.replace("kind = number\nN = 1", f"kind = {kind}\n{key} = {value}")
     for read in (parse_scenario, lambda document: scenario_from_header(_as_header(document))):
-        with pytest.raises(error, match=message):
+        with pytest.raises(ValidationError, match=message):
             read(text)
-    with pytest.raises(error, match=message):  # so that to_lines never writes the value
+    with pytest.raises(ValidationError, match=message):  # so that to_lines never writes the value
         replace(preset("2c"), kind=kind, params=((key, value),))
 
 
@@ -965,7 +964,10 @@ def test_load_csv_reads_back_every_preset_bit_for_bit(tmp_path, preset_id, oracl
     "\r# a\rt,zeta\r0,0.25\r1,0.125\r",
     "  # a\n   \n  t,zeta \n 0 , 0.25 \n1 ,0.125  \n",
     "t,zeta\n0,0.25\n\n# a\n1,0.125 # b\n",
-], ids=["blank and # lines first", "CRLF", "CR", "spaces", "empty and # lines among the rows"])
+    "\ufeff# a\nt,zeta\n0,0.25\n1,0.125\n",
+    "\ufeff0,0.25\n1,0.125\n",
+], ids=["blank and # lines first", "CRLF", "CR", "spaces", "empty and # lines among the rows",
+        "byte-order mark before the header", "byte-order mark before a data row"])
 def test_load_csv_reads_header_variants(tmp_path, text):
     path = tmp_path / "variant.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -1016,6 +1018,32 @@ def test_analyze_names_the_file_offset_of_undecodable_bytes(tmp_path, capsys, ta
     path.write_bytes(data)
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err == f"error: cannot read {path}: {whole.value}\n"
+
+
+def test_load_csv_skips_a_byte_order_mark_in_a_file_named_like_a_compressed_one(tmp_path):
+    # such a file goes to numpy as an open text file rather than as a path
+    assert main(["figure", "2c", "--points", "101", "--out-dir", str(tmp_path)]) == 0
+    plain = _load_csv(tmp_path / "fig2c.csv")
+    path = tmp_path / "bom.csv.gz"
+    path.write_bytes(codecs.BOM_UTF8 + (tmp_path / "fig2c.csv").read_bytes())
+    series = _load_csv(path)
+    assert np.array_equal(series.times, plain.times)
+    assert np.array_equal(series.values, plain.values)
+
+
+def test_a_bad_first_row_after_a_byte_order_mark_is_named_without_the_mark(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"abc,0.25\n1,0.125\n")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: data row 1 of {path}, column 1, is not a number: 'abc'\n"
+
+
+def test_analyze_counts_an_undecodable_byte_after_a_byte_order_mark_from_the_first_byte(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"0,0.1\n1,0.2\n\xff\n")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                                       f"in position 15: invalid start byte\n")
 
 
 @pytest.mark.parametrize("argv", [

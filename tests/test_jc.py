@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import branch_amplitudes_bruteforce
-from tcsim.errors import InvalidProbabilityError, ValidationError
+from tcsim.errors import ValidationError
 from tcsim.jc import jc_amplitudes, jc_mixture_entropy, jc_number_entropy
 from tcsim.oracle import oracle_entropy_series
 from tcsim.series import PHASE_LIMIT
@@ -128,7 +128,7 @@ def test_mixture_entropy_scalar_values():
 
 
 def test_mixture_entropy_rejects_bad_fraction():
-    with pytest.raises(InvalidProbabilityError, match=r"^f = 1\.5 must lie in \[0, 1\]$"):
+    with pytest.raises(ValidationError, match=r"^f = 1\.5 must lie in \[0, 1\]$"):
         jc_mixture_entropy(1.5, 1.0, 0.0)
     with pytest.raises(ValidationError, match="coupling must be positive, got -1.0"):
         jc_mixture_entropy(0.5, -1.0, 0.0)

@@ -13,7 +13,7 @@ import tcsim
 from conftest import basis_vector, full_index, line_shares, zeta_lines
 from tcsim import oracle
 from tcsim.analysis import time_average
-from tcsim.errors import EigendecompositionError, TruncationError, ValidationError
+from tcsim.errors import ValidationError
 from tcsim.jc import jc_mixture_entropy, jc_number_entropy
 from tcsim.oracle import (
     Propagator,
@@ -206,7 +206,7 @@ def test_initial_density_supports_vacuum_one_photon_mixture():
 
 def test_truncation_guard():
     assert required_n_max(1) == 3
-    with pytest.raises(TruncationError):
+    with pytest.raises(ValidationError, match=r"^n_max = 2 too small; oscillator support 1 needs n_max >= 3$"):
         initial_density(_config(number_state(1), 0.5), n_max=2)
 
 
@@ -236,14 +236,14 @@ def test_evolve_preserves_density_matrix_structure():
 
 
 def test_propagator_rejects_non_hermitian():
-    with pytest.raises(EigendecompositionError):
+    with pytest.raises(ValidationError, match="^matrix is not Hermitian$"):
         Propagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
     # the check runs per block: a large Hermitian block does not excuse a
     # small asymmetric one
     stack = np.array([[[1e6, 0.0], [0.0, 1e6]], [[0.0, 1e-6], [0.0, 0.0]]])
-    with pytest.raises(EigendecompositionError):
+    with pytest.raises(ValidationError, match="^matrix is not Hermitian$"):
         Propagator(stack)
-    with pytest.raises(EigendecompositionError):
+    with pytest.raises(ValidationError, match=r"^expected square matrices, got shape \(2, 3\)$"):
         Propagator(np.ones((2, 3)))
 
 

@@ -3,7 +3,8 @@ resolves; the package root resolves its names on first access.  ``perfbench/span
 attribute and ``perfbench/harness.py`` calls a few ``cli`` and ``Scenario``
 names directly, so removing or renaming one of them breaks the benchmark
 without breaking any other test.  No module of the package reads another
-module's private names."""
+module's private names, and ``tcsim.errors`` defines one exception class per
+exit code."""
 
 import ast
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import tcsim
-from tcsim import analysis, cli, oracle, scenario, tc
+from tcsim import analysis, cli, errors, oracle, scenario, tc
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,6 +42,13 @@ def test_names_the_benchmark_harness_calls_resolve():
     assert all(hasattr(cli, name) for name in HARNESS_CLI_NAMES)
     assert callable(scenario.Scenario.effective_n_max)
     assert callable(scenario.Scenario.oscillator_components)
+
+
+def test_the_errors_module_defines_one_class_per_exit_code():
+    # ScenarioParseError exits 2 and ValidationError 3; every tcsim error is one of them
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    assert defined == {"ValidationError", "ScenarioParseError"}
 
 
 def test_dir_of_the_package_lists_every_exported_name():
