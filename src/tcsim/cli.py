@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import io
 import itertools
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext, suppress
@@ -97,7 +99,7 @@ def oracle_series(scenario: Scenario) -> TimeSeries:
     return oracle.oracle_entropy_series(scenario.config, omega=scenario.oracle_omega)
 
 
-_CSV_BLOCK_ROWS = 4096  # rows per % operation, so the temporary table and tuple stay small
+_CSV_BLOCK_ROWS = 4096  # rows per formatted block, so the temporary arrays and text stay small
 
 
 def _blocks(columns: list[np.ndarray], field: str, sep: str) -> Iterator[str]:
@@ -109,18 +111,162 @@ def _blocks(columns: list[np.ndarray], field: str, sep: str) -> Iterator[str]:
         yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
 
 
+# A CSV field is laid out in a slot of 32 bytes, four uint64 words: seven "0"s, the 17
+# significant digits, eight "0"s.  For a decimal exponent X the point goes at byte 7 + X; the
+# bytes before it are taken one byte to the left (the integer digits, or for X < 0 the "0"
+# before the point), those after it where they stand, up to the last digit that is not a
+# trailing zero.  Every other byte is 0, and byte 31 holds the field's separator.
+_SLOT_DIGITS = 7  # the byte of the first digit
+
+
+@functools.cache
+def _slot_tables() -> tuple[np.ndarray, ...]:
+    """The tables of ``_field_text``, built on first use: the ASCII of 0000-9999 as uint32, the
+    number of trailing zeros of each, and three byte masks of a slot as (525, 4) uint64, one
+    row for each decimal exponent X in [-4, 16] and end byte e in [0, 25), row 25 (X + 4) + e:
+    ``lead``, the bytes before the point; ``tail``, those after it and before e; ``point``,
+    the point where e is past it."""
+    a, b, c, d = np.ix_(*[np.arange(10, dtype=np.uint32)] * 4)  # the digits of 0000-9999
+    quads = (a + 48 | b + 48 << 8 | c + 48 << 16 | d + 48 << 24).ravel().astype("<u4")  # ASCII
+    zero = d == 0
+    zeros = zero.astype(np.uint8)
+    for digit in (c, b, a):
+        zero = zero & (digit == 0)
+        zeros = zeros + zero
+    byte = np.arange(32)
+    exponent = np.arange(-4, 17).repeat(25)[:, None]
+    end = np.tile(np.arange(25), 21)[:, None]
+    point = _SLOT_DIGITS + exponent
+
+    def words(mask, value=0xFF):
+        return (mask * value).astype(np.uint8).view(np.uint64)
+
+    lead = words((byte >= _SLOT_DIGITS - 1 + np.minimum(exponent, 0)) & (byte < point))
+    return (quads, zeros.ravel(), lead, words((byte > point) & (byte < end)),
+            words((byte == point) & (byte < end), ord(".")))
+
+
+@functools.cache
+def _powers_of_five() -> np.ndarray:
+    """5**s for s in [0, 21], built on first use."""
+    return 5 ** np.arange(22, dtype=np.uint64)
+
+
+def _round_scaled(mant: np.ndarray, exp2: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """mant 2**exp2 10**s rounded half to even, exactly, for uint64 mant < 2**53 and s in
+    [0, 21] where the result is below 2**64: mant 5**s, below 2**102, is formed in two uint64
+    limbs from 32-bit partial products, then shifted by exp2 + s."""
+    u32, low32 = np.uint64(32), np.uint64(2**32 - 1)
+    five = _powers_of_five()[s]
+    m_hi, m_lo, f_hi, f_lo = mant >> u32, mant & low32, five >> u32, five & low32
+    low = m_lo * f_lo
+    mid = m_lo * f_hi + m_hi * f_lo  # below 2**54
+    lo = low + (mid << u32)
+    hi = m_hi * f_hi + (mid >> u32) + (lo < low)  # with the carry out of lo
+    shift = exp2 + s
+    right = np.maximum(-shift, 0).astype(np.uint64)  # hi is 0 wherever right is 0
+    left = np.maximum(shift, 0).astype(np.uint64)
+    one = np.uint64(1)
+    digits = (hi << (np.uint64(63) - right) << one | lo >> right) << left
+    twice = (lo & (one << right) - one) << one  # twice the remainder, against one unit
+    unit = one << right
+    return digits + ((twice > unit) | (twice == unit) & (digits & one == one))
+
+
+def _fixed_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, exponent, fixed) of ``values``.  ``fixed`` marks the values in [1e-4, 1e17), those
+    ``%.17g`` writes in fixed notation; for each, ``digits`` is its 17 significant digits,
+    rounded half to even as ``%.17g`` rounds them, as an integer in [10**16, 10**17), and
+    ``exponent`` its decimal exponent.  Both are 0 elsewhere."""
+    fixed = (values >= 1e-4) & (values < 1e17)  # and so neither nan nor negative
+    bits = np.where(fixed, values, 2.0).view(np.uint64)  # 2.0: any value in range
+    mant = bits & np.uint64(2**52 - 1) | np.uint64(2**52)
+    exp2 = (bits >> np.uint64(52)).astype(np.intp) - 1075  # value = mant 2**exp2
+    # never above the exponent, whatever log10's last bit: where it is one below, the digits
+    # reach 10**17, and they are formed once more one exponent up
+    exponent = np.floor(np.log10(bits.view(np.float64)) - 1e-9).astype(np.intp)
+    digits = _round_scaled(mant, exp2, 16 - exponent)
+    low = np.flatnonzero(digits >= 10**17)
+    exponent[low] += 1
+    digits[low] = _round_scaled(mant[low], exp2[low], 16 - exponent[low])
+    fixed &= (digits >= 10**16) & (digits < 10**17)
+    digits[~fixed] = 0
+    exponent[~fixed] = 0
+    return digits, exponent, fixed
+
+
+def _field_text(values: np.ndarray) -> np.ndarray:
+    """The (n, 32) uint8 slots of the ``%.17g`` text of ``values``, their separators left 0.
+    The values ``%.17g`` writes in fixed notation are laid out from their digits (see
+    ``_SLOT_DIGITS``) and +0.0 as "0"; the others, -0.0, negative, non-finite or outside
+    [1e-4, 1e17), are formatted with ``%`` one at a time."""
+    quads, zeros, lead, tail, point = _slot_tables()
+    digits, exponent, fixed = _fixed_digits(values)
+    e8 = np.uint64(10**8)
+    high = digits // e8
+    head = high // e8
+    parts = [head]  # the leading digit, then four groups of four
+    for eight in (high - head * e8, digits - high * e8):
+        upper = eight // np.uint64(10**4)
+        parts += [upper, eight - upper * np.uint64(10**4)]
+    # uint32 words: "0000", "000" and the leading digit, the four groups, "0000", "0000"
+    slots = np.full((len(values), 8), quads[0], quads.dtype)
+    trailing = 0  # the zeros at the end of the digits
+    for i, part in enumerate(parts):
+        part = part.astype(np.intp)
+        slots[:, i + 1] = quads[part]
+        if i:
+            trailing = np.where(part == 0, trailing + 4, zeros[part])
+    significant = 17 - trailing
+    # the text ends after the last significant digit, or before the point if that digit is
+    # an integer digit
+    end = np.where(significant > exponent + 1, _SLOT_DIGITS + significant, _SLOT_DIGITS + exponent)
+    row = 25 * (exponent + 4) + end
+    text = slots.view(np.uint8).ravel()
+    shifted = np.empty_like(text)
+    shifted[:-1] = text[1:]
+    slots, shifted = slots.view(np.uint64), shifted.view(np.uint64).reshape(-1, 4)
+    shifted &= np.take(lead, row, axis=0)
+    slots &= np.take(tail, row, axis=0)
+    slots |= np.take(point, row, axis=0)
+    slots |= shifted
+    text = slots.view(np.uint8)
+    other = np.flatnonzero(~fixed & ((values != 0.0) | np.signbit(values)))
+    if other.size:
+        fields = np.array(["%.17g" % value for value in values[other].tolist()], dtype="S24")
+        text[other, :24] = fields.view(np.uint8).reshape(-1, 24)
+    return text
+
+
+def _csv_block(columns: list[np.ndarray]) -> str:
+    """The rows of the equal-length ``columns`` as comma-joined fields, newline-joined: the text
+    ``"%.17g" % value`` gives each field.  The fields are laid out in one (rows, columns, 32)
+    buffer, a column at a time, and the bytes that are not 0 are its text."""
+    text = np.empty((len(columns[0]), len(columns), 32), np.uint8)
+    for i, column in enumerate(columns):
+        text[:, i] = _field_text(column)
+    text[:, :, -1] = ord(",")
+    text[:, -1, -1] = ord("\n")
+    text[-1, -1, -1] = 0
+    text = text.ravel()
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def csv_lines(scenario: Scenario, closed: TimeSeries, checked: TimeSeries | None) -> Iterator[str]:
     """``#`` scenario lines, the column header, then the ``%.17g`` rows (which read back to
     the same doubles) in strings of ``_CSV_BLOCK_ROWS`` newline-joined rows.  A generator:
-    each block is formatted when it is asked for, so a caller that writes the lines as they
-    come, as ``write_text`` does, holds one block of text at a time.  It is consumed once."""
-    columns = {"t": closed.times, "zeta": closed.values}
-    if checked is not None:
-        columns.update(zeta_oracle=checked.values, abs_err=np.abs(closed.values - checked.values))
+    each block, its ``abs_err`` column included, is formed when it is asked for, so a caller
+    that writes the lines as they come, as ``write_text`` does, holds one block at a time.
+    It is consumed once."""
     for entry in scenario.to_lines():
         yield f"# {entry}"
-    yield ",".join(columns)
-    yield from _blocks(list(columns.values()), "%.17g", "\n")
+    yield "t,zeta" if checked is None else "t,zeta,zeta_oracle,abs_err"
+    for start in range(0, len(closed), _CSV_BLOCK_ROWS):
+        rows = slice(start, start + _CSV_BLOCK_ROWS)
+        columns = [closed.times[rows], closed.values[rows]]
+        if checked is not None:
+            columns += [checked.values[rows], np.abs(columns[1] - checked.values[rows])]
+        yield _csv_block(columns)
 
 
 def write_text(path: Path | None, lines: Iterable[str]) -> None:
@@ -202,6 +348,9 @@ def cmd_run(args) -> int:
         raise ScenarioParseError(f"cannot write {out}: {exc}") from exc
     if args.svg and svg_path == out:
         raise ScenarioParseError(f"--svg would write the plot over the CSV {out}")
+    for path in (out, svg_path):  # neither output may replace the scenario it is made from
+        if path is not None and os.path.realpath(path) == os.path.realpath(args.scenario):
+            raise ScenarioParseError(f"cannot write {path} over the scenario file {args.scenario}")
     return _run_scenario(scenario, out, svg_path, title=f"scenario {args.scenario}")
 
 

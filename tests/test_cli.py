@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import tcsim.tc as tc
 from tcsim.cli import (
     _CSV_BLOCK_ROWS,
+    _csv_block,
     _load_csv,
     closed_series,
     csv_lines,
@@ -547,6 +548,22 @@ def test_run_svg_refuses_to_overwrite_the_csv(tmp_path, capsys):
     assert str(out) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, out, flags", [
+    ("sc.ini", "sc.ini", []),
+    ("sc.ini", "{tmp}/sc.ini", []),  # the same file under another name
+    ("sc.ini", "link.csv", []),  # a symbolic link to it
+    ("sc.svg", "sc.csv", ["--svg"]),  # the plot's name
+])
+def test_run_refuses_to_write_over_the_scenario_file(tmp_path, monkeypatch, capsys, scenario, out, flags):
+    monkeypatch.chdir(tmp_path)
+    Path(scenario).write_text(GOOD_SCENARIO, encoding="utf-8")
+    Path("link.csv").symlink_to(scenario)
+    assert main(["run", scenario, "--out", out.format(tmp=tmp_path), *flags]) == 2
+    assert Path(scenario).read_text(encoding="utf-8") == GOOD_SCENARIO
+    assert not Path("sc.csv").exists()
+    assert f"over the scenario file {scenario}" in capsys.readouterr().err
+
+
 def test_run_svg_escapes_the_title(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("R&D<1>.ini").write_text(GOOD_SCENARIO.replace("points = 3001", "points = 11"), encoding="utf-8")
@@ -630,6 +647,63 @@ def test_awkward_doubles_match_a_per_field_reference_across_blocks():
     blocks = lines[len(preset("2c").to_lines()) + 1:]
     assert len(blocks) == 3
     assert "\n".join(blocks).split("\n") == _reference_body([times, values])
+
+
+def _and_neighbours(x):
+    """``x`` and the doubles one ulp below and above it."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# 17-digit fields at the edges of their formatting: signed zeros, the smallest subnormal and
+# normal, the largest double, the two ends of fixed notation (the vectorised path), every
+# power of ten from 1e-12 to 1e17 and 2**53, each with its neighbours
+_EDGE_VALUES = np.array([
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    *_and_neighbours(1e-4), *_and_neighbours(1e17), *_and_neighbours(2.0**53),
+    *(x for k in range(-12, 18) for x in _and_neighbours(float(f"1e{k}"))),
+])
+
+
+def test_csv_fields_at_the_edges_match_percent_formatting():
+    columns = [_EDGE_VALUES, _EDGE_VALUES[::-1], -_EDGE_VALUES]
+    assert _csv_block(columns).split("\n") == _reference_body(columns)
+
+
+@pytest.mark.parametrize("fraction", [0.25, 0.75])
+def test_csv_fields_round_exact_ties_half_to_even(fraction):
+    # n has 16 digits, so n + 1/4 and n + 3/4 are ties at the 17th: .2|5 rounds down to the
+    # even 2 and .7|5 up to the even 8
+    n = np.random.default_rng(7).integers(2**50, 2**51, _CSV_BLOCK_ROWS)
+    ties = np.concatenate([[2.0**50, 2.0**51 - 1], n]) + fraction
+    assert _csv_block([ties]).split("\n") == ["%.17g" % x for x in ties]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                          st.floats(min_value=1e-4, max_value=1e17)), min_size=1, max_size=40))
+def test_csv_fields_match_percent_formatting(values):
+    assert _csv_block([np.array(values)]).split("\n") == ["%.17g" % x for x in values]
+
+
+def test_csv_fields_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    if not __cpu_dispatch__:
+        pytest.skip("this numpy build dispatches to no SIMD target")
+    values = np.concatenate([_EDGE_VALUES, 10 ** np.random.default_rng(3).uniform(-5, 17.5, 20_000)])
+    np.save(tmp_path / "values.npy", values)
+    # the child fails unless the targets are off, so that the test cannot pass vacuously
+    script = ("import sys; import numpy as np; "
+              "from numpy._core._multiarray_umath import __cpu_features__; "
+              "from tcsim.cli import _csv_block; "
+              "assert not any(__cpu_features__[target] for target in sys.argv[2:]); "
+              "sys.stdout.write(_csv_block([np.load(sys.argv[1])]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "values.npy"), *__cpu_dispatch__],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == _csv_block([values])
+    assert done.stdout.split("\n") == ["%.17g" % x for x in values]
 
 
 def test_csv_and_svg_lines_are_iterators():

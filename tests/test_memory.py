@@ -3,7 +3,8 @@
 Each layer keeps an output that grows with the grid: the closed form its
 zeta array (on the general route and on preset 1's jc route), the reader its
 two columns, ``tcsim figure`` the times and values of its series.  The CSV
-writer keeps none: it writes each block of text as it is formatted.  What a
+writer keeps none: it writes each block of text as it is formatted, with the
+oracle's two columns too, whose ``abs_err`` it forms a block at a time.  What a
 layer allocates beyond its output must stay under one bound of a few MB at
 25,001 and at 250,001 points, and grow by less than one grid-sized array of
 doubles between the two: the layers walk the grid in chunks and blocks, and
@@ -17,7 +18,7 @@ import tracemalloc
 import numpy as np
 
 from tcsim import jc, tc
-from tcsim.cli import _load_csv, closed_series, csv_lines, main, write_text
+from tcsim.cli import _load_csv, closed_series, csv_lines, main, oracle_series, write_text
 from tcsim.scenario import preset
 
 _BOUND = 3 * 2**20
@@ -42,6 +43,7 @@ def _layers(points: int, tmp_path) -> dict[str, int]:
     config = sc.config
     t = config.grid.times()
     closed = closed_series(sc)
+    checked = oracle_series(sc)
     # preset 1, the vacuum/one-photon mixture that closed_series routes to jc,
     # on the same grid
     mixture = preset("1", t_end=t_end, points=points)
@@ -56,6 +58,8 @@ def _layers(points: int, tmp_path) -> dict[str, int]:
             lambda: jc.jc_mixture_entropy(dict(mixture.params)["f"], mixture.couplings.lambda1, t),
             lambda zeta: zeta.nbytes),
         "CSV write": _working_bytes(lambda: write_text(path, csv_lines(sc, closed, None)), lambda _: 0),
+        "CSV write with the oracle": _working_bytes(
+            lambda: write_text(tmp_path / f"{points}-oracle.csv", csv_lines(sc, closed, checked)), lambda _: 0),
         "CSV read": _working_bytes(lambda: _load_csv(path),
                                    lambda series: series.times.nbytes + series.values.nbytes),
         "figure": _working_bytes(lambda: main(figure), lambda _: series_bytes),

@@ -31,6 +31,19 @@ def test_readme_scenario_document_parses():
     assert (sc.oracle_enabled, sc.oracle_omega, sc.effective_n_max()) == (True, 0.0, 13)
 
 
+def test_readme_scenario_document_runs_to_a_csv_of_percent_formatted_fields(tmp_path):
+    # four columns with the oracle's, which no pinned digest covers
+    [document] = _fenced("ini")
+    (tmp_path / "readme.ini").write_text(document, encoding="utf-8")
+    assert tcsim.cli.main(["run", str(tmp_path / "readme.ini"), "--out", str(tmp_path / "readme.csv")]) == 0
+    sc = parse_scenario(document, label=str(tmp_path / "readme.ini"))
+    closed, checked = tcsim.cli.closed_series(sc), tcsim.cli.oracle_series(sc)
+    rows = zip(closed.times, closed.values, checked.values, abs(closed.values - checked.values))
+    expected = [f"# {entry}" for entry in sc.to_lines()] + ["t,zeta,zeta_oracle,abs_err"]
+    expected += ["%.17g,%.17g,%.17g,%.17g" % row for row in rows]
+    assert (tmp_path / "readme.csv").read_bytes() == "".join(f"{line}\n" for line in expected).encode()
+
+
 def test_module_docstring_scenario_document_parses():
     doc = tcsim.scenario.__doc__
     example = doc[doc.index("::\n") + 3:]
