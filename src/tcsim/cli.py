@@ -102,15 +102,6 @@ def oracle_series(scenario: Scenario) -> TimeSeries:
 _CSV_BLOCK_ROWS = 4096  # rows per formatted block, so the temporary arrays and text stay small
 
 
-def _blocks(columns: list[np.ndarray], field: str, sep: str) -> Iterator[str]:
-    """The rows of the equal-length ``columns``, each ``field``-formatted and comma-joined,
-    as strings of ``_CSV_BLOCK_ROWS`` ``sep``-joined rows, one ``%`` operation each."""
-    row = ",".join([field] * len(columns))
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = np.column_stack([column[start:start + _CSV_BLOCK_ROWS] for column in columns])
-        yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
-
-
 # A CSV field is laid out in a slot of 32 bytes, four uint64 words: seven "0"s, the 17
 # significant digits, eight "0"s.  For a decimal exponent X the point goes at byte 7 + X; the
 # bytes before it are taken one byte to the left (the integer digits, or for X < 0 the "0"
@@ -248,8 +239,7 @@ def _csv_block(columns: list[np.ndarray]) -> str:
     text[:, :, -1] = ord(",")
     text[:, -1, -1] = ord("\n")
     text[-1, -1, -1] = 0
-    text = text.ravel()
-    return text[text != 0].tobytes().decode("ascii")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def csv_lines(scenario: Scenario, closed: TimeSeries, checked: TimeSeries | None) -> Iterator[str]:
@@ -287,8 +277,9 @@ def write_text(path: Path | None, lines: Iterable[str]) -> None:
 
 def svg_lines(series: TimeSeries, title: str) -> Iterator[str]:
     """Minimal static SVG 1.1 line plot: one polyline plus labelled axes.  A generator,
-    consumed once like ``csv_lines``; the polyline's points are formatted
-    ``_CSV_BLOCK_ROWS`` points per ``%`` operation into its one ``points`` attribute."""
+    consumed once like ``csv_lines``: the polyline's points are formatted ``_CSV_BLOCK_ROWS``
+    points per ``%`` operation, a block per line of its one ``points`` attribute, where XML
+    reads each newline as the space between two points."""
     width, height = 960, 540
     left, right, top, bottom = 70, 20, 30, 50
     plot_w = width - left - right
@@ -302,7 +293,6 @@ def svg_lines(series: TimeSeries, title: str) -> Iterator[str]:
     def sy(z):
         return top + (z1 - z) / (z1 - z0) * plot_h
 
-    pts = " ".join(_blocks([sx(series.times), sy(series.values)], "%.2f", " "))
     # escaped by hand: xml.sax.saxutils would import urllib.request into every run
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     yield '<?xml version="1.0" encoding="UTF-8"?>'
@@ -322,7 +312,13 @@ def svg_lines(series: TimeSeries, title: str) -> Iterator[str]:
     yield f'<text x="{left + plot_w / 2:.0f}" y="{height - 10}" text-anchor="middle" font-size="13">t</text>'
     yield (f'<text x="18" y="{top + plot_h / 2:.0f}" text-anchor="middle" font-size="13" '
            f'transform="rotate(-90 18 {top + plot_h / 2:.0f})">zeta</text>')
-    yield f'<polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
+    starts = range(0, len(series), _CSV_BLOCK_ROWS)
+    for start in starts:
+        rows = slice(start, start + _CSV_BLOCK_ROWS)
+        block = np.column_stack([sx(series.times[rows]), sy(series.values[rows])])
+        points = " ".join(["%.2f,%.2f"] * len(block)) % tuple(block.ravel().tolist())
+        yield (('<polyline points="' if start == 0 else "") + points
+               + ('" fill="none" stroke="#1f5fa8" stroke-width="1"/>' if start == starts[-1] else ""))
     yield "</svg>"
 
 

@@ -713,21 +713,44 @@ def test_csv_and_svg_lines_are_iterators():
         assert iter(lines) is lines
 
 
-def test_svg_points_match_a_per_point_reference_across_blocks():
+_POLYLINE_HEAD = '<polyline points="'
+_POLYLINE_TAIL = '" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
+
+
+def _svg_reference_points(times, values):
+    """The polyline's points of ``svg_lines``' plot, formatted one at a time."""
+    t0, t1, z1 = times[0], times[-1], max(0.5, float(values.max()))
+    return [f"{70 + (t - t0) / (t1 - t0) * 870:.2f},{30 + (z1 - z) / (z1 - 0.0) * 460:.2f}"
+            for t, z in zip(times, values)]
+
+
+def test_svg_points_match_a_per_point_reference_across_blocks(tmp_path):
     n = 2 * _CSV_BLOCK_ROWS + 7
     times = np.linspace(0.5, 40.0, n)
     values = 0.25 + 0.3 * np.sin(times)  # above 0.5 and below 0 in places
-    t0, t1, z1 = times[0], times[-1], max(0.5, float(values.max()))
+    reference = _svg_reference_points(times, values)
+    lines = list(svg_lines(TimeSeries(times, values), "long"))
+    # each block of points is one line: the first opens the polyline, the last closes it
+    first = next(i for i, line in enumerate(lines) if line.startswith(_POLYLINE_HEAD))
+    assert lines[first + 3:] == ["</svg>"]
+    text = "\n".join(lines[first:first + 3])
+    assert text.startswith(_POLYLINE_HEAD) and text.endswith(_POLYLINE_TAIL)
+    blocks = text[len(_POLYLINE_HEAD):-len(_POLYLINE_TAIL)].split("\n")
+    assert [block.split(" ") for block in blocks] == [
+        reference[start:start + _CSV_BLOCK_ROWS] for start in range(0, n, _CSV_BLOCK_ROWS)]
+    # an XML reader takes each newline in the attribute for a space
+    path = tmp_path / "long.svg"
+    write_text(path, lines)
+    (polyline,) = minidom.parse(str(path)).getElementsByTagName("polyline")
+    assert polyline.getAttribute("points").split(" ") == reference
 
-    def sx(t):
-        return 70 + (t - t0) / (t1 - t0) * 870
 
-    def sy(z):
-        return 30 + (z1 - z) / (z1 - 0.0) * 460
-
-    reference = " ".join(f"{sx(t):.2f},{sy(z):.2f}" for t, z in zip(times, values))
-    polyline = [line for line in svg_lines(TimeSeries(times, values), "long") if line.startswith("<polyline")]
-    assert polyline == [f'<polyline points="{reference}" fill="none" stroke="#1f5fa8" stroke-width="1"/>']
+@pytest.mark.parametrize("n", [2, _CSV_BLOCK_ROWS])
+def test_svg_of_one_block_keeps_its_polyline_on_one_line(n):
+    times = np.linspace(0.5, 40.0, n)
+    values = 0.25 + 0.3 * np.sin(times)
+    polyline = [line for line in svg_lines(TimeSeries(times, values), "short") if "polyline" in line]
+    assert polyline == [_POLYLINE_HEAD + " ".join(_svg_reference_points(times, values)) + _POLYLINE_TAIL]
 
 
 def test_figure_one_takes_the_mixture_closed_form_path(tmp_path):
@@ -764,6 +787,17 @@ def test_oracle_check_passes_on_reference_preset(capsys):
     assert main(["oracle-check", "--preset", "2c", "--tol", "1e-8"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_oracle_check_reports_an_eigensolver_failure_as_a_validation_error(capsys, monkeypatch):
+    def eigh(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert main(["oracle-check", "--preset", "2c"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: Eigenvalues did not converge\n"
+    assert captured.out == ""
 
 
 def test_oracle_check_names_the_worst_point(capsys):
@@ -968,6 +1002,18 @@ def test_every_bad_row_message_counts_data_rows_from_one(tmp_path, capsys, row, 
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
+def test_analyze_passes_on_numpys_message_where_no_bad_row_is_found(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "good.csv"
+    path.write_text("t,zeta\n0,0.1\n1,0.2\n", encoding="utf-8")
+
+    def loadtxt(*args, **kwargs):
+        raise ValueError("numpy's message")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: bad CSV row in {path}: numpy's message\n"
+
+
 def test_load_csv_reads_a_good_file_with_one_numpy_call_and_no_second_pass(tmp_path, monkeypatch):
     import tcsim.cli as cli
 
@@ -1092,6 +1138,24 @@ def test_analyze_names_the_file_offset_of_undecodable_bytes(tmp_path, capsys, ta
     path.write_bytes(data)
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err == f"error: cannot read {path}: {whole.value}\n"
+
+
+def test_analyze_keeps_the_readers_decode_message_where_the_file_cannot_be_read_again(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"0,0.1\n1,0.2\n\xff\n")
+    open_text = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        if mode == "rb":  # the second read, which would find the byte's offset in the file
+            raise PermissionError(13, "Permission denied", str(self))
+        return open_text(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+    assert main(["analyze", str(path)]) == 2
+    # the reader counts from the end of the byte-order mark; the file offset would be 15
+    assert capsys.readouterr().err == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                                       f"in position 12: invalid start byte\n")
 
 
 def test_load_csv_skips_a_byte_order_mark_in_a_file_named_like_a_compressed_one(tmp_path):
