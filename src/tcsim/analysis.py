@@ -32,7 +32,6 @@ class RevivalReport:
     them, and the windowed mean of the series."""
 
     minima: list[tuple[float, float]]
-    after: float
     global_min: tuple[float, float] | None
     time_average: float
 
@@ -62,12 +61,9 @@ def find_revivals(series: TimeSeries, after: float = 0.0) -> RevivalReport:
     idx = np.nonzero(interior)[0] + 1
     idx = idx[t[idx] > after]
     minima = [(float(t[i]), float(z[i])) for i in idx]
-    global_min = None
-    if minima:
-        tmin, zmin = min(minima, key=lambda pair: pair[1])
-        global_min = (tmin, zmin)
+    global_min = min(minima, key=lambda pair: pair[1], default=None)
     avg = time_average(series, (max(after, float(t[0])), float(t[-1])))
-    return RevivalReport(minima=minima, after=float(after), global_min=global_min, time_average=avg)
+    return RevivalReport(minima=minima, global_min=global_min, time_average=avg)
 
 
 def time_average(series: TimeSeries, window: tuple[float, float]) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from . import tc
 from .errors import ScenarioParseError, ValidationError
 from .scenario import PRESET_IDS, Scenario, load_scenario, preset
-from .series import TimeSeries
+from .series import CHUNK_POINTS, TimeSeries
 from .states import SystemConfig
 
 EXIT_OK = 0
@@ -97,9 +97,6 @@ def oracle_series(scenario: Scenario) -> TimeSeries:
     """Brute-force entropy series for any scenario kind."""
     from . import oracle
     return oracle.oracle_entropy_series(scenario.config, omega=scenario.oracle_omega)
-
-
-_CSV_BLOCK_ROWS = 4096  # rows per formatted block, so the temporary arrays and text stay small
 
 
 # A CSV field is laid out in a slot of 32 bytes, four uint64 words: seven "0"s, the 17
@@ -244,15 +241,15 @@ def _csv_block(columns: list[np.ndarray]) -> str:
 
 def csv_lines(scenario: Scenario, closed: TimeSeries, checked: TimeSeries | None) -> Iterator[str]:
     """``#`` scenario lines, the column header, then the ``%.17g`` rows (which read back to
-    the same doubles) in strings of ``_CSV_BLOCK_ROWS`` newline-joined rows.  A generator:
+    the same doubles) in strings of ``series.CHUNK_POINTS`` newline-joined rows.  A generator:
     each block, its ``abs_err`` column included, is formed when it is asked for, so a caller
     that writes the lines as they come, as ``write_text`` does, holds one block at a time.
     It is consumed once."""
     for entry in scenario.to_lines():
         yield f"# {entry}"
     yield "t,zeta" if checked is None else "t,zeta,zeta_oracle,abs_err"
-    for start in range(0, len(closed), _CSV_BLOCK_ROWS):
-        rows = slice(start, start + _CSV_BLOCK_ROWS)
+    for start in range(0, len(closed), CHUNK_POINTS):
+        rows = slice(start, start + CHUNK_POINTS)
         columns = [closed.times[rows], closed.values[rows]]
         if checked is not None:
             columns += [checked.values[rows], np.abs(columns[1] - checked.values[rows])]
@@ -277,7 +274,7 @@ def write_text(path: Path | None, lines: Iterable[str]) -> None:
 
 def svg_lines(series: TimeSeries, title: str) -> Iterator[str]:
     """Minimal static SVG 1.1 line plot: one polyline plus labelled axes.  A generator,
-    consumed once like ``csv_lines``: the polyline's points are formatted ``_CSV_BLOCK_ROWS``
+    consumed once like ``csv_lines``: the polyline's points are formatted ``series.CHUNK_POINTS``
     points per ``%`` operation, a block per line of its one ``points`` attribute, where XML
     reads each newline as the space between two points."""
     width, height = 960, 540
@@ -312,9 +309,9 @@ def svg_lines(series: TimeSeries, title: str) -> Iterator[str]:
     yield f'<text x="{left + plot_w / 2:.0f}" y="{height - 10}" text-anchor="middle" font-size="13">t</text>'
     yield (f'<text x="18" y="{top + plot_h / 2:.0f}" text-anchor="middle" font-size="13" '
            f'transform="rotate(-90 18 {top + plot_h / 2:.0f})">zeta</text>')
-    starts = range(0, len(series), _CSV_BLOCK_ROWS)
+    starts = range(0, len(series), CHUNK_POINTS)
     for start in starts:
-        rows = slice(start, start + _CSV_BLOCK_ROWS)
+        rows = slice(start, start + CHUNK_POINTS)
         block = np.column_stack([sx(series.times[rows]), sy(series.values[rows])])
         points = " ".join(["%.2f,%.2f"] * len(block)) % tuple(block.ravel().tolist())
         yield (('<polyline points="' if start == 0 else "") + points

@@ -124,7 +124,11 @@ def _kind(name: str) -> _Kind:
 
 def _components(kind: str, params) -> list[tuple[float, FockDistribution]]:
     """The (weight, FockDistribution) components that the [oscillator] values ``params``
-    of ``kind`` prepare; a value out of range raises ValidationError."""
+    of ``kind`` prepare.  An unknown kind, or keys that are not the kind's keys in order,
+    raise ScenarioParseError; a value out of range raises ValidationError."""
+    keys, expected = [key for key, _ in params], list(_kind(kind).keys)
+    if keys != expected:
+        raise ScenarioParseError(f"kind = {kind} takes keys {expected} in that order, not {keys}")
     return _KINDS[kind].prepare(*(value for _, value in params))
 
 
@@ -145,7 +149,6 @@ class Scenario:
     config: SystemConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _kind(self.kind)
         # checked here so that no bad value reaches a CSV header; omega with the oracle off too
         object.__setattr__(self, "config", SystemConfig(_components(self.kind, self.params),
                                                         self.environment, self.couplings, self.grid))

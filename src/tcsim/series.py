@@ -15,9 +15,9 @@ from .errors import ValidationError
 # frequency * t past 1/eps has no significant digit left.
 PHASE_LIMIT = 1.0 / np.finfo(float).eps
 
-# Grid points per slice of the closed forms' time walk: their working memory
-# is a few blocks of eight arrays of this length, whatever the grid length.
-CHUNK_POINTS = 8192
+# Grid points per slice of every walk over the time grid, the closed forms' and the
+# CSV and SVG writers': each holds a few arrays of this length, whatever the grid's.
+CHUNK_POINTS = 4096
 
 # Relative spread of the steps that ``TimeSeries.step`` accepts as uniform.
 STEP_RTOL = 1e-9

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import tcsim.tc as tc
 from tcsim.cli import (
-    _CSV_BLOCK_ROWS,
     _csv_block,
     _load_csv,
     closed_series,
@@ -38,7 +37,7 @@ from tcsim.scenario import (
     preset,
     scenario_from_header,
 )
-from tcsim.series import PHASE_LIMIT, TimeSeries
+from tcsim.series import CHUNK_POINTS, PHASE_LIMIT, TimeSeries
 from tcsim.states import TimeGrid, binomial_state
 
 GOOD_SCENARIO = """\
@@ -284,6 +283,17 @@ def test_an_oscillator_value_out_of_range_is_rejected_when_the_scenario_is_built
             read(text)
     with pytest.raises(ValidationError, match=message):  # so that to_lines never writes the value
         replace(preset("2c"), kind=kind, params=((key, value),))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"params": (("M", 1),)}, "kind = number takes keys ['N'] in that order, not ['M']"),
+    ({"params": (("N", 1), ("x", 2))}, "kind = number takes keys ['N'] in that order, not ['N', 'x']"),
+    ({"params": ()}, "kind = number takes keys ['N'] in that order, not []"),
+    ({"kind": "binomial"}, "kind = binomial takes keys ['M', 'q'] in that order, not ['N']"),
+], ids=["other key", "extra key", "no key", "other kind"])
+def test_a_scenario_whose_params_are_not_its_kinds_keys_is_rejected(changes, message):
+    with pytest.raises(ScenarioParseError, match=f"^{re.escape(message)}$"):
+        replace(preset("2c"), **changes)
 
 
 def test_a_bad_oscillator_value_is_reported_before_a_bad_grid(tmp_path, capsys):
@@ -640,7 +650,7 @@ def test_oracle_columns_match_a_per_field_reference(preset_id):
 
 def test_awkward_doubles_match_a_per_field_reference_across_blocks():
     awkward = [5e-324, 1e-300, 0.1, 1 / 3, 2.0**60, 0.0]
-    n = 2 * _CSV_BLOCK_ROWS + 7
+    n = 2 * CHUNK_POINTS + 7
     times = np.arange(n) / 3 + 1e-300
     values = np.resize(awkward, n)
     lines = list(csv_lines(preset("2c"), TimeSeries(times, values), None))
@@ -673,7 +683,7 @@ def test_csv_fields_at_the_edges_match_percent_formatting():
 def test_csv_fields_round_exact_ties_half_to_even(fraction):
     # n has 16 digits, so n + 1/4 and n + 3/4 are ties at the 17th: .2|5 rounds down to the
     # even 2 and .7|5 up to the even 8
-    n = np.random.default_rng(7).integers(2**50, 2**51, _CSV_BLOCK_ROWS)
+    n = np.random.default_rng(7).integers(2**50, 2**51, CHUNK_POINTS)
     ties = np.concatenate([[2.0**50, 2.0**51 - 1], n]) + fraction
     assert _csv_block([ties]).split("\n") == ["%.17g" % x for x in ties]
 
@@ -725,7 +735,7 @@ def _svg_reference_points(times, values):
 
 
 def test_svg_points_match_a_per_point_reference_across_blocks(tmp_path):
-    n = 2 * _CSV_BLOCK_ROWS + 7
+    n = 2 * CHUNK_POINTS + 7
     times = np.linspace(0.5, 40.0, n)
     values = 0.25 + 0.3 * np.sin(times)  # above 0.5 and below 0 in places
     reference = _svg_reference_points(times, values)
@@ -737,7 +747,7 @@ def test_svg_points_match_a_per_point_reference_across_blocks(tmp_path):
     assert text.startswith(_POLYLINE_HEAD) and text.endswith(_POLYLINE_TAIL)
     blocks = text[len(_POLYLINE_HEAD):-len(_POLYLINE_TAIL)].split("\n")
     assert [block.split(" ") for block in blocks] == [
-        reference[start:start + _CSV_BLOCK_ROWS] for start in range(0, n, _CSV_BLOCK_ROWS)]
+        reference[start:start + CHUNK_POINTS] for start in range(0, n, CHUNK_POINTS)]
     # an XML reader takes each newline in the attribute for a space
     path = tmp_path / "long.svg"
     write_text(path, lines)
@@ -745,12 +755,34 @@ def test_svg_points_match_a_per_point_reference_across_blocks(tmp_path):
     assert polyline.getAttribute("points").split(" ") == reference
 
 
-@pytest.mark.parametrize("n", [2, _CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("n", [2, CHUNK_POINTS])
 def test_svg_of_one_block_keeps_its_polyline_on_one_line(n):
     times = np.linspace(0.5, 40.0, n)
     values = 0.25 + 0.3 * np.sin(times)
     polyline = [line for line in svg_lines(TimeSeries(times, values), "short") if "polyline" in line]
     assert polyline == [_POLYLINE_HEAD + " ".join(_svg_reference_points(times, values)) + _POLYLINE_TAIL]
+
+
+def test_the_closed_form_and_both_writers_walk_the_grid_in_the_same_slices(monkeypatch):
+    n = 2 * CHUNK_POINTS + 7
+    slices = [CHUNK_POINTS, CHUNK_POINTS, 7]
+    sc = preset("2c", points=n)
+    terms = tc._terms
+    walked = []
+
+    def counting_terms(config, bands, params, t):
+        walked.append(len(t))
+        return terms(config, bands, params, t)
+
+    monkeypatch.setattr(tc, "_terms", counting_terms)
+    closed = tc.entropy_series(sc.config)  # tc.mixture_entropy_arrays over the grid
+    assert walked == slices
+    rows = list(csv_lines(sc, closed, None))[len(sc.to_lines()) + 1:]
+    assert [len(block.split("\n")) for block in rows] == slices
+    lines = list(svg_lines(closed, "slices"))
+    first = next(i for i, line in enumerate(lines) if line.startswith(_POLYLINE_HEAD))
+    points = "\n".join(lines[first:-1])[len(_POLYLINE_HEAD):-len(_POLYLINE_TAIL)]
+    assert [len(block.split(" ")) for block in points.split("\n")] == slices
 
 
 def test_figure_one_takes_the_mixture_closed_form_path(tmp_path):
@@ -1220,7 +1252,7 @@ def test_a_report_to_a_closed_pipe_exits_2_without_a_traceback(unbuffered):
 
 
 def test_write_text_sends_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
-    sc = preset("2c", points=2 * _CSV_BLOCK_ROWS + 7)
+    sc = preset("2c", points=2 * CHUNK_POINTS + 7)
     lines = list(csv_lines(sc, closed_series(sc), None))
     write_text(tmp_path / "out.csv", lines)
     write_text(None, lines)

@@ -8,8 +8,9 @@ the CSV with the oracle's two columns too, whose ``abs_err`` it forms a block at
 a time, and the SVG a block of polyline points per line.  What a
 layer allocates beyond its output must stay under one bound of a few MB at
 25,001 and at 250,001 points, and grow by less than one grid-sized array of
-doubles between the two: the layers walk the grid in chunks and blocks, and
-beyond their output keep at most a few one-byte masks per point.
+doubles between the two: the closed forms and the writers walk the grid in
+slices of one length, ``series.CHUNK_POINTS``, and beyond their output keep at
+most a few one-byte masks per point.
 """
 
 from __future__ import annotations
